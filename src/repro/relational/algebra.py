@@ -100,7 +100,7 @@ def rename(
         schema = schema.rename_attribute(old, new)
     if new_name:
         schema = schema.rename_relation(new_name)
-    return Relation(schema, relation.rows)
+    return Relation.from_validated(schema, relation.rows)
 
 
 def cartesian_product(

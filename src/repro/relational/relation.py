@@ -2,14 +2,16 @@
 
 The engine is deliberately simple and fully in memory — the paper's
 experiments run on relations of a few thousand tuples.  Tuples are plain
-Python tuples validated against the schema on insertion.  Relations are
-*bags* (duplicates allowed) because SQL views are; the quality model
-(Sec. 5.4.2) explicitly removes duplicates before comparing extents, which
-callers do via :meth:`Relation.distinct`.
+Python tuples validated against the schema once, on insertion, and
+shared by every relation derived from them (see :class:`Relation`).
+Relations are *bags* (duplicates allowed) because SQL views are; the
+quality model (Sec. 5.4.2) explicitly removes duplicates before comparing
+extents, which callers do via :meth:`Relation.distinct`.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any
@@ -28,6 +30,13 @@ class Relation:
     Mutating operations (:meth:`insert`, :meth:`delete`) are used by the
     data-update machinery of the maintenance simulator; algebra operations
     in :mod:`repro.relational.algebra` always return new relations.
+
+    Validate-once contract: rows are type-checked when they are inserted
+    (external data) and never again.  :meth:`from_validated` and the
+    derivations (:meth:`copy`, :meth:`distinct`, the ``with_*`` schema
+    evolutions) trust rows that came out of a validated relation and
+    adopt them — the new relation gets its own row *list*, indexes and
+    column store, but shares the immutable row tuples.
     """
 
     __slots__ = ("schema", "_rows", "_indexes", "_column_store")
@@ -59,10 +68,11 @@ class Relation:
     ) -> "Relation":
         """Adopt rows already validated against ``schema``.
 
-        Execution planes building result extents from rows that each came
-        out of a validated relation skip the second per-value validation
-        pass; callers own the invariant that every row is a well-typed
-        tuple of the right arity.
+        Execution planes and derivations building extents from rows that
+        each came out of a validated relation with the same attribute
+        types skip the second per-value validation pass; callers own the
+        invariant that every row is a well-typed tuple of the right arity.
+        The row list is copied, the row tuples are shared.
         """
         relation = cls(schema)
         relation._rows = list(rows)
@@ -179,17 +189,36 @@ class Relation:
     # Mutation (used by data updates)
     # ------------------------------------------------------------------
     def _validate(self, row: Sequence[Any]) -> Row:
-        if len(row) != self.schema.arity:
+        """``row`` as a well-typed tuple, or :class:`TypeMismatchError`.
+
+        A row whose values all have their column's exact class passes on
+        one comparison of its type vector with ``schema.row_types``; a
+        tuple is then returned as is.  Anything else (NULLs, subclasses,
+        values to coerce, wrong arity) goes value by value through
+        :meth:`AttributeType.validate`, and a new tuple is built only if
+        a value was coerced (an int in a FLOAT column) or ``row`` is not
+        a tuple.
+        """
+        schema = self.schema
+        if tuple(map(type, row)) == schema.row_types:
+            return row if type(row) is tuple else tuple(row)
+        if len(row) != schema.arity:
             raise SchemaError(
-                f"row arity {len(row)} != schema arity {self.schema.arity} "
+                f"row arity {len(row)} != schema arity {schema.arity} "
                 f"for relation {self.name!r}"
             )
-        return tuple(
-            attr.type.validate(value) for attr, value in zip(self.schema, row)
+        validated = tuple(
+            attr.type.validate(value) for attr, value in zip(schema, row)
         )
+        if type(row) is tuple and all(map(operator.is_, validated, row)):
+            return row
+        return validated
 
     def insert(self, row: Sequence[Any]) -> Row:
-        """Validate and append ``row``; returns the normalized tuple."""
+        """Validate and append ``row``; returns the stored tuple.
+
+        A well-typed tuple is stored as the caller's own object.
+        """
         validated = self._validate(row)
         self._rows.append(validated)
         for index in self._indexes.values():
@@ -249,23 +278,32 @@ class Relation:
         position = self.schema.position(attribute)
         new_schema = self.schema.drop_attribute(attribute)
         rows = [row[:position] + row[position + 1 :] for row in self._rows]
-        return Relation(new_schema, rows)
+        return Relation.from_validated(new_schema, rows)
 
     def with_added_attribute(
         self, attribute: Attribute, default: Any = None
     ) -> "Relation":
-        """New relation with ``attribute`` appended, filled with ``default``."""
+        """New relation with ``attribute`` appended, filled with ``default``.
+
+        ``default`` is validated once against the new attribute's type;
+        the existing values are adopted.
+        """
         new_schema = self.schema.add_attribute(attribute)
+        default = attribute.type.validate(default)
         rows = [(*row, default) for row in self._rows]
-        return Relation(new_schema, rows)
+        return Relation.from_validated(new_schema, rows)
 
     def with_renamed_attribute(self, old: str, new: str) -> "Relation":
         """New relation with one attribute renamed; rows unchanged."""
-        return Relation(self.schema.rename_attribute(old, new), self._rows)
+        return Relation.from_validated(
+            self.schema.rename_attribute(old, new), self._rows
+        )
 
     def with_renamed_relation(self, new_name: str) -> "Relation":
         """New relation under a different name; rows unchanged."""
-        return Relation(self.schema.rename_relation(new_name), self._rows)
+        return Relation.from_validated(
+            self.schema.rename_relation(new_name), self._rows
+        )
 
     # ------------------------------------------------------------------
     # Set-style derivations
@@ -278,11 +316,16 @@ class Relation:
             if row not in seen:
                 seen.add(row)
                 rows.append(row)
-        return Relation(self.schema, rows)
+        return Relation.from_validated(self.schema, rows)
 
     def copy(self, new_name: str | None = None) -> "Relation":
-        """Independent copy, optionally renamed."""
+        """Independent copy, optionally renamed.
+
+        Independent as a bag: inserts and deletes on either side, and the
+        indexes and column store each side builds, never reach the other.
+        The immutable row tuples themselves are shared.
+        """
         schema = (
             self.schema.rename_relation(new_name) if new_name else self.schema
         )
-        return Relation(schema, list(self._rows))
+        return Relation.from_validated(schema, self._rows)

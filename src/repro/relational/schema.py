@@ -54,7 +54,7 @@ class Schema:
     extraction, and concatenation for joins.
     """
 
-    __slots__ = ("name", "_attributes", "_index", "_tuple_byte_size")
+    __slots__ = ("name", "row_types", "_attributes", "_index", "_tuple_byte_size")
 
     def __init__(self, name: str, attributes: Iterable[Attribute | str]) -> None:
         self.name = name
@@ -72,6 +72,12 @@ class Schema:
         # Schemas are immutable, so the tuple width is fixed at birth;
         # computing it here keeps the per-message maintenance loop O(1).
         self._tuple_byte_size = sum(attr.byte_size for attr in self._attributes)
+        # The exact value class per position: a row whose ``type()``
+        # vector equals this is well-typed without per-value validation
+        # (read-only, like ``name``).
+        self.row_types: tuple[type, ...] = tuple(
+            [attr.type.python_type for attr in self._attributes]
+        )
 
     # ------------------------------------------------------------------
     # Introspection

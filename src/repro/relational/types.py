@@ -25,14 +25,16 @@ class AttributeType(enum.Enum):
     override them per attribute.
     """
 
-    INT = ("int", 4)
-    FLOAT = ("float", 8)
-    STRING = ("string", 20)
-    BOOL = ("bool", 1)
+    INT = ("int", 4, int)
+    FLOAT = ("float", 8, float)
+    STRING = ("string", 20, str)
+    BOOL = ("bool", 1, bool)
 
-    def __init__(self, label: str, default_size: int) -> None:
+    def __init__(self, label: str, default_size: int, python_type: type) -> None:
         self.label = label
         self.default_size = default_size
+        #: The exact class whose values :meth:`validate` returns unchanged.
+        self.python_type = python_type
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"AttributeType.{self.name}"

@@ -213,3 +213,38 @@ class TestPins:
         assert published == [(1, ("V", "W"), 2, 1)]
         snapshot.release()
         assert released == [(0, 0)]
+
+
+class TestSharedRowIsolation:
+    """Copy-on-write shares row tuples, never row lists, indexes or columns."""
+
+    def test_staged_mutations_leave_the_pinned_relation_intact(self):
+        store = ExtentStore()
+        live = rel("V", [(1, 2), (3, 4), (5, 6)])
+        live.index_on(["A"])
+        live_store = live.column_store()
+        store["V"] = live
+        pinned = store.snapshot()
+        rows_before = list(live.rows)
+        columns_before = [list(column) for column in live_store.columns]
+        with store.batch():
+            staged = store.mutable("V")
+            assert staged is not live
+            assert all(a is b for a, b in zip(staged.rows, live.rows))
+            staged.insert((7, 8))
+            assert staged.delete((1, 2))
+            staged.index_on(["B"])
+            staged.index_on(["A", "B"])
+            staged.column_store()
+        extent = pinned.extent("V")
+        assert extent is live
+        assert extent.rows == rows_before
+        assert all(a is b for a, b in zip(extent.rows, rows_before))
+        assert extent.index_count == 1
+        assert list(extent.index_on(["A"]).probe((1,))) == [(1, 2)]
+        assert not extent.index_on(["A"]).probe((7,))
+        assert extent.column_store() is live_store
+        assert [list(column) for column in live_store.columns] == columns_before
+        pinned.release()
+        with store.snapshot() as fresh:
+            assert fresh.extent("V").rows == [(3, 4), (5, 6), (7, 8)]
