@@ -141,7 +141,7 @@ def run_overlap_fallback():
     # U is declared substitutable but with an *empty-information* overlap:
     # an equivalence over the attributes exists only shape-wise; we model
     # "no PC constraint about the extent" by removing it after generation.
-    space.mkb.add_equivalence("R2", "U", ["A", "B", "C"])
+    equivalence = space.mkb.add_equivalence("R2", "U", ["A", "B", "C"])
     space.delete_relation("R2")
     synchronizer = ViewSynchronizer(space.mkb)
     rewritings = synchronizer.synchronize(
@@ -156,11 +156,7 @@ def run_overlap_fallback():
 
     # Pessimistic path: strike the R2/U constraint from (historical)
     # knowledge, leaving U a constraint-less substitution target.
-    space.mkb._historical_pc = [
-        pc
-        for pc in space.mkb._historical_pc
-        if not (pc.involves("R2") and pc.involves("U"))
-    ]
+    space.mkb.retract_pc_constraint(equivalence)
     pessimistic = estimate_extent_numbers([to_u][0], space.mkb)
 
     # Optimistic alternative: assume the overlap is the smaller extent.

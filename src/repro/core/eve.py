@@ -415,7 +415,7 @@ class EVESystem:
         if materialize:
             self._extents[resolved.name] = evaluate_view(
                 resolved,
-                self.space.relations(),
+                self.space.relation,
                 self.space.mkb.statistics,
                 config=self.config.engine,
                 kernel_counters=self.kernel_counters,
@@ -436,7 +436,7 @@ class EVESystem:
         view = self.vkb.current(view_name)
         self._extents[view_name] = evaluate_view(
             view,
-            self.space.relations(),
+            self.space.relation,
             self.space.mkb.statistics,
             config=self.config.engine,
             kernel_counters=self.kernel_counters,
@@ -721,7 +721,7 @@ class EVESystem:
                 before = self.kernel_counters.snapshot()
                 self._extents[record.name] = evaluate_view(
                     record.current,
-                    self.space.relations(),
+                    self.space.relation,
                     self.space.mkb.statistics,
                     config=self.config.engine,
                     kernel_counters=self.kernel_counters,
@@ -1050,7 +1050,7 @@ class EVESystem:
         if record.alive and view_name in self._extents:
             self._extents[view_name] = evaluate_view(
                 record.current,
-                self.space.relations(),
+                self.space.relation,
                 self.space.mkb.statistics,
                 config=self.config.engine,
                 kernel_counters=self.kernel_counters,
@@ -1140,7 +1140,7 @@ class EVESystem:
             )
         return explain_plans.explain_view(
             record.current,
-            self.space.relations(),
+            self.space.relation,
             self.space.mkb.statistics,
             config=self.config.engine,
             analyze=analyze,
@@ -1205,7 +1205,7 @@ class EVESystem:
             try:
                 plan = explain_plans.explain_view(
                     record.current,
-                    self.space.relations(),
+                    self.space.relation,
                     self.space.mkb.statistics,
                     config=self.config.engine,
                 )

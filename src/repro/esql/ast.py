@@ -26,7 +26,7 @@ from repro.relational.expressions import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectItem:
     """One SELECT-clause entry ``R.A (AD = ..., AR = ...)`` with local alias."""
 
@@ -72,7 +72,7 @@ class SelectItem:
         return rendered + self.flags.format("AD", "AR")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FromItem:
     """One FROM-clause entry ``R (RD = ..., RR = ...)``."""
 
@@ -87,7 +87,7 @@ class FromItem:
         return FromItem(new_relation, self.flags, source or self.source)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WhereItem:
     """One WHERE-clause conjunct ``C_i (CD = ..., CR = ...)``."""
 

@@ -98,7 +98,7 @@ class AttributeCategory(enum.Enum):
         return not self.dispensable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvolutionFlags:
     """The (dispensable, replaceable) pair attached to a view component.
 

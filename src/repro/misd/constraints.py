@@ -26,7 +26,7 @@ from repro.relational.schema import Schema
 from repro.relational.types import AttributeType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeIntegrityConstraint:
     """``TC(R.A)``: attribute ``A`` of relation ``R`` has domain ``type``."""
 
@@ -46,7 +46,7 @@ class TypeIntegrityConstraint:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinConstraint:
     """``JC(R1,R2)``: the conjunction under which R1 x R2 is meaningful."""
 
@@ -103,7 +103,7 @@ class PCRelationship(enum.Enum):
         return PCRelationship.EQUIVALENT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationFragment:
     """One side of a PC constraint: ``pi_attributes(sigma_condition(relation))``.
 
@@ -147,7 +147,7 @@ class RelationFragment:
             schema.attribute(ref.attribute)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PCConstraint:
     """``PC(R1,R2)``: left fragment REL right fragment (Eq. 5).
 

@@ -13,11 +13,23 @@ can be re-checked wholesale after schema changes (:meth:`check_consistency`).
 When a capability change removes a relation or attribute, the MKB evolves
 (:meth:`on_relation_deleted` etc.): constraints that mention deleted pieces
 are themselves dropped, exactly like EVE's MKB Evolver.
+
+Every candidate rewriting reads the constraints of the relation it
+replaces, so per-relation lookups go through a relation -> constraints
+index instead of scanning every live and retired constraint.  The index
+is derived data: it is rebuilt in one pass on the first lookup after
+:attr:`MetaKnowledgeBase.version` moves, and every mutator bumps
+``version``.  Lookups return exactly what the linear scan would: live
+constraints before retired ones and insertion order within each; the
+``sync_*`` lookups then orient PC constraints from the looked-up
+relation and de-duplicate with ``dict.fromkeys``.
+Candidate generation walks these results in order, so the order fixes
+every downstream tie-break.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from repro.errors import ConstraintError, UnknownRelationError
 from repro.misd.constraints import (
@@ -30,8 +42,24 @@ from repro.misd.statistics import RelationStatistics, SpaceStatistics
 from repro.relational.schema import Schema
 
 
+_LIVE_PC = "pc"
+_RETIRED_PC = "retired-pc"
+_LIVE_JOIN = "join"
+_RETIRED_JOIN = "retired-join"
+
+
 class MetaKnowledgeBase:
-    """Registry of schemas, constraints and statistics for the space."""
+    """Registry of schemas, constraints and statistics for the space.
+
+    Per-relation constraint lookups are answered from an index keyed by
+    ``(kind, relation)`` — kind is live or retired, PC or join — that is
+    valid only for the :attr:`version` it was built at (see the module
+    docstring for the order contract); :meth:`sync_pc_constraints`
+    results are memoized for the same version.  Neither is pickled; a
+    copy rebuilds them on first use.  Code that edits the constraint
+    lists must bump :attr:`version` — use :meth:`retract_pc_constraint`
+    rather than filtering them in place.
+    """
 
     def __init__(self, statistics: SpaceStatistics | None = None) -> None:
         #: Bumped on every registration, constraint, or evolution change so
@@ -58,6 +86,56 @@ class MetaKnowledgeBase:
         self._historical_pc: list[PCConstraint] = []
         self._dropped_schemas: dict[str, Schema] = {}
         self.statistics = statistics if statistics is not None else SpaceStatistics()
+        # Derived from the lists above for one ``version`` (see
+        # :meth:`_indexed`); never pickled.
+        self._index: dict[tuple[str, str], list] = {}
+        self._sync_pc: dict[str, tuple[PCConstraint, ...]] = {}
+        self._index_version = -1
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        for derived in ("_index", "_sync_pc", "_index_version"):
+            del state[derived]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._index = {}
+        self._sync_pc = {}
+        self._index_version = -1
+
+    def _indexed(self, kind: str, relation: str) -> Sequence:
+        """Constraints of ``kind`` involving ``relation``, in list order."""
+        self._refresh_index()
+        return self._index.get((kind, relation), ())
+
+    def _refresh_index(self) -> None:
+        """Rebuild the index in one pass over the four constraint lists
+        (and drop the :meth:`sync_pc_constraints` memo) if ``version``
+        moved since it was built."""
+        if self._index_version != self.version:
+            index: dict[tuple[str, str], list] = {}
+            for key, constraints in (
+                (_LIVE_PC, self._pc_constraints),
+                (_RETIRED_PC, self._historical_pc),
+            ):
+                for pc in constraints:
+                    for name in (pc.left.relation, pc.right.relation):
+                        index.setdefault((key, name), []).append(pc)
+            for key, joins in (
+                (_LIVE_JOIN, self._join_constraints),
+                (_RETIRED_JOIN, self._historical_join),
+            ):
+                for jc in joins:
+                    # A self-join constraint is listed once, as the scan
+                    # would find it once.
+                    for name in dict.fromkeys(
+                        (jc.left_relation, jc.right_relation)
+                    ):
+                        index.setdefault((key, name), []).append(jc)
+            self._index = index
+            self._sync_pc = {}
+            self._index_version = self.version
 
     def _snapshot_schema(self, relation: str, schema: Schema) -> None:
         """Record a pre-change snapshot, merging with earlier snapshots.
@@ -193,26 +271,25 @@ class MetaKnowledgeBase:
         """All join constraints, or only those involving ``relation``."""
         if relation is None:
             return tuple(self._join_constraints)
-        return tuple(
-            jc for jc in self._join_constraints if jc.involves(relation)
-        )
+        return tuple(self._indexed(_LIVE_JOIN, relation))
 
     def join_constraint_between(
         self, left: str, right: str
     ) -> JoinConstraint | None:
         """The constraint relating the two relations, in either order."""
-        for jc in self._join_constraints:
-            if jc.involves(left) and jc.involves(right):
+        for jc in self._indexed(_LIVE_JOIN, left):
+            if jc.involves(right):
                 return jc
         return None
 
     def join_partners(self, relation: str) -> tuple[str, ...]:
         """Relations meaningfully joinable with ``relation``."""
-        partners = []
-        for jc in self._join_constraints:
-            if jc.involves(relation):
-                partners.append(jc.other(relation))
-        return tuple(dict.fromkeys(partners))
+        return tuple(
+            dict.fromkeys(
+                jc.other(relation)
+                for jc in self._indexed(_LIVE_JOIN, relation)
+            )
+        )
 
     # ------------------------------------------------------------------
     # PC constraints
@@ -231,9 +308,7 @@ class MetaKnowledgeBase:
         """All PC constraints, or only those involving ``relation``."""
         if relation is None:
             return tuple(self._pc_constraints)
-        return tuple(
-            pc for pc in self._pc_constraints if pc.involves(relation)
-        )
+        return tuple(self._indexed(_LIVE_PC, relation))
 
     def pc_constraints_from(self, relation: str) -> tuple[PCConstraint, ...]:
         """PC constraints re-oriented so ``relation`` is on the left."""
@@ -245,10 +320,30 @@ class MetaKnowledgeBase:
         self, from_relation: str, to_relation: str
     ) -> PCConstraint | None:
         """The constraint between the two, oriented from -> to, if any."""
-        for pc in self._pc_constraints:
-            if pc.involves(from_relation) and pc.involves(to_relation):
+        for pc in self._indexed(_LIVE_PC, from_relation):
+            if pc.involves(to_relation):
                 return pc.oriented(from_relation)
         return None
+
+    def retract_pc_constraint(self, constraint: PCConstraint) -> None:
+        """Forget ``constraint`` (in either orientation) from live and
+        retired knowledge alike.
+
+        Unlike a capability change, which retires constraints, this
+        removes the knowledge outright — e.g. to model a space where a
+        substitution target carries no PC constraint at all.
+        """
+        self.version += 1
+        forms = {
+            constraint,
+            constraint.oriented(constraint.right.relation),
+        }
+        self._pc_constraints = [
+            pc for pc in self._pc_constraints if pc not in forms
+        ]
+        self._historical_pc = [
+            pc for pc in self._historical_pc if pc not in forms
+        ]
 
     def substitute_candidates(
         self, relation: str, required_attributes: Iterable[str] = ()
@@ -295,21 +390,28 @@ class MetaKnowledgeBase:
     def sync_pc_constraints(self, relation: str) -> tuple[PCConstraint, ...]:
         """Live + retired PC constraints involving ``relation``, oriented
         with ``relation`` on the left."""
-        found = [
-            pc.oriented(relation)
-            for pc in (*self._pc_constraints, *self._historical_pc)
-            if pc.involves(relation)
-        ]
-        return tuple(dict.fromkeys(found))
+        self._refresh_index()
+        found = self._sync_pc.get(relation)
+        if found is None:
+            found = self._sync_pc[relation] = tuple(
+                dict.fromkeys(
+                    pc.oriented(relation)
+                    for kind in (_LIVE_PC, _RETIRED_PC)
+                    for pc in self._indexed(kind, relation)
+                )
+            )
+        return found
 
     def sync_join_constraints(self, relation: str) -> tuple[JoinConstraint, ...]:
         """Live + retired join constraints involving ``relation``."""
-        found = [
-            jc
-            for jc in (*self._join_constraints, *self._historical_join)
-            if jc.involves(relation)
-        ]
-        return tuple(dict.fromkeys(found))
+        return tuple(
+            dict.fromkeys(
+                (
+                    *self._indexed(_LIVE_JOIN, relation),
+                    *self._indexed(_RETIRED_JOIN, relation),
+                )
+            )
+        )
 
     def replacement_candidates(
         self, relation: str, required_attributes: Iterable[str] = ()

@@ -33,7 +33,7 @@ from repro.misd.statistics import SpaceStatistics
 from repro.qc.params import TradeoffParameters
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceGroup:
     """One information source and the view relations it hosts, in order."""
 
@@ -47,7 +47,7 @@ class SourceGroup:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaintenancePlan:
     """Algorithm 1's itinerary for one update.
 
@@ -310,7 +310,7 @@ def cf_io(
 # ----------------------------------------------------------------------
 # Total cost (Eq. 24) and normalization (Eq. 25)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostAssessment:
     """The three factors plus the Eq. 24 total for one update (or one
     workload period, when multiplied out by a workload model)."""

@@ -42,7 +42,7 @@ from repro.relational.relation import Relation
 from repro.sync.rewriting import ExtentRelationship, Rewriting
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Evaluation:
     """One rewriting's complete QC-Model assessment."""
 

@@ -167,7 +167,7 @@ def exact_extent_numbers(
 # ----------------------------------------------------------------------
 # Total divergence (Sec. 5.4.4)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QualityAssessment:
     """Full quality breakdown for one rewriting."""
 

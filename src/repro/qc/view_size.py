@@ -46,7 +46,7 @@ def estimate_view_cardinality(
     return size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtentNumbers:
     """The three cardinalities Eq. 15 needs (common-attribute projections).
 

@@ -77,7 +77,7 @@ class Comparator(enum.Enum):
         raise EvaluationError(f"unknown comparator {symbol!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributeRef:
     """A (possibly relation-qualified) attribute reference ``R.A`` or ``A``."""
 
@@ -114,7 +114,7 @@ class AttributeRef:
         return AttributeRef(new_attribute, self.relation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constant:
     """A literal operand of a primitive clause."""
 
@@ -146,7 +146,7 @@ def _resolve(operand: Operand, row: Mapping[str, Any]) -> Any:
     raise EvaluationError(f"attribute {key!r} not present in row")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimitiveClause:
     """One comparison ``left theta right`` (Sec. 3.1).
 

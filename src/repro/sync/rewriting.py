@@ -83,7 +83,7 @@ class ExtentRelationship(enum.Enum):
 # ----------------------------------------------------------------------
 # Moves (provenance of a rewriting)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     """Base class of the atomic edits a synchronizer may apply."""
 
@@ -91,7 +91,7 @@ class Move:
         return type(self).__name__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DropAttributeMove(Move):
     """A dispensable SELECT item was removed."""
 
@@ -102,7 +102,7 @@ class DropAttributeMove(Move):
         return f"drop attribute {self.source} (output {self.output_name!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DropConditionMove(Move):
     """A dispensable WHERE conjunct was removed."""
 
@@ -112,7 +112,7 @@ class DropConditionMove(Move):
         return f"drop condition ({self.clause})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DropRelationMove(Move):
     """A dispensable FROM relation (plus everything on it) was removed."""
 
@@ -122,7 +122,7 @@ class DropRelationMove(Move):
         return f"drop relation {self.relation}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplaceRelationMove(Move):
     """A FROM relation was substituted via a PC constraint (CVS move).
 
@@ -149,7 +149,7 @@ class ReplaceRelationMove(Move):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplaceAttributeMove(Move):
     """A single attribute reference was redirected to another relation."""
 
@@ -161,7 +161,7 @@ class ReplaceAttributeMove(Move):
         return f"replace attribute {self.old} -> {self.new}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddJoinMove(Move):
     """A relation joined in (via a join constraint) to carry a replacement."""
 
@@ -173,7 +173,7 @@ class AddJoinMove(Move):
         return f"join in {self.relation} on {rendered}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RenameMove(Move):
     """A pure rename (relation or attribute) was folded in — equivalent."""
 
@@ -186,7 +186,7 @@ class RenameMove(Move):
 # ----------------------------------------------------------------------
 # The rewriting bundle
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rewriting:
     """One candidate replacement for an affected view."""
 
