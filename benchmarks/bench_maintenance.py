@@ -21,6 +21,13 @@ The modeled CF_M/CF_T/CF_IO counters and the final extents must be
 identical across every lane — that is the equivalence contract of the
 delta plane, and ``validate_bench.py`` gates it on every run.
 
+A second lane, **delete churn**, deletes rows at random positions from
+a 10k-row relation (the storm deletes the oldest live row, which
+``list.remove`` finds at once, so it cannot show a delete scan).  ``Relation.delete``, which locates rows through its
+packed key column, runs beside the ``list.remove`` reference on the
+same targets; the survivors must be identical on every run, and the
+speedup has a floor on full runs.
+
 Results are persisted as machine-readable ``BENCH_maintenance.json`` at
 the repo root (via :func:`conftest.emit_json`).  Run directly::
 
@@ -33,6 +40,7 @@ in seconds.
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 import time
 from pathlib import Path
@@ -47,7 +55,9 @@ from repro.core.eve import EVESystem  # noqa: E402
 from repro.core.report import format_table  # noqa: E402
 from repro.esql.evaluator import evaluate_view  # noqa: E402
 from repro.maintenance.simulator import ViewMaintainer  # noqa: E402
+from repro.relational.relation import Relation  # noqa: E402
 from repro.space.updates import UpdateKind  # noqa: E402
+from repro.workloadgen.generator import make_schema  # noqa: E402
 from repro.workloadgen.scenarios import (  # noqa: E402
     build_maintenance_storm_scenario,
 )
@@ -163,13 +173,52 @@ def bench_update_storm(updates: int, rows: int) -> tuple[dict, dict]:
     return storm, system_report.to_dict()
 
 
-def run(updates: int = 10_000, rows: int = 4_000) -> dict:
+def bench_delete_churn(rows: int, deletes: int, seed: int = 17) -> dict:
+    """Delete ``deletes`` rows picked at random positions from ``rows``
+    rows of ``R(A, B)`` (about four rows per ``A`` key), once with
+    ``list.remove`` on a plain list and once with ``Relation.delete``
+    (which builds its locator on the first delete, inside the timing)."""
+    rng = random.Random(seed)
+    data = [
+        (rng.randrange(max(rows // 4, 1)), rng.randrange(1_000_000))
+        for _ in range(rows)
+    ]
+    targets = rng.sample(data, deletes)
+
+    reference = list(data)
+    start = time.perf_counter()
+    for row in targets:
+        reference.remove(row)
+    list_seconds = time.perf_counter() - start
+
+    relation = Relation(make_schema("R", ["A", "B"]), data)
+    start = time.perf_counter()
+    for row in targets:
+        relation.delete(row)
+    relation_seconds = time.perf_counter() - start
+    return {
+        "rows": rows,
+        "deletes": deletes,
+        "list_remove_seconds": round(list_seconds, 6),
+        "relation_seconds": round(relation_seconds, 6),
+        "speedup": round(list_seconds / max(relation_seconds, 1e-9), 2),
+        "survivors_equal": relation.rows == reference,
+    }
+
+
+def run(
+    updates: int = 10_000,
+    rows: int = 4_000,
+    churn_rows: int = 10_000,
+    churn_deletes: int = 5_000,
+) -> dict:
     storm, system_report = bench_update_storm(updates, rows)
     return {
         "benchmark": "maintenance",
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": sys.version.split()[0],
         "update_storm": storm,
+        "delete_churn": bench_delete_churn(churn_rows, churn_deletes),
         "system_report": system_report,
     }
 
@@ -215,6 +264,27 @@ def report(payload: dict) -> None:
             title="Maintenance storm: delta plane representations",
         )
     )
+    churn = payload["delete_churn"]
+    emit(
+        format_table(
+            ["Lane", "Scale", "Wall clock", "Speedup"],
+            [
+                (
+                    "list.remove (reference)",
+                    f"{churn['deletes']} deletes @ {churn['rows']} rows",
+                    f"{churn['list_remove_seconds']:.3f}s",
+                    "1.0x",
+                ),
+                (
+                    "Relation.delete (locator)",
+                    "same targets",
+                    f"{churn['relation_seconds']:.3f}s",
+                    f"{churn['speedup']:.1f}x",
+                ),
+            ],
+            title="Delete churn: random-position deletes",
+        )
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -231,16 +301,32 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    churn_rows, churn_deletes = 10_000, 5_000
     if args.smoke:
         args.updates, args.rows = 400, 300
+        churn_rows, churn_deletes = 2_000, 500
 
-    payload = run(updates=args.updates, rows=args.rows)
+    payload = run(
+        updates=args.updates,
+        rows=args.rows,
+        churn_rows=churn_rows,
+        churn_deletes=churn_deletes,
+    )
     report(payload)
     storm = payload["update_storm"]
-    if not (storm["counters_equal"] and storm["extents_equal"]):
+    churn = payload["delete_churn"]
+    if not (
+        storm["counters_equal"]
+        and storm["extents_equal"]
+        and churn["survivors_equal"]
+    ):
         print(
             "EQUIVALENCE FAILURE",
-            [storm["counters_equal"], storm["extents_equal"]],
+            [
+                storm["counters_equal"],
+                storm["extents_equal"],
+                churn["survivors_equal"],
+            ],
         )
         return 1
     # Mode marker for the CI regression gate: smoke-scale timings are

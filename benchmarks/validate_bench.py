@@ -74,6 +74,12 @@ COLUMNAR_SPEEDUP_FLOOR = 3.0
 #: sharded storm on full (non-smoke) runs — the PR-7 acceptance gate.
 WORKERS_SPEEDUP_FLOOR = 3.0
 
+#: Absolute floor of the ``Relation.delete``-vs-``list.remove`` speedup
+#: in the delete-churn lane on full (non-smoke) runs: random-position
+#: deletes from 10k rows must find their row through the packed key
+#: column, not a Python comparison per row (about 4x on a 2-CPU host).
+DELETE_CHURN_SPEEDUP_FLOOR = 2.0
+
 #: Absolute ceiling of storm-time read p99 relative to idle read p99 on
 #: full (non-smoke) runs — the PR-9 serving-plane acceptance gate:
 #: snapshot reads during a 1k-view evolution storm may degrade at most
@@ -439,6 +445,14 @@ def validate_maintenance(payload: dict) -> None:
                 "batch_seconds",
                 "columnar_seconds",
             ),
+            "delete_churn": (
+                "rows",
+                "deletes",
+                "list_remove_seconds",
+                "relation_seconds",
+                "speedup",
+                "survivors_equal",
+            ),
         },
     )
     storm = payload["update_storm"]
@@ -450,6 +464,19 @@ def validate_maintenance(payload: dict) -> None:
         storm["extents_equal"],
         "delta-plane extents diverged across representations",
     )
+    churn = payload["delete_churn"]
+    _invariant(
+        churn["survivors_equal"],
+        "Relation.delete survivors diverged from the list.remove reference",
+    )
+    # Smoke payloads delete from 2k rows, where the scan is too short
+    # for the speedup to mean anything; only survivor parity applies.
+    if not is_smoke(payload):
+        _invariant(
+            churn["speedup"] >= DELETE_CHURN_SPEEDUP_FLOOR,
+            f"delete-churn speedup {churn['speedup']}x below the "
+            f"{DELETE_CHURN_SPEEDUP_FLOOR}x floor",
+        )
     _require_system_report(payload, "BENCH_maintenance")
 
 

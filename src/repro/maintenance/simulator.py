@@ -332,11 +332,17 @@ class ViewMaintainer:
             # Ship each update's delta (plus the query) down to the IS.
             for count in counts:
                 self.counters.record_message(count * delta_width)
+            # The propagation mutates no source, so one catalog read per
+            # local relation serves every update of the run.
+            live = {
+                name: self._space.relation(name).cardinality for name in local
+            }
             for position, count in enumerate(counts):
                 self._charge_io(
                     count,
                     local,
                     overlays[position] if overlays is not None else None,
+                    live,
                 )
             if columnar:
                 batch = source.answer_single_site_columnar(
@@ -364,6 +370,7 @@ class ViewMaintainer:
         cardinality: int,
         local: list[str],
         sizes: Mapping[str, int] | None = None,
+        live: Mapping[str, int] | None = None,
     ) -> None:
         """Appendix A pricing against actual cardinalities.
 
@@ -373,15 +380,18 @@ class ViewMaintainer:
         ``cardinality`` is one update's delta count entering the source.
         ``sizes`` overlays per-relation cardinalities (deferred flushes
         price against the sequential protocol's catalog state).
+        ``live`` holds the catalog's current cardinalities when the
+        caller already read them; otherwise they are looked up here.
         """
         bfr = self._statistics.blocking_factor
         js = self._statistics.join_selectivity
         for name in local:
-            relation_size = (
-                sizes[name]
-                if sizes is not None and name in sizes
-                else self._space.relation(name).cardinality
-            )
+            if sizes is not None and name in sizes:
+                relation_size = sizes[name]
+            elif live is not None:
+                relation_size = live[name]
+            else:
+                relation_size = self._space.relation(name).cardinality
             scan = math.ceil(relation_size / bfr) if relation_size else 0
             probe = cardinality * math.ceil(js * relation_size / bfr)
             self.counters.record_io(min(scan, probe) if relation_size else 0)

@@ -12,6 +12,7 @@ extents, which callers do via :meth:`Relation.distinct`.
 from __future__ import annotations
 
 import operator
+import struct
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any
@@ -22,6 +23,20 @@ from repro.relational.index import HashIndex
 from repro.relational.schema import Attribute, Schema
 
 Row = tuple[Any, ...]
+
+_pack_key = struct.Struct(">q").pack
+
+#: The locator entry of a NULL key, or of one outside int64.  Any value
+#: may share its packing, so every locator hit is confirmed by ``==``.
+_NO_KEY = b"\x80" + bytes(7)
+
+
+def _locator_entry(value: Any) -> bytes:
+    """The 8 locator bytes of one key value (through ``__index__``)."""
+    try:
+        return _pack_key(value)
+    except struct.error:
+        return _NO_KEY
 
 
 class Relation:
@@ -37,17 +52,46 @@ class Relation:
     evolutions) trust rows that came out of a validated relation and
     adopt them — the new relation gets its own row *list*, indexes and
     column store, but shares the immutable row tuples.
+
+    Derived structures, each built on first use and never shared:
+
+    * hash indexes (:meth:`index_on`): kept live by :meth:`insert` and
+      :meth:`delete`, dropped by the bulk mutations;
+    * the column store (:meth:`column_store`): appended to by
+      :meth:`insert`, dropped by anything that removes rows;
+    * the delete locator: when the schema has an INT attribute
+      (``schema.key_position``), the first :meth:`delete` packs that
+      attribute of every row into a ``bytearray``, 8 big-endian bytes
+      per row in row order, so a delete finds its row with a C-speed
+      ``find`` instead of ``list.remove``'s Python comparison per row.
+      :meth:`insert` appends to it, :meth:`delete` cuts the row's
+      entry out, the bulk mutations drop it, and pickles leave it out.
     """
 
-    __slots__ = ("schema", "_rows", "_indexes", "_column_store")
+    __slots__ = ("schema", "_rows", "_indexes", "_column_store", "_locator")
 
     def __init__(self, schema: Schema, rows: Iterable[Sequence[Any]] = ()) -> None:
         self.schema = schema
         self._rows: list[Row] = []
         self._indexes: dict[tuple[int, ...], HashIndex] = {}
         self._column_store: ColumnStore | None = None
+        self._locator: bytearray | None = None
         for row in rows:
             self.insert(row)
+
+    def __getstate__(self) -> dict[str, Any]:
+        """Pickle without the delete locator; a copy rebuilds its own."""
+        return {
+            "schema": self.schema,
+            "_rows": self._rows,
+            "_indexes": self._indexes,
+            "_column_store": self._column_store,
+        }
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._locator = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -225,6 +269,9 @@ class Relation:
             index.add(validated)
         if self._column_store is not None:
             self._column_store.append(validated)
+        locator, position = self._locator, self.schema.key_position
+        if locator is not None and position is not None:
+            locator += _locator_entry(validated[position])
         return validated
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
@@ -236,16 +283,48 @@ class Relation:
         return count
 
     def delete(self, row: Sequence[Any]) -> bool:
-        """Remove one occurrence of ``row``; True if something was removed."""
+        """Remove one occurrence of ``row``; True if something was removed.
+
+        The first occurrence goes, exactly as with ``list.remove``; a
+        schema with an INT attribute finds it through the locator.
+        """
         validated = self._validate(row)
-        try:
-            self._rows.remove(validated)
-        except ValueError:
-            return False
+        position = self.schema.key_position
+        if position is None:
+            try:
+                self._rows.remove(validated)
+            except ValueError:
+                return False
+        else:
+            locator = self._locator
+            if locator is None:
+                locator = self._locator = bytearray().join(
+                    [_locator_entry(stored[position]) for stored in self._rows]
+                )
+            slot = self._locate(locator, validated, position)
+            if slot < 0:
+                return False
+            del self._rows[slot]
+            del locator[8 * slot : 8 * slot + 8]
         for index in self._indexes.values():
             index.discard(validated)
         self._column_store = None
         return True
+
+    def _locate(self, locator: bytearray, row: Row, position: int) -> int:
+        """Slot of the first row ``==`` ``row``, or -1: the 8-aligned
+        ``locator`` hits of its key, confirmed in row order."""
+        rows = self._rows
+        entry = _locator_entry(row[position])
+        start = 0
+        while True:
+            hit = locator.find(entry, start)
+            if hit < 0:
+                return -1
+            slot, offset = divmod(hit, 8)
+            if not offset and rows[slot] == row:
+                return slot
+            start = 8 * slot + 8
 
     def delete_where(self, predicate: Callable[[Row], bool]) -> list[Row]:
         """Remove all rows satisfying ``predicate``; returns removed rows."""
@@ -254,21 +333,24 @@ class Relation:
         for row in self._rows:
             (removed if predicate(row) else kept).append(row)
         self._rows = kept
-        self.drop_indexes()
-        self._column_store = None
+        self._drop_derived()
         return removed
 
     def clear(self) -> None:
         self._rows.clear()
-        self.drop_indexes()
-        self._column_store = None
+        self._drop_derived()
 
     def replace_rows(self, rows: Iterable[Sequence[Any]]) -> None:
         """Atomically swap in a new extent (used when refreshing views)."""
         staged = [self._validate(row) for row in rows]
         self._rows = staged
+        self._drop_derived()
+
+    def _drop_derived(self) -> None:
+        """Forget indexes, column store and locator (bulk mutations)."""
         self.drop_indexes()
         self._column_store = None
+        self._locator = None
 
     # ------------------------------------------------------------------
     # Schema evolution (used by capability changes)

@@ -54,7 +54,14 @@ class Schema:
     extraction, and concatenation for joins.
     """
 
-    __slots__ = ("name", "row_types", "_attributes", "_index", "_tuple_byte_size")
+    __slots__ = (
+        "name",
+        "row_types",
+        "key_position",
+        "_attributes",
+        "_index",
+        "_tuple_byte_size",
+    )
 
     def __init__(self, name: str, attributes: Iterable[Attribute | str]) -> None:
         self.name = name
@@ -77,6 +84,16 @@ class Schema:
         # (read-only, like ``name``).
         self.row_types: tuple[type, ...] = tuple(
             [attr.type.python_type for attr in self._attributes]
+        )
+        # The first INT attribute's position, or ``None``: the column a
+        # relation packs into its delete locator (read-only as well).
+        self.key_position: int | None = next(
+            (
+                position
+                for position, attr in enumerate(self._attributes)
+                if attr.type is AttributeType.INT
+            ),
+            None,
         )
 
     # ------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Property-based tests for the relational substrate's algebraic laws."""
 
+import enum
+import pickle
+import struct
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +23,8 @@ from repro.relational.expressions import (
     PrimitiveClause,
 )
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
+from repro.relational.schema import Attribute, Schema
+from repro.relational.types import AttributeType
 
 SCHEMA = Schema("R", ["A", "B"])
 OTHER = Schema("S", ["A", "B"])
@@ -117,3 +122,112 @@ def test_cs_intersection_symmetric_in_cardinality(left_data, right_data):
     forward = cs_intersection(left, right).cardinality
     backward = cs_intersection(right, left).cardinality
     assert forward == backward
+
+
+# ----------------------------------------------------------------------
+# Keyed deletes: the locator must behave exactly like list.remove
+# ----------------------------------------------------------------------
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+INT, STRING, FLOAT = AttributeType.INT, AttributeType.STRING, AttributeType.FLOAT
+
+#: The INT attribute first, later (after a non-INT one), or absent.
+LOCATOR_SCHEMAS = [
+    Schema("K", [Attribute("A", INT), Attribute("S", STRING)]),
+    Schema("L", [Attribute("S", STRING), Attribute("A", INT), Attribute("B", INT)]),
+    Schema("N", [Attribute("S", STRING), Attribute("F", FLOAT)]),
+]
+
+#: Small pools so duplicates and hits are common; the ints cover the
+#: int64 edges, values beyond them, NULL and an IntEnum equal to 1 and 2.
+POOLS = {
+    INT: st.sampled_from(
+        [0, 1, 2, -1, 256, 2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 2**70,
+         None, Level.LOW, Level.HIGH]
+    ),
+    STRING: st.sampled_from(["a", "b", None]),
+    FLOAT: st.sampled_from([0.5, 1.0, None]),
+}
+
+
+def locator_ops(schema):
+    row = st.tuples(*(POOLS[attr.type] for attr in schema))
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("insert"), row),
+            st.tuples(st.just("delete"), row),
+            st.tuples(st.just("delete"), row),
+            st.tuples(st.just("derive"), st.sampled_from(["copy", "rename"])),
+            st.tuples(st.just("pickle"), st.none()),
+            st.tuples(st.just("delete_where"), row),
+        ),
+        max_size=40,
+    )
+
+
+def reference_remove(rows, row):
+    try:
+        rows.remove(row)
+    except ValueError:
+        return False
+    return True
+
+
+def expected_locator(schema, rows):
+    position = schema.key_position
+    entries = []
+    for row in rows:
+        try:
+            entries.append(struct.pack(">q", row[position]))
+        except struct.error:
+            entries.append(b"\x80" + bytes(7))
+    return b"".join(entries)
+
+
+@given(
+    st.sampled_from(LOCATOR_SCHEMAS).flatmap(
+        lambda schema: st.tuples(st.just(schema), locator_ops(schema))
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_keyed_delete_matches_list_remove(case):
+    schema, ops = case
+    relation = Relation(schema)
+    reference: list[tuple] = []
+    for op, arg in ops:
+        if op == "insert":
+            reference.append(relation.insert(arg))
+        elif op == "delete":
+            assert relation.delete(arg) == reference_remove(reference, arg)
+        elif op == "derive":
+            relation = (
+                relation.copy() if arg == "copy"
+                else relation.with_renamed_relation("Z").with_renamed_relation(
+                    schema.name
+                )
+            )
+            assert relation._locator is None
+        elif op == "pickle":
+            relation = pickle.loads(pickle.dumps(relation))
+            assert relation._locator is None
+        else:
+            removed = relation.delete_where(lambda stored: stored == arg)
+            assert relation._locator is None
+            kept = [stored for stored in reference if stored != arg]
+            assert removed == [stored for stored in reference if stored == arg]
+            reference = kept
+        # Same survivors in the same order, down to which of several
+        # equal rows (1 vs Level.LOW) went.
+        assert relation.rows == reference
+        assert [tuple(map(type, row)) for row in relation.rows] == [
+            tuple(map(type, row)) for row in reference
+        ]
+        locator = relation._locator
+        if schema.key_position is None:
+            assert locator is None
+        elif locator is not None:
+            assert len(locator) == 8 * len(relation.rows)
+            assert bytes(locator) == expected_locator(schema, relation.rows)

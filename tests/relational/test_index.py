@@ -48,6 +48,58 @@ class TestHashIndex:
         assert index.distinct_keys == 0
 
 
+class TestBucketLayout:
+    """One row is a 1-tuple bucket, the second row makes it a list, and
+    a key goes when its last row is discarded."""
+
+    def test_single_attribute_keys_are_bare_values(self):
+        index = HashIndex((1,), [(10, 5), (11, None)])
+        assert index.key_of((10, 5)) == 5
+        assert set(index._buckets) == {5, None}
+        assert list(index.probe((5,))) == [(10, 5)]
+        assert list(index.probe([5])) == [(10, 5)]
+        assert list(index.probe((None,))) == []
+
+    def test_composite_keys_stay_tuples(self):
+        index = HashIndex((1, 0), [(10, 5)])
+        assert index.key_of((10, 5)) == (5, 10)
+        assert set(index._buckets) == {(5, 10)}
+        assert list(index.probe((5, 10))) == [(10, 5)]
+        assert list(index.probe((5, None))) == []
+
+    def test_tuple_then_list_then_removal(self):
+        index = HashIndex((0,))
+        index.add((5, 1))
+        assert index._buckets[5] == ((5, 1),)
+        index.add((5, 2))
+        assert index._buckets[5] == [(5, 1), (5, 2)]
+        index.add((5, 3))
+        assert list(index.probe((5,))) == [(5, 1), (5, 2), (5, 3)]
+        assert index.discard((5, 2))
+        assert index.discard((5, 1))
+        assert index._buckets[5] == [(5, 3)]
+        assert not index.discard((5, 9))
+        assert index.discard((5, 3))
+        assert 5 not in index._buckets
+        assert len(index) == 0
+
+    def test_tuple_bucket_discard_checks_the_row(self):
+        index = HashIndex((0,), [(5, 1)])
+        assert not index.discard((5, 2))
+        assert not index.discard((6, 1))
+        assert list(index.probe((5,))) == [(5, 1)]
+        assert index.discard((5, 1))
+        assert index.distinct_keys == 0
+
+    def test_uniqueness_and_size_across_layouts(self):
+        index = HashIndex((0,), [(1, 1), (2, 2)])
+        assert index.is_unique
+        index.add((1, 3))
+        assert not index.is_unique
+        assert len(index) == 3
+        assert index.distinct_keys == 2
+
+
 class TestRelationOwnedIndexes:
     def test_lazy_build_and_reuse(self, relation):
         assert relation.index_count == 0

@@ -1,10 +1,13 @@
 """Unit tests for relation instances (bag semantics + mutation)."""
 
+import pickle
+
 import pytest
 
 from repro.errors import SchemaError, TypeMismatchError
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
+from repro.relational.types import AttributeType
 
 
 @pytest.fixture
@@ -93,6 +96,49 @@ class TestMutation:
     def test_clear(self, r):
         r.clear()
         assert not r
+
+
+class TestDeleteLocator:
+    """The packed key column a relation locates deleted rows through."""
+
+    def test_first_delete_builds_it_and_insert_extends_it(self, r):
+        assert r._locator is None
+        assert r.delete((3, 4))
+        assert bytes(r._locator) == (1).to_bytes(8, "big") * 2
+        r.insert((-2, 0))
+        assert bytes(r._locator[-8:]) == (-2).to_bytes(8, "big", signed=True)
+        assert r.rows == [(1, 2), (1, 2), (-2, 0)]
+
+    def test_bulk_mutations_drop_it(self, r):
+        for mutate in (
+            lambda: r.delete_where(lambda row: row[0] == 3),
+            lambda: r.replace_rows([(1, 2)]),
+            r.clear,
+        ):
+            r.insert((1, 2))
+            assert r.delete((1, 2))
+            assert r._locator is not None
+            mutate()
+            assert r._locator is None
+
+    def test_schema_records_its_first_int_attribute(self):
+        mixed = Schema(
+            "M",
+            [Attribute("S", AttributeType.STRING), Attribute("A"), Attribute("B")],
+        )
+        assert mixed.key_position == 1
+        assert Schema("N", [Attribute("S", AttributeType.STRING)]).key_position is None
+
+    def test_pickles_leave_it_out(self, r):
+        untouched = Relation.from_validated(r.schema, [(1, 2), (1, 2)])
+        assert r.delete((3, 4))
+        payload = pickle.dumps(r)
+        assert payload == pickle.dumps(untouched)
+        shipped = pickle.loads(payload)
+        assert shipped._locator is None
+        assert shipped.delete((1, 2))
+        assert shipped.rows == [(1, 2)]
+        assert r.rows == [(1, 2), (1, 2)]
 
 
 class TestSchemaEvolution:

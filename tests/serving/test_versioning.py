@@ -248,3 +248,26 @@ class TestSharedRowIsolation:
         pinned.release()
         with store.snapshot() as fresh:
             assert fresh.extent("V").rows == [(3, 4), (5, 6), (7, 8)]
+
+    def test_staged_delete_with_a_built_locator_leaves_the_pin_intact(self):
+        store = ExtentStore()
+        live = rel("V", [(1, 2), (3, 4), (1, 2), (5, 6), (9, 9)])
+        assert live.delete((9, 9))  # builds the live relation's locator
+        live_locator = bytes(live._locator)
+        store["V"] = live
+        pinned = store.snapshot()
+        rows_before = list(live.rows)
+        with store.batch():
+            staged = store.mutable("V")
+            assert staged.delete((1, 2))
+            assert staged._locator is not live._locator
+            staged.insert((7, 8))
+            assert staged.delete((5, 6))
+            assert not staged.delete((9, 9))
+        extent = pinned.extent("V")
+        assert extent is live
+        assert extent.rows == rows_before
+        assert bytes(extent._locator) == live_locator
+        pinned.release()
+        with store.snapshot() as fresh:
+            assert fresh.extent("V").rows == [(3, 4), (1, 2), (7, 8)]

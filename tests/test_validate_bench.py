@@ -52,6 +52,22 @@ class TestStructuralValidation:
         with pytest.raises(BenchValidationError, match="counters diverged"):
             validate_payload("maintenance", payload)
 
+    def test_delete_churn_survivors_enforced(self):
+        payload = committed("maintenance")
+        payload["delete_churn"]["survivors_equal"] = False
+        with pytest.raises(BenchValidationError, match="survivors diverged"):
+            validate_payload("maintenance", payload)
+
+    def test_delete_churn_floor_applies_to_full_runs_only(self):
+        payload = committed("maintenance")
+        payload["delete_churn"]["speedup"] = (
+            validate_bench.DELETE_CHURN_SPEEDUP_FLOOR - 0.5
+        )
+        with pytest.raises(BenchValidationError, match="below the"):
+            validate_payload("maintenance", payload)
+        payload["config"] = {"smoke": True}
+        validate_payload("maintenance", payload)
+
     def test_unknown_bench_rejected(self):
         with pytest.raises(BenchValidationError, match="no validator"):
             validate_payload("warp-drive", {})
