@@ -38,7 +38,11 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
 from repro.config import SystemConfig
-from repro.errors import EvaluationError, SynchronizationError
+from repro.errors import (
+    EvaluationError,
+    SynchronizationError,
+    UnknownRelationError,
+)
 from repro.esql import explain as explain_plans
 from repro.esql.ast import ViewDefinition
 from repro.esql.evaluator import evaluate_view
@@ -62,6 +66,7 @@ from repro.qc.params import TradeoffParameters
 from repro.qc.workload import WorkloadSpec
 from repro.relational.columnar import KernelCounters
 from repro.relational.relation import Relation
+from repro.relational.schema import Schema
 from repro.relational.versioning import ExtentSnapshot, ExtentStore
 from repro.report import PLAN_CAPTURE_LIMIT, MaintenanceFlush, SystemReport
 from repro.space.changes import (
@@ -70,7 +75,7 @@ from repro.space.changes import (
     SchemaChange,
 )
 from repro.space.source import clause_decidable
-from repro.space.space import InformationSpace
+from repro.space.space import InformationSpace, placement_maps
 from repro.space.updates import DataUpdate, UpdateKind
 from repro.sync.legality import check_legality
 from repro.sync.pipeline import (
@@ -406,10 +411,7 @@ class EVESystem:
     ) -> ViewRecord:
         """Validate, register, and (by default) materialize a view."""
         definition = parse_view(view) if isinstance(view, str) else view
-        schemas = {
-            name: self.space.relation(name).schema
-            for name in definition.relation_names
-        }
+        _, schemas = self._owners_and_schemas(definition)
         resolved = ViewValidator(schemas).resolve_view(definition)
         record = self.vkb.define(resolved)
         if materialize:
@@ -747,6 +749,7 @@ class EVESystem:
             with self._commit_lock:
                 self.vkb.mark_undefined(record.name)
                 self._extents.pop(record.name, None)
+                self.maintainer.forget(record.name)
             result = SynchronizationResult(
                 record.name, change, [], None, outcome.counters, outcome.policy
             )
@@ -1034,6 +1037,7 @@ class EVESystem:
                 if result.chosen is None:
                     self.vkb.mark_undefined(result.view_name)
                     self._extents.pop(result.view_name, None)
+                    self.maintainer.forget(result.view_name)
                 else:
                     self.vkb.apply_rewriting(result.chosen.rewriting)
                 if self._batch_journal is not None:
@@ -1162,14 +1166,7 @@ class EVESystem:
                 f"view {view_name!r} is undefined; nothing to explain"
             )
         view = record.current
-        owners = {
-            name: self.space.owner_of(name).name
-            for name in view.relation_names
-        }
-        schemas = {
-            name: self.space.relation(name).schema
-            for name in view.relation_names
-        }
+        owners, schemas = self._owners_and_schemas(view)
         return explain_plans.explain_maintenance(
             view,
             owners,
@@ -1177,6 +1174,15 @@ class EVESystem:
             updated_relation,
             config=self.config.maintenance,
         )
+
+    def _owners_and_schemas(
+        self, view: ViewDefinition
+    ) -> tuple[dict[str, str], dict[str, Schema]]:
+        """Owner IS name and schema of each of ``view``'s relations, from
+        the same :meth:`~repro.space.space.InformationSpace.placement`
+        the maintainer checks its compiled programs against."""
+        names = view.relation_names
+        return placement_maps(names, self.space.placement(names))
 
     def _capture_evaluation_plans(
         self, results: "Sequence[SynchronizationResult]"
@@ -1240,18 +1246,14 @@ class EVESystem:
                 "io_operations": flush.counters.io_operations,
                 "updates": flush.updates,
             }
+            try:
+                owners, schemas = self._owners_and_schemas(view)
+            except UnknownRelationError:
+                continue  # a relation left the space since the flush
             for relation in flush.relations:
                 if len(plans) >= PLAN_CAPTURE_LIMIT:
                     break
                 try:
-                    owners = {
-                        name: self.space.owner_of(name).name
-                        for name in view.relation_names
-                    }
-                    schemas = {
-                        name: self.space.relation(name).schema
-                        for name in view.relation_names
-                    }
                     explained = explain_plans.explain_maintenance(
                         view,
                         owners,

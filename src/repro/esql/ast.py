@@ -124,7 +124,10 @@ class ViewDefinition:
     only sanctioned way the synchronizer edits a view.
     """
 
-    __slots__ = ("name", "select", "from_", "where", "extent_parameter")
+    __slots__ = (
+        "name", "select", "from_", "where", "extent_parameter",
+        "relation_names",
+    )
 
     def __init__(
         self,
@@ -139,6 +142,11 @@ class ViewDefinition:
         self.from_: tuple[FromItem, ...] = tuple(from_)
         self.where: tuple[WhereItem, ...] = tuple(where)
         self.extent_parameter = extent_parameter
+        #: FROM relation names in FROM order (fixed at birth, like
+        #: ``from_``; read on every maintained update).
+        self.relation_names: tuple[str, ...] = tuple(
+            [item.relation for item in self.from_]
+        )
         if not self.select:
             raise SchemaError(f"view {name!r} must select at least one attribute")
         if not self.from_:
@@ -166,10 +174,6 @@ class ViewDefinition:
     def interface(self) -> tuple[str, ...]:
         """Output attribute names ``Attr(V)`` in SELECT order."""
         return tuple(item.output_name for item in self.select)
-
-    @property
-    def relation_names(self) -> tuple[str, ...]:
-        return tuple(item.relation for item in self.from_)
 
     def condition(self) -> Condition:
         """The WHERE conjunction as a single :class:`Condition`."""

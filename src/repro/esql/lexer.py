@@ -9,6 +9,7 @@ identifiers keep their case.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 
 from repro.errors import ParseError
@@ -108,7 +109,13 @@ def tokenize(text: str) -> list[Token]:
                 if lexeme.upper() in KEYWORDS
                 else TokenKind.IDENT
             )
-            canonical = lexeme.upper() if kind is TokenKind.KEYWORD else lexeme
+            # View texts repeat the same relation and attribute names;
+            # interned, every parsed view shares one copy of each.
+            canonical = (
+                lexeme.upper()
+                if kind is TokenKind.KEYWORD
+                else sys.intern(lexeme)
+            )
             tokens.append(Token(kind, canonical, start_line, start_column))
             continue
         if char in "'\"":

@@ -40,15 +40,26 @@ record byte-identical modeled CF_M/CF_T/CF_IO counters — enforced by
 
 :meth:`ViewMaintainer.maintain_batch` additionally streams a whole
 :class:`~repro.space.updates.DataUpdate` batch through one compiled
-pipeline: the view is resolved once, the maintenance plan is built once
-per (view, updated-relation) run, and provenance tags recover the
-per-update cardinalities every message/IO charge needs — so the batch
-path's counters equal the per-update loop's exactly.
+pipeline, and provenance tags recover the per-update cardinalities every
+message/IO charge needs — so the batch path's counters equal the
+per-update loop's exactly.
+
+What Algorithm 1 fixes per view — the resolved condition and
+projection, and per updated relation the itinerary, the seed filter and
+the per-source steps — is compiled once into a per-view maintenance
+program and kept across calls.  A program depends only on the
+definition and on the owner and schema of each of its relations, so
+every call re-checks it against the definition object and the view's
+:meth:`~repro.space.space.InformationSpace.placement` (one owner probe
+and one schema identity test per relation) and rebuilds it when either
+moved: capability changes, rewritings and out-of-band catalog edits all
+land there, with no invalidation hook to miss.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from itertools import groupby
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -57,19 +68,105 @@ from repro.errors import MaintenanceError
 from repro.esql.ast import ViewDefinition
 from repro.esql.validate import ViewValidator
 from repro.misd.statistics import SpaceStatistics
-from repro.qc.cost import MaintenancePlan, plan_for_view
+from repro.qc.cost import plan_for_view
+from repro.relational.expressions import Condition
 from repro.relational.relation import Relation
+from repro.relational.schema import Schema
 from repro.space.source import Binding, clause_decidable
-from repro.space.space import InformationSpace
+from repro.space.space import InformationSpace, Placement, placement_maps
 from repro.space.updates import DataUpdate, UpdateKind
 from repro.relational.columnar import KernelCounters
 from repro.maintenance.counters import MaintenanceCounters
-from repro.maintenance.delta import ColumnBatch, DeltaBatch, seed_plan
+from repro.maintenance.delta import (
+    ColumnBatch,
+    DeltaBatch,
+    SeedPlan,
+    seed_plan,
+)
 
 #: Per-update relation-cardinality overlays for modeled-cost pricing:
 #: one mapping per update, consulted instead of the live catalog so a
 #: deferred flush prices exactly what the sequential protocol saw.
 SizeOverlays = Sequence[Mapping[str, int] | None] | None
+
+
+class _UpdatePath:
+    """Algorithm 1's sweep for updates at one relation of a view."""
+
+    __slots__ = ("seed", "schema", "steps")
+
+    def __init__(
+        self,
+        seed: SeedPlan,
+        schema: Schema,
+        steps: tuple[tuple[tuple[str, ...], str, int], ...],
+    ) -> None:
+        self.seed = seed
+        #: The updated relation's schema.
+        self.schema = schema
+        #: Per queried source, in visit order: the relations joined
+        #: there, the IS name and the width they add to the delta.
+        self.steps = steps
+
+
+class _ViewProgram:
+    """One view's compiled maintenance program.
+
+    Valid while the view is maintained under the same definition
+    object and the same :data:`Placement`; the sweep for updates at a
+    relation is compiled on the first update there.
+    """
+
+    __slots__ = (
+        "definition", "placement", "condition", "keys", "paths",
+    )
+
+    def __init__(
+        self, definition: ViewDefinition, placement: Placement
+    ) -> None:
+        self.definition = definition
+        self.placement = placement
+        _, schemas = placement_maps(definition.relation_names, placement)
+        resolved = ViewValidator(schemas).resolve_view(definition)
+        if resolved == definition:
+            # Written fully qualified: the program shares the
+            # definition's clause objects instead of holding copies.
+            resolved = definition
+        self.condition: Condition = resolved.condition()
+        #: The delta columns the view projects.
+        self.keys = tuple(
+            sys.intern(str(item.ref)) for item in resolved.select
+        )
+        #: One sweep per FROM relation, in FROM order, compiled on the
+        #: first update at that relation (a list: most views have one
+        #: or two relations, and a dict would cost more than the rest).
+        self.paths: list[_UpdatePath | None] = [None] * len(placement)
+
+    def path(self, relation: str) -> _UpdatePath:
+        slot = self.definition.relation_names.index(relation)
+        path = self.paths[slot]
+        if path is None:
+            owners, schemas = placement_maps(
+                self.definition.relation_names, self.placement
+            )
+            plan = plan_for_view(self.definition, owners, relation)
+            steps = []
+            for index, group in enumerate(plan.groups):
+                local = (
+                    plan.first_source_other_relations
+                    if index == 0
+                    else group.relations
+                )
+                if local:  # no query to the updating source (footnote 12)
+                    width = sum(schemas[n].tuple_byte_size() for n in local)
+                    steps.append((local, group.source, width))
+            schema = schemas[relation]
+            path = self.paths[slot] = _UpdatePath(
+                seed_plan(self.condition, relation, schema),
+                schema,
+                tuple(steps),
+            )
+        return path
 
 
 class ViewMaintainer:
@@ -98,6 +195,9 @@ class ViewMaintainer:
         #: Columnar-plane observability: rows scanned vs selected per
         #: column kernel.  The row planes never record into it.
         self.kernel_counters = KernelCounters()
+        #: view name -> its compiled program (see :meth:`_program`);
+        #: :meth:`forget` drops a dead view's.
+        self._programs: dict[str, _ViewProgram] = {}
 
     @property
     def representation(self) -> str:
@@ -120,9 +220,8 @@ class ViewMaintainer:
                 f"{view.name!r}"
             )
         before = self.counters.snapshot()
-        resolved = self._resolve(view)
-        plan = self._plan(resolved, update.relation)
-        self._run(resolved, extent, plan, [update])
+        program = self._program(view)
+        self._run(program, update.relation, extent, [update])
         return self.counters.diff(before)
 
     def maintain_batch(
@@ -134,9 +233,8 @@ class ViewMaintainer:
     ) -> MaintenanceCounters:
         """Stream a whole update batch through the compiled pipeline.
 
-        The view is resolved once and the maintenance plan is built once
-        per (view, updated-relation) run; consecutive updates at the
-        same relation propagate as one tagged
+        The view's compiled program serves every run; consecutive
+        updates at the same relation propagate as one tagged
         :class:`~repro.maintenance.delta.DeltaBatch` whose provenance
         recovers per-update cardinalities, so the modeled counters are
         byte-identical to calling :meth:`maintain` per update.
@@ -177,8 +275,7 @@ class ViewMaintainer:
             )
         before = self.counters.snapshot()
         if batch:
-            resolved = self._resolve(view)
-            plans: dict[str, MaintenancePlan] = {}
+            program = self._program(view)
             for relation, run_iter in groupby(
                 enumerate(batch), key=lambda pair: pair[1].relation
             ):
@@ -189,90 +286,83 @@ class ViewMaintainer:
                     if overlays is not None
                     else None
                 )
-                plan = plans.get(relation)
-                if plan is None:
-                    plan = plans[relation] = self._plan(resolved, relation)
-                self._run(resolved, extent, plan, run_updates, run_overlays)
+                self._run(
+                    program, relation, extent, run_updates, run_overlays
+                )
         return self.counters.diff(before)
+
+    def forget(self, view_name: str) -> None:
+        """Drop ``view_name``'s compiled program (the view died)."""
+        self._programs.pop(view_name, None)
+
+    def _program(self, view: ViewDefinition) -> _ViewProgram:
+        """``view``'s compiled program, rebuilt when its definition
+        object or its relations' owners or schemas moved."""
+        placement = self._space.placement(view.relation_names)
+        program = self._programs.get(view.name)
+        if (
+            program is None
+            or program.definition is not view
+            or program.placement != placement
+        ):
+            program = self._programs[view.name] = _ViewProgram(
+                view, placement
+            )
+        return program
 
     def _run(
         self,
-        resolved: ViewDefinition,
+        program: _ViewProgram,
+        relation: str,
         extent: Relation,
-        plan: MaintenancePlan,
         updates: list[DataUpdate],
         overlays: SizeOverlays = None,
     ) -> None:
         """Propagate + apply one same-relation update run."""
+        path = program.path(relation)
         if self._representation == "dict":
             for position, update in enumerate(updates):
                 sizes = overlays[position] if overlays is not None else None
-                deltas = self._propagate(resolved, plan, update, sizes)
-                self._apply(resolved, extent, deltas, update.kind)
+                deltas = self._propagate(program, path, update, sizes)
+                self._apply(program, extent, deltas, update.kind)
         else:
-            batch = self._propagate_tuples(resolved, plan, updates, overlays)
-            self._apply_batch(resolved, extent, batch, updates)
-
-    def _resolve(self, view: ViewDefinition) -> ViewDefinition:
-        schemas = {
-            name: self._space.relation(name).schema
-            for name in view.relation_names
-        }
-        return ViewValidator(schemas).resolve_view(view)
-
-    def _plan(
-        self, view: ViewDefinition, updated_relation: str
-    ) -> MaintenancePlan:
-        owners = {
-            name: self._space.owner_of(name).name
-            for name in view.relation_names
-        }
-        return plan_for_view(view, owners, updated_relation)
+            batch = self._propagate_tuples(program, path, updates, overlays)
+            self._apply_batch(program, extent, batch, updates)
 
     # ------------------------------------------------------------------
     # Delta propagation (the Sec. 6.1 sweep) — binding plane
     # ------------------------------------------------------------------
     def _propagate(
         self,
-        view: ViewDefinition,
-        plan: MaintenancePlan,
+        program: _ViewProgram,
+        path: _UpdatePath,
         update: DataUpdate,
         sizes: Mapping[str, int] | None = None,
     ) -> list[Binding]:
-        condition = view.condition()
-        updated_schema = self._space.relation(update.relation).schema
+        condition = program.condition
         seed: Binding = {
             f"{update.relation}.{attr}": value
-            for attr, value in zip(updated_schema.attribute_names, update.row)
+            for attr, value in zip(path.schema.attribute_names, update.row)
         }
         # Local selections on the updated relation itself prune the seed.
         if not _binding_satisfies(condition, seed):
             deltas: list[Binding] = []
         else:
             deltas = [seed]
-        delta_width = updated_schema.tuple_byte_size()
+        delta_width = path.schema.tuple_byte_size()
 
         # The update notification itself (first term of Eq. 21).
         self.counters.record_message(delta_width)
 
-        for index, group in enumerate(plan.groups):
-            local = (
-                list(plan.first_source_other_relations)
-                if index == 0
-                else list(group.relations)
-            )
-            if not local:
-                continue  # no query to the updating source (footnote 12)
-            source = self._space.source(group.source)
+        for local, source_name, width in path.steps:
+            source = self._space.source(source_name)
             # Ship the delta (plus the query) down to the source.
             self.counters.record_message(len(deltas) * delta_width)
             self._charge_io(len(deltas), local, sizes)
             deltas = source.answer_single_site_query(
                 deltas, local, condition, use_index=self._use_index
             )
-            for name in local:
-                schema = self._space.relation(name).schema
-                delta_width += schema.tuple_byte_size()
+            delta_width += width
             # Ship the joined delta back to the warehouse.
             self.counters.record_message(len(deltas) * delta_width)
         return deltas
@@ -282,8 +372,8 @@ class ViewMaintainer:
     # ------------------------------------------------------------------
     def _propagate_tuples(
         self,
-        view: ViewDefinition,
-        plan: MaintenancePlan,
+        program: _ViewProgram,
+        path: _UpdatePath,
         updates: list[DataUpdate],
         overlays: SizeOverlays = None,
     ) -> "DeltaBatch | ColumnBatch":
@@ -297,10 +387,10 @@ class ViewMaintainer:
         per-update reference totals exactly (the counters are sums, so
         only the per-update quantities matter, not the interleaving).
         """
-        condition = view.condition()
-        relation = plan.updated_relation
-        updated_schema = self._space.relation(relation).schema
-        splan = seed_plan(condition, relation, updated_schema)
+        condition = program.condition
+        relation = updates[0].relation
+        updated_schema = path.schema
+        splan = path.seed
         rows: list[tuple] = []
         tags: list[int] = []
         for position, update in enumerate(updates):
@@ -320,15 +410,8 @@ class ViewMaintainer:
         for _ in updates:
             self.counters.record_message(delta_width)
 
-        for index, group in enumerate(plan.groups):
-            local = (
-                list(plan.first_source_other_relations)
-                if index == 0
-                else list(group.relations)
-            )
-            if not local:
-                continue  # no query to the updating source (footnote 12)
-            source = self._space.source(group.source)
+        for local, source_name, width in path.steps:
+            source = self._space.source(source_name)
             # Ship each update's delta (plus the query) down to the IS.
             for count in counts:
                 self.counters.record_message(count * delta_width)
@@ -356,9 +439,7 @@ class ViewMaintainer:
                 batch = source.answer_single_site_batch(
                     batch, local, condition, use_index=self._use_index
                 )
-            for name in local:
-                schema = self._space.relation(name).schema
-                delta_width += schema.tuple_byte_size()
+            delta_width += width
             counts = batch.counts_by_tag(len(updates))
             # Ship each update's joined delta back to the warehouse.
             for count in counts:
@@ -368,7 +449,7 @@ class ViewMaintainer:
     def _charge_io(
         self,
         cardinality: int,
-        local: list[str],
+        local: Sequence[str],
         sizes: Mapping[str, int] | None = None,
         live: Mapping[str, int] | None = None,
     ) -> None:
@@ -404,25 +485,24 @@ class ViewMaintainer:
     # ------------------------------------------------------------------
     def _apply(
         self,
-        view: ViewDefinition,
+        program: _ViewProgram,
         extent: Relation,
         deltas: list[Binding],
         kind: UpdateKind,
     ) -> None:
-        keys = [str(item.ref) for item in view.select]
+        keys = program.keys
         rows = [tuple(binding[key] for key in keys) for binding in deltas]
-        self._apply_rows(view, extent, rows, kind)
+        self._apply_rows(program, extent, rows, kind)
 
     def _apply_batch(
         self,
-        view: ViewDefinition,
+        program: _ViewProgram,
         extent: Relation,
         batch: "DeltaBatch | ColumnBatch",
         updates: list[DataUpdate],
     ) -> None:
         """Project once, then apply per update in stream order."""
-        keys = [str(item.ref) for item in view.select]
-        projected = batch.project(keys)
+        projected = batch.project(program.keys)
         if batch.tags is None:
             if batch.cardinality:
                 raise MaintenanceError(
@@ -436,7 +516,7 @@ class ViewMaintainer:
             zip(tags, projected), key=lambda pair: pair[0]
         ):
             self._apply_rows(
-                view,
+                program,
                 extent,
                 [row for _, row in group],
                 updates[tag].kind,
@@ -444,7 +524,7 @@ class ViewMaintainer:
 
     def _apply_rows(
         self,
-        view: ViewDefinition,
+        program: _ViewProgram,
         extent: Relation,
         rows: list[tuple],
         kind: UpdateKind,
@@ -456,8 +536,9 @@ class ViewMaintainer:
             for row in rows:
                 if not extent.delete(row):
                     raise MaintenanceError(
-                        f"view {view.name!r} is inconsistent: delta row "
-                        f"{row!r} not present during delete propagation"
+                        f"view {program.definition.name!r} is inconsistent: "
+                        f"delta row {row!r} not present during delete "
+                        f"propagation"
                     )
 
 

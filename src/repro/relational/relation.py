@@ -65,7 +65,10 @@ class Relation:
       per row in row order, so a delete finds its row with a C-speed
       ``find`` instead of ``list.remove``'s Python comparison per row.
       :meth:`insert` appends to it, :meth:`delete` cuts the row's
-      entry out, the bulk mutations drop it, and pickles leave it out.
+      entry out and the bulk mutations drop it.
+
+    Pickles carry the schema and the rows only; a copy rebuilds each
+    derived structure on first use.
     """
 
     __slots__ = ("schema", "_rows", "_indexes", "_column_store", "_locator")
@@ -80,17 +83,15 @@ class Relation:
             self.insert(row)
 
     def __getstate__(self) -> dict[str, Any]:
-        """Pickle without the delete locator; a copy rebuilds its own."""
-        return {
-            "schema": self.schema,
-            "_rows": self._rows,
-            "_indexes": self._indexes,
-            "_column_store": self._column_store,
-        }
+        """Pickle the schema and rows only: indexes, column store and
+        locator are derived, and a copy builds its own on first use."""
+        return {"schema": self.schema, "_rows": self._rows}
 
     def __setstate__(self, state: dict[str, Any]) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
+        self.schema = state["schema"]
+        self._rows = state["_rows"]
+        self._indexes = {}
+        self._column_store = None
         self._locator = None
 
     # ------------------------------------------------------------------

@@ -14,12 +14,13 @@ Subscribers are plain callables, keeping the wiring explicit and testable.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import UnknownRelationError, WorkspaceError
 from repro.misd.mkb import MetaKnowledgeBase
 from repro.misd.statistics import RelationStatistics
 from repro.relational.relation import Relation
+from repro.relational.schema import Schema
 from repro.space.changes import (
     AddAttribute,
     AddRelation,
@@ -34,6 +35,20 @@ from repro.space.updates import DataUpdate
 
 ChangeListener = Callable[[SchemaChange], None]
 UpdateListener = Callable[[DataUpdate], None]
+
+#: Owner IS name and schema of each of a view's relations, in FROM order
+#: (:meth:`InformationSpace.placement`).
+Placement = tuple[tuple[str, Schema], ...]
+
+
+def placement_maps(
+    relations: Sequence[str], placement: Placement
+) -> tuple[dict[str, str], dict[str, Schema]]:
+    """``relations``' placement as relation -> owner IS name and
+    relation -> schema maps (the form plans and resolution take)."""
+    owners = {name: owner for name, (owner, _) in zip(relations, placement)}
+    schemas = {name: schema for name, (_, schema) in zip(relations, placement)}
+    return owners, schemas
 
 
 class InformationSpace:
@@ -102,6 +117,19 @@ class InformationSpace:
             if source.offers(relation):
                 return source
         raise UnknownRelationError(relation, "information space")
+
+    def placement(self, relations: Iterable[str]) -> Placement:
+        """``(owner IS name, schema)`` of each of ``relations``, in order.
+
+        Everything Algorithm 1's itinerary and a view's resolution
+        depend on: schemas are immutable and every capability change
+        installs a new one, so equal placements mean an unchanged plan.
+        """
+        placed = []
+        for name in relations:
+            source = self.owner_of(name)
+            placed.append((source.name, source.relation(name).schema))
+        return tuple(placed)
 
     def relation(self, name: str) -> Relation:
         return self.owner_of(name).relation(name)

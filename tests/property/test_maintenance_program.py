@@ -1,0 +1,337 @@
+"""Property tests: a view's compiled maintenance program never goes stale.
+
+:class:`~repro.maintenance.simulator.ViewMaintainer` compiles each view's
+resolution, itinerary and seed filter once and re-checks the program on
+every call against the definition object and the owners and schemas of
+the view's relations.  These tests interleave data-update streams with
+everything that can move those inputs — the six capability-change
+kinds, the rewritings they trigger, view redefinitions and out-of-band
+catalog edits — and require after every step that a system with warm
+programs, the same system with a freshly built maintainer per step, and
+a :meth:`~repro.config.SystemConfig.reference` replay agree on errors,
+extents and CF_M/CF_T/CF_IO counters.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.config import SystemConfig
+from repro.core.eve import EVESystem
+from repro.errors import UnknownRelationError
+from repro.esql.ast import ViewDefinition
+from repro.maintenance.simulator import ViewMaintainer
+from repro.misd.statistics import RelationStatistics
+from repro.relational.relation import Relation
+from repro.relational.schema import Attribute, Schema
+from repro.relational.types import AttributeType
+from repro.space.changes import (
+    AddAttribute,
+    AddRelation,
+    DeleteAttribute,
+    DeleteRelation,
+    RenameAttribute,
+    RenameRelation,
+)
+from repro.space.space import InformationSpace
+
+VALUES = st.integers(0, 4)
+ROWS = st.tuples(VALUES, VALUES)
+
+#: Each view keeps every evolution option open, so capability changes
+#: rewrite it (drop, rename or replace) instead of killing it.
+VIEWS = [
+    "CREATE VIEW V0 (VE = '~') AS "
+    "SELECT R.A (AR = true), R.B (AD = true, AR = true), "
+    "S.C (AD = true, AR = true) "
+    "FROM R (RR = true), S (RD = true, RR = true) "
+    "WHERE (R.A = S.A) (CD = true, CR = true)",
+    "CREATE VIEW V1 (VE = '~') AS "
+    "SELECT S.A (AR = true), S.C (AD = true, AR = true), "
+    "T.E (AD = true, AR = true) "
+    "FROM S (RR = true), T (RD = true, RR = true) "
+    "WHERE (S.C = T.D) (CD = true, CR = true) "
+    "AND (T.E > 1) (CD = true, CR = true)",
+    "CREATE VIEW V2 (VE = '~') AS "
+    "SELECT R.A (AR = true), R.B (AD = true, AR = true) "
+    "FROM R (RR = true) WHERE (R.B < 3) (CD = true, CR = true)",
+]
+
+#: Abstract steps; concrete targets are picked when a step runs, from
+#: the live state (identical in every system being compared).
+STEPS = st.one_of(
+    st.tuples(
+        st.just("updates"),
+        st.lists(
+            st.tuples(st.integers(0, 9), st.sampled_from(["insert", "delete"]), ROWS),
+            min_size=1,
+            max_size=6,
+        ),
+    ),
+    st.tuples(
+        st.sampled_from(
+            [
+                "add_relation",
+                "delete_relation",
+                "rename_relation",
+                "add_attribute",
+                "delete_attribute",
+                "rename_attribute",
+                "redefine",
+                "oob_rename_attribute",
+                "oob_rehost_moved",
+                "oob_rehost_retyped",
+            ]
+        ),
+        st.integers(0, 9),
+    ),
+)
+
+
+def build_eve(config: SystemConfig, tables) -> EVESystem:
+    """R at IS1, S at IS2, T at IS3, plus U ≡ S at IS3 for salvage."""
+    space = InformationSpace()
+    for source in ("IS1", "IS2", "IS3"):
+        space.add_source(source)
+    for source, schema, rows in [
+        ("IS1", Schema("R", ["A", "B"]), tables[0]),
+        ("IS2", Schema("S", ["A", "C"]), tables[1]),
+        ("IS3", Schema("T", ["D", "E"]), tables[2]),
+        ("IS3", Schema("U", ["A", "C"]), tables[1]),
+    ]:
+        space.register_relation(
+            source,
+            Relation(schema, rows),
+            RelationStatistics(cardinality=max(len(rows), 1)),
+        )
+    space.mkb.add_equivalence("S", "U", ["A", "C"])
+    eve = EVESystem(space=space, config=config)
+    for text in VIEWS:
+        eve.define_view(text)
+    return eve
+
+
+def _pick(options, index):
+    options = sorted(options)
+    return options[index % len(options)] if options else None
+
+
+def concrete(step, eve: EVESystem, counter: int):
+    """Resolve an abstract step against ``eve``'s live state."""
+    kind, argument = step
+    space = eve.space
+    relations = sorted(space.relations())
+    if kind == "updates":
+        stream, live = [], {n: list(space.relation(n).rows) for n in relations}
+        for index, op, row in argument:
+            name = _pick(relations, index)
+            if name is None:
+                continue
+            if op == "delete":
+                if row not in live[name]:
+                    continue
+                live[name].remove(row)
+            else:
+                live[name].append(row)
+            stream.append((name, op, row))
+        return ("updates", stream)
+    if kind == "redefine":
+        name = _pick([r.name for r in eve.vkb if r.alive], argument)
+        return ("redefine", name) if name is not None else None
+    name = _pick(relations, argument)
+    if name is None:
+        return None
+    owner = space.owner_of(name).name
+    attributes = space.relation(name).schema.attribute_names
+    attribute = attributes[argument % len(attributes)]
+    if kind == "add_relation":
+        return ("change", kind, owner, f"N{counter}")
+    if kind in ("delete_relation", "delete_attribute"):
+        return ("change", kind, owner, name, attribute)
+    if kind in ("rename_relation", "add_attribute", "rename_attribute"):
+        return ("change", kind, owner, name, attribute, counter)
+    if kind == "oob_rename_attribute":
+        return ("oob_rename_attribute", owner, name, attribute, f"{attribute}o{counter}")
+    if kind == "oob_rehost_moved":
+        target = _pick([s for s in space.source_names if s != owner], argument)
+        return ("oob_rehost", owner, name, target, False)
+    return ("oob_rehost", owner, name, owner, True)
+
+
+def redefined(view: ViewDefinition) -> ViewDefinition:
+    """Same name and relations, different condition or projection."""
+    if view.where:
+        return ViewDefinition(view.name, view.select, view.from_, (), view.extent_parameter)
+    return ViewDefinition(
+        view.name, view.select[::-1], view.from_, view.where, view.extent_parameter
+    )
+
+
+def change(kind, owner, name, attribute=None, counter=None):
+    """A fresh capability change (an added relation is never shared)."""
+    if kind == "add_relation":
+        return AddRelation(owner, name, Relation(Schema(name, ["A", "C"])))
+    if kind == "delete_relation":
+        return DeleteRelation(owner, name)
+    if kind == "rename_relation":
+        return RenameRelation(owner, name, f"{name}r{counter}")
+    if kind == "add_attribute":
+        return AddAttribute(owner, name, Attribute(f"X{counter}"), 0)
+    if kind == "delete_attribute":
+        return DeleteAttribute(owner, name, attribute)
+    return RenameAttribute(owner, name, attribute, f"{attribute}r{counter}")
+
+
+def run_step(eve: EVESystem, step):
+    """Apply one concrete step; returns what it observably did."""
+    kind = step[0]
+    try:
+        if kind == "updates":
+            charged = eve.apply_updates(step[1])
+            return ("ok", charged.messages, charged.bytes_transferred, charged.io_operations)
+        if kind == "change":
+            results = eve.apply_changes([change(*step[1:])])
+            return ("ok", [(r.view_name, r.chosen.qc if r.chosen else None) for r in results])
+        if kind == "redefine":
+            view = redefined(eve.vkb.current(step[1]))
+            eve.vkb.drop(view.name)
+            eve.define_view(view)
+            return ("ok",)
+        if kind == "oob_rename_attribute":
+            _, owner, name, old, new = step
+            eve.space.source(owner).catalog.rename_attribute(name, old, new)
+            return ("ok",)
+        _, owner, name, target, retype = step
+        relation = eve.space.source(owner).catalog.remove(name)
+        if retype:
+            schema = Schema(
+                name,
+                [Attribute(a.name, AttributeType.FLOAT) for a in relation.schema],
+            )
+            rows = [tuple(float(v) for v in row) for row in relation.rows]
+            relation = Relation(schema, rows)
+        eve.space.source(target).host(relation)
+        return ("ok",)
+    except Exception as error:  # noqa: BLE001 - the error class is the outcome
+        return ("error", type(error).__name__)
+
+
+def fingerprint(eve: EVESystem):
+    extents = {
+        record.name: eve.extent(record.name)
+        for record in eve.vkb
+        if record.alive and record.name in eve._extents
+    }
+    for name, extent in extents.items():
+        # Maintained extent rows keep the typed-row contract: every value is
+        # NULL or exactly its column's class.
+        types = extent.schema.row_types
+        for row in extent.rows:
+            assert all(
+                value is None or type(value) is kind
+                for value, kind in zip(row, types)
+            ), (name, row, types)
+    return {name: sorted(extent.rows) for name, extent in extents.items()}
+
+
+def fresh_maintainer(eve: EVESystem) -> None:
+    eve.maintainer = ViewMaintainer(eve.space, config=eve.config.maintenance)
+
+
+@st.composite
+def episodes(draw):
+    tables = [draw(st.lists(ROWS, max_size=6)) for _ in range(3)]
+    return tables, draw(st.lists(STEPS, min_size=1, max_size=10))
+
+
+def replay_and_compare(tables, steps) -> None:
+    warm = build_eve(SystemConfig(), tables)
+    cold = build_eve(SystemConfig(), tables)
+    reference = build_eve(SystemConfig.reference(), tables)
+    for counter, abstract in enumerate(steps):
+        step = concrete(abstract, warm, counter)
+        if step is None:
+            continue
+        fresh_maintainer(cold)
+        outcome = run_step(warm, step)
+        assert run_step(cold, step) == outcome, step
+        assert run_step(reference, step) == outcome, step
+        expected = fingerprint(reference)
+        assert fingerprint(warm) == expected, step
+        assert fingerprint(cold) == expected, step
+
+
+@given(episodes())
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_program_reuse_matches_cold_and_reference(data):
+    replay_and_compare(*data)
+
+
+# ----------------------------------------------------------------------
+# Each way a program's inputs can move, pinned deterministically.
+# ----------------------------------------------------------------------
+TABLES = [[(1, 2), (2, 0), (3, 1)], [(1, 2), (2, 3), (3, 1)], [(2, 4), (3, 2)]]
+WARM_UP = ("updates", [(0, "insert", (2, 1)), (1, "insert", (2, 2))])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        ("oob_rename_attribute", 0),  # R.A, read by V0 and V2
+        ("oob_rename_attribute", 1),  # S.C, read by V0 and V1
+        ("oob_rehost_moved", 1),  # S moves from IS2 to IS3
+        ("oob_rehost_moved", 2),  # T moves from IS3 to IS1
+        ("oob_rehost_retyped", 0),  # R comes back with FLOAT columns
+        ("oob_rehost_retyped", 1),  # S comes back with FLOAT columns
+        ("redefine", 0),  # V0 loses its WHERE clause
+        ("redefine", 1),  # V1 loses its WHERE clauses
+        ("rename_attribute", 1),  # S.C: V0 and V1 are rewritten
+        ("delete_relation", 1),  # S: V0 and V1 move to U
+        ("add_attribute", 0),  # R gains X
+    ],
+)
+def test_program_moves_with_its_inputs(edit):
+    replay_and_compare(TABLES, [WARM_UP, edit, WARM_UP, WARM_UP])
+
+
+def test_a_dead_view_leaves_no_program():
+    eve = build_eve(SystemConfig(), TABLES)
+    run_step(eve, concrete(WARM_UP, eve, 0))
+    assert {"V0", "V1", "V2"} <= set(eve.maintainer._programs)
+    # R has no donor and neither view may drop it: V0 and V2 die.
+    run_step(eve, ("change", "delete_relation", "IS1", "R"))
+    assert not eve.is_alive("V0") and not eve.is_alive("V2")
+    assert set(eve.maintainer._programs) == {"V1"}
+
+
+class TestOwnerOf:
+    def build(self):
+        space = InformationSpace()
+        space.add_source("IS1")
+        space.add_source("IS2")
+        space.register_relation("IS1", Relation(Schema("R", ["A"]), [(1,)]))
+        return space
+
+    def test_owner_follows_a_move(self):
+        space = self.build()
+        assert space.owner_of("R").name == "IS1"
+        relation = space.source("IS1").catalog.remove("R")
+        space.source("IS2").host(relation)
+        assert space.owner_of("R").name == "IS2"
+        assert space.relation("R") is relation
+
+    def test_deleted_relation_raises(self):
+        space = self.build()
+        assert space.owner_of("R").name == "IS1"
+        space.delete_relation("R")
+        with pytest.raises(UnknownRelationError):
+            space.owner_of("R")
+
+    def test_placement_is_owner_and_schema(self):
+        space = self.build()
+        schema = space.relation("R").schema
+        assert space.placement(["R"]) == (("IS1", schema),)
