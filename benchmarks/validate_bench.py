@@ -76,9 +76,10 @@ WORKERS_SPEEDUP_FLOOR = 3.0
 
 #: Absolute floor of the ``Relation.delete``-vs-``list.remove`` speedup
 #: in the delete-churn lane on full (non-smoke) runs: random-position
-#: deletes from 10k rows must find their row through the packed key
-#: column, not a Python comparison per row (about 4x on a 2-CPU host).
-DELETE_CHURN_SPEEDUP_FLOOR = 2.0
+#: deletes from 10k rows must find their row through the fingerprint
+#: locator, not a Python comparison per row (about 15x on a 2-CPU host;
+#: the floor stays under half of that).
+DELETE_CHURN_SPEEDUP_FLOOR = 6.0
 
 #: Absolute ceiling of storm-time read p99 relative to idle read p99 on
 #: full (non-smoke) runs — the PR-9 serving-plane acceptance gate:

@@ -24,6 +24,11 @@ class MaintenanceCounters:
         self.messages += 1
         self.bytes_transferred += payload_bytes
 
+    def record_messages(self, messages: int, payload_bytes: int) -> None:
+        """``messages`` messages carrying ``payload_bytes`` in total."""
+        self.messages += messages
+        self.bytes_transferred += payload_bytes
+
     def record_io(self, operations: int) -> None:
         self.io_operations += operations
 

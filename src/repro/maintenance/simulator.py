@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from itertools import groupby
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -358,7 +359,7 @@ class ViewMaintainer:
             source = self._space.source(source_name)
             # Ship the delta (plus the query) down to the source.
             self.counters.record_message(len(deltas) * delta_width)
-            self._charge_io(len(deltas), local, sizes)
+            self.counters.record_io(self._io_cost(len(deltas), local, sizes))
             deltas = source.answer_single_site_query(
                 deltas, local, condition, use_index=self._use_index
             )
@@ -382,10 +383,10 @@ class ViewMaintainer:
         Serves both compiled representations — the delta travels as a
         :class:`DeltaBatch` (tuple) or :class:`ColumnBatch` (columnar);
         every accounting statement is shared so the modeled counters
-        cannot drift between them.  Message and I/O charges are recorded
-        *per update* from the batch's provenance counts, reproducing the
-        per-update reference totals exactly (the counters are sums, so
-        only the per-update quantities matter, not the interleaving).
+        cannot drift between them.  Message and I/O charges are the
+        per-update quantities of the batch's provenance counts, charged
+        once per step for the whole run: the counters are integer sums,
+        so the totals equal the per-update reference's exactly.
         """
         condition = program.condition
         relation = updates[0].relation
@@ -405,28 +406,37 @@ class ViewMaintainer:
             batch = DeltaBatch(splan.columns, rows, tags)
         delta_width = updated_schema.tuple_byte_size()
         counts = batch.counts_by_tag(len(updates))
+        counters = self.counters
 
         # The update notifications themselves (first term of Eq. 21).
-        for _ in updates:
-            self.counters.record_message(delta_width)
+        counters.record_messages(len(updates), len(updates) * delta_width)
 
         for local, source_name, width in path.steps:
             source = self._space.source(source_name)
             # Ship each update's delta (plus the query) down to the IS.
-            for count in counts:
-                self.counters.record_message(count * delta_width)
+            counters.record_messages(len(counts), sum(counts) * delta_width)
             # The propagation mutates no source, so one catalog read per
-            # local relation serves every update of the run.
+            # local relation serves every update of the run, and the
+            # updates without an overlay share one price per delta count.
             live = {
                 name: self._space.relation(name).cardinality for name in local
             }
-            for position, count in enumerate(counts):
-                self._charge_io(
-                    count,
-                    local,
-                    overlays[position] if overlays is not None else None,
-                    live,
+            plain = Counter(
+                counts
+                if overlays is None
+                else [c for c, sizes in zip(counts, overlays) if sizes is None]
+            )
+            io = sum(
+                self._io_cost(count, local, None, live) * repeats
+                for count, repeats in plain.items()
+            )
+            if overlays is not None:
+                io += sum(
+                    self._io_cost(count, local, sizes, live)
+                    for count, sizes in zip(counts, overlays)
+                    if sizes is not None
                 )
+            counters.record_io(io)
             if columnar:
                 batch = source.answer_single_site_columnar(
                     batch,
@@ -442,18 +452,17 @@ class ViewMaintainer:
             delta_width += width
             counts = batch.counts_by_tag(len(updates))
             # Ship each update's joined delta back to the warehouse.
-            for count in counts:
-                self.counters.record_message(count * delta_width)
+            counters.record_messages(len(counts), sum(counts) * delta_width)
         return batch
 
-    def _charge_io(
+    def _io_cost(
         self,
         cardinality: int,
         local: Sequence[str],
         sizes: Mapping[str, int] | None = None,
         live: Mapping[str, int] | None = None,
-    ) -> None:
-        """Appendix A pricing against actual cardinalities.
+    ) -> int:
+        """Appendix A I/O price of one update's delta at one source.
 
         Per local relation: the optimizer either scans it once
         (ceil(|R|/bfr)) or probes per delta tuple at
@@ -466,6 +475,7 @@ class ViewMaintainer:
         """
         bfr = self._statistics.blocking_factor
         js = self._statistics.join_selectivity
+        total = 0
         for name in local:
             if sizes is not None and name in sizes:
                 relation_size = sizes[name]
@@ -475,10 +485,11 @@ class ViewMaintainer:
                 relation_size = self._space.relation(name).cardinality
             scan = math.ceil(relation_size / bfr) if relation_size else 0
             probe = cardinality * math.ceil(js * relation_size / bfr)
-            self.counters.record_io(min(scan, probe) if relation_size else 0)
+            total += min(scan, probe) if relation_size else 0
             cardinality = max(
                 1, math.ceil(cardinality * js * relation_size)
             )
+        return total
 
     # ------------------------------------------------------------------
     # Applying the delta to the materialized extent

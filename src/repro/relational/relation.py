@@ -12,7 +12,7 @@ extents, which callers do via :meth:`Relation.distinct`.
 from __future__ import annotations
 
 import operator
-import struct
+from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any
@@ -24,19 +24,23 @@ from repro.relational.schema import Attribute, Schema
 
 Row = tuple[Any, ...]
 
-_pack_key = struct.Struct(">q").pack
-
-#: The locator entry of a NULL key, or of one outside int64.  Any value
-#: may share its packing, so every locator hit is confirmed by ``==``.
-_NO_KEY = b"\x80" + bytes(7)
+#: The fingerprint of a NULL key.  A key value may share it (65535
+#: does), so every locator hit is confirmed by ``==``.
+_NULL_FINGERPRINT = 0xFFFF
 
 
-def _locator_entry(value: Any) -> bytes:
-    """The 8 locator bytes of one key value (through ``__index__``)."""
-    try:
-        return _pack_key(value)
-    except struct.error:
-        return _NO_KEY
+def _fingerprint(value: Any) -> int:
+    """The 16-bit locator fingerprint of one key value.
+
+    The XOR of the value's four low 16-bit words (two's complement, so
+    negative keys and ints beyond int64 fold too, and an ``IntEnum``
+    folds like its int): keys that differ only above bit 16 still
+    spread.  NULL gets :data:`_NULL_FINGERPRINT`.
+    """
+    if value is None:
+        return _NULL_FINGERPRINT
+    value ^= value >> 32
+    return (value ^ value >> 16) & 0xFFFF
 
 
 class Relation:
@@ -60,31 +64,41 @@ class Relation:
     * the column store (:meth:`column_store`): appended to by
       :meth:`insert`, dropped by anything that removes rows;
     * the delete locator: when the schema has an INT attribute
-      (``schema.key_position``), the first :meth:`delete` packs that
-      attribute of every row into a ``bytearray``, 8 big-endian bytes
-      per row in row order, so a delete finds its row with a C-speed
-      ``find`` instead of ``list.remove``'s Python comparison per row.
-      :meth:`insert` appends to it, :meth:`delete` cuts the row's
-      entry out and the bulk mutations drop it.
+      (``schema.key_position``), the first :meth:`delete` encodes that
+      attribute of every row as a ``str`` with one character per row,
+      in row order: the 16-bit :func:`_fingerprint` of the value (at
+      most 2 bytes per row).  A delete finds its row with C-speed
+      single-character ``str.find`` calls, each hit confirmed by
+      ``==``, instead of ``list.remove``'s Python comparison per row.
+      A string cannot grow in place, so :meth:`insert` appends the
+      new row's fingerprint to a pending ``_tail`` array (which exists
+      only while a locator does) and :meth:`delete` joins the tail in
+      before it searches, then cuts the row's character out; inserts
+      stay O(1) however many arrive between two deletes.  The bulk
+      mutations drop locator and tail.
 
     Pickles carry the schema and the rows only; a copy rebuilds each
     derived structure on first use.
     """
 
-    __slots__ = ("schema", "_rows", "_indexes", "_column_store", "_locator")
+    __slots__ = (
+        "schema", "_rows", "_indexes", "_column_store", "_locator", "_tail"
+    )
 
     def __init__(self, schema: Schema, rows: Iterable[Sequence[Any]] = ()) -> None:
         self.schema = schema
         self._rows: list[Row] = []
         self._indexes: dict[tuple[int, ...], HashIndex] = {}
         self._column_store: ColumnStore | None = None
-        self._locator: bytearray | None = None
+        self._locator: str | None = None
+        self._tail: array[int] | None = None
         for row in rows:
             self.insert(row)
 
     def __getstate__(self) -> dict[str, Any]:
-        """Pickle the schema and rows only: indexes, column store and
-        locator are derived, and a copy builds its own on first use."""
+        """Pickle the schema and rows only: indexes, column store,
+        locator and tail are derived, and a copy builds its own on first
+        use."""
         return {"schema": self.schema, "_rows": self._rows}
 
     def __setstate__(self, state: dict[str, Any]) -> None:
@@ -93,6 +107,7 @@ class Relation:
         self._indexes = {}
         self._column_store = None
         self._locator = None
+        self._tail = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -270,9 +285,9 @@ class Relation:
             index.add(validated)
         if self._column_store is not None:
             self._column_store.append(validated)
-        locator, position = self._locator, self.schema.key_position
-        if locator is not None and position is not None:
-            locator += _locator_entry(validated[position])
+        tail = self._tail
+        if tail is not None:
+            tail.append(_fingerprint(validated[self.schema.key_position]))
         return validated
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
@@ -297,35 +312,37 @@ class Relation:
             except ValueError:
                 return False
         else:
-            locator = self._locator
+            rows = self._rows
+            locator, tail = self._locator, self._tail
             if locator is None:
-                locator = self._locator = bytearray().join(
-                    [_locator_entry(stored[position]) for stored in self._rows]
+                locator = "".join(
+                    [chr(_fingerprint(stored[position])) for stored in rows]
                 )
+                self._tail = array("H")
+            elif tail:
+                locator += "".join(map(chr, tail))
+                del tail[:]
             slot = self._locate(locator, validated, position)
             if slot < 0:
+                self._locator = locator
                 return False
-            del self._rows[slot]
-            del locator[8 * slot : 8 * slot + 8]
+            del rows[slot]
+            self._locator = locator[:slot] + locator[slot + 1 :]
         for index in self._indexes.values():
             index.discard(validated)
         self._column_store = None
         return True
 
-    def _locate(self, locator: bytearray, row: Row, position: int) -> int:
-        """Slot of the first row ``==`` ``row``, or -1: the 8-aligned
-        ``locator`` hits of its key, confirmed in row order."""
+    def _locate(self, locator: str, row: Row, position: int) -> int:
+        """Slot of the first row ``==`` ``row``, or -1: the ``locator``
+        hits of its key's fingerprint, confirmed in row order."""
         rows = self._rows
-        entry = _locator_entry(row[position])
-        start = 0
-        while True:
-            hit = locator.find(entry, start)
-            if hit < 0:
-                return -1
-            slot, offset = divmod(hit, 8)
-            if not offset and rows[slot] == row:
-                return slot
-            start = 8 * slot + 8
+        find = locator.find
+        mark = chr(_fingerprint(row[position]))
+        slot = find(mark)
+        while slot >= 0 and rows[slot] != row:
+            slot = find(mark, slot + 1)
+        return slot
 
     def delete_where(self, predicate: Callable[[Row], bool]) -> list[Row]:
         """Remove all rows satisfying ``predicate``; returns removed rows."""
@@ -348,10 +365,12 @@ class Relation:
         self._drop_derived()
 
     def _drop_derived(self) -> None:
-        """Forget indexes, column store and locator (bulk mutations)."""
+        """Forget indexes, column store, locator and tail (bulk
+        mutations)."""
         self.drop_indexes()
         self._column_store = None
         self._locator = None
+        self._tail = None
 
     # ------------------------------------------------------------------
     # Schema evolution (used by capability changes)

@@ -54,6 +54,10 @@ class ViewKnowledgeBase:
         self._order: dict[str, int] = {}
         self._next_order = 0
         self._version = 0
+        #: relation name -> ``views_referencing`` result, valid while
+        #: ``_version`` equals ``_memo_version``.
+        self._referencing_memo: dict[str, tuple[ViewRecord, ...]] = {}
+        self._memo_version = 0
 
     @property
     def version(self) -> int:
@@ -162,15 +166,21 @@ class ViewKnowledgeBase:
 
         Backed by the inverted index — O(affected · log affected), not
         O(all views) — and ordered by view definition sequence, exactly
-        like a scan over the registry.
+        like a scan over the registry.  Each result is memoized until
+        :attr:`version` moves, so repeated dispatch to one relation (a
+        stream of data updates) sorts once.
         """
-        names = self._referencing.get(relation)
-        if not names:
-            return ()
-        return tuple(
-            self._records[name]
-            for name in sorted(names, key=self._order.__getitem__)
-        )
+        if self._memo_version != self._version:
+            self._referencing_memo = {}
+            self._memo_version = self._version
+        records = self._referencing_memo.get(relation)
+        if records is None:
+            names = self._referencing.get(relation, ())
+            records = self._referencing_memo[relation] = tuple(
+                self._records[name]
+                for name in sorted(names, key=self._order.__getitem__)
+            )
+        return records
 
     # ------------------------------------------------------------------
     # Synchronization bookkeeping

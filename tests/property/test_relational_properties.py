@@ -2,7 +2,6 @@
 
 import enum
 import pickle
-import struct
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -177,14 +176,19 @@ def reference_remove(rows, row):
 
 
 def expected_locator(schema, rows):
+    """A fresh encoding: per row, the XOR of the key's four 16-bit
+    words (NULL: U+FFFF)."""
     position = schema.key_position
-    entries = []
+    chars = []
     for row in rows:
-        try:
-            entries.append(struct.pack(">q", row[position]))
-        except struct.error:
-            entries.append(b"\x80" + bytes(7))
-    return b"".join(entries)
+        value = row[position]
+        if value is None:
+            chars.append(chr(0xFFFF))
+        else:
+            word = value & (2**64 - 1)
+            word ^= word >> 16 ^ word >> 32 ^ word >> 48
+            chars.append(chr(word & 0xFFFF))
+    return "".join(chars)
 
 
 @given(
@@ -209,13 +213,13 @@ def test_keyed_delete_matches_list_remove(case):
                     schema.name
                 )
             )
-            assert relation._locator is None
+            assert relation._locator is None and relation._tail is None
         elif op == "pickle":
             relation = pickle.loads(pickle.dumps(relation))
-            assert relation._locator is None
+            assert relation._locator is None and relation._tail is None
         else:
             removed = relation.delete_where(lambda stored: stored == arg)
-            assert relation._locator is None
+            assert relation._locator is None and relation._tail is None
             kept = [stored for stored in reference if stored != arg]
             assert removed == [stored for stored in reference if stored == arg]
             reference = kept
@@ -225,9 +229,11 @@ def test_keyed_delete_matches_list_remove(case):
         assert [tuple(map(type, row)) for row in relation.rows] == [
             tuple(map(type, row)) for row in reference
         ]
-        locator = relation._locator
+        locator, tail = relation._locator, relation._tail
+        assert (locator is None) == (tail is None)
         if schema.key_position is None:
             assert locator is None
         elif locator is not None:
-            assert len(locator) == 8 * len(relation.rows)
-            assert bytes(locator) == expected_locator(schema, relation.rows)
+            joined = locator + "".join(map(chr, tail))
+            assert len(joined) == len(relation.rows)
+            assert joined == expected_locator(schema, relation.rows)

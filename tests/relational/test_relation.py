@@ -1,5 +1,6 @@
 """Unit tests for relation instances (bag semantics + mutation)."""
 
+import enum
 import pickle
 
 import pytest
@@ -98,16 +99,121 @@ class TestMutation:
         assert not r
 
 
+def fingerprint(value):
+    """The locator character of one key: its four 16-bit words XOR-ed."""
+    if value is None:
+        return chr(0xFFFF)
+    word = value & (2**64 - 1)
+    return chr((word ^ word >> 16 ^ word >> 32 ^ word >> 48) & 0xFFFF)
+
+
+def encoding(relation):
+    """The relation's locator with its pending tail joined in."""
+    return relation._locator + "".join(map(chr, relation._tail))
+
+
+def reference_remove(rows, row):
+    try:
+        rows.remove(row)
+    except ValueError:
+        return False
+    return True
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
 class TestDeleteLocator:
-    """The packed key column a relation locates deleted rows through."""
+    """The fingerprint string a relation locates deleted rows through."""
 
     def test_first_delete_builds_it_and_insert_extends_it(self, r):
-        assert r._locator is None
+        assert r._locator is None and r._tail is None
         assert r.delete((3, 4))
-        assert bytes(r._locator) == (1).to_bytes(8, "big") * 2
+        assert r._locator == chr(1) * 2
+        assert len(r._tail) == 0
+        locator = r._locator
         r.insert((-2, 0))
-        assert bytes(r._locator[-8:]) == (-2).to_bytes(8, "big", signed=True)
+        assert r._locator is locator
+        assert r._tail.tolist() == [ord(fingerprint(-2))]
+        assert encoding(r) == chr(1) * 2 + fingerprint(-2)
         assert r.rows == [(1, 2), (1, 2), (-2, 0)]
+
+    def test_delete_joins_the_tail_before_it_searches(self, r):
+        assert r.delete((3, 4))
+        tail = r._tail
+        for value in range(1000):
+            r.insert((70000 + value, value))
+        assert len(tail) == 1000 and r._tail is tail
+        assert r.delete((70999, 999))
+        assert len(r._tail) == 0
+        assert len(r._locator) == len(r.rows) == 1001
+        assert r._locator == "".join(fingerprint(row[0]) for row in r.rows)
+
+    def test_never_deleted_from_it_has_neither_locator_nor_tail(self, r):
+        r.insert((5, 6))
+        assert r.delete_where(lambda row: row[0] == 5) == [(5, 6)]
+        assert r._locator is None and r._tail is None
+
+    def test_keys_sharing_their_low_16_bits_still_spread(self):
+        keys = [0, 65536, -65536, 2**40]
+        relation = Relation(Schema("R", ["A", "B"]), [(k, 0) for k in keys])
+        assert not relation.delete((1, 0))
+        assert len(set(relation._locator)) == len(keys)
+        assert relation._locator == "".join(map(fingerprint, keys))
+        assert relation.delete((2**40, 0))
+        assert relation.delete((0, 0))
+        assert relation.rows == [(65536, 0), (-65536, 0)]
+
+    def test_null_beside_a_key_with_the_sentinel_fingerprint(self):
+        rows = [(65535, 1), (None, 2), (-65536, 3), (None, 2), (65535, 2)]
+        relation = Relation(Schema("R", ["A", "B"]), rows)
+        reference = list(rows)
+        for target in [(None, 2), (65535, 2), (-65536, 3), (None, 3),
+                       (65535, 1), (None, 2), (None, 2)]:
+            assert relation.delete(target) == reference_remove(reference, target)
+            assert relation.rows == reference
+            assert encoding(relation) == "".join(
+                fingerprint(row[0]) for row in reference
+            )
+
+    def test_ints_beyond_int64_fold_onto_their_low_bits(self):
+        huge = 2**64 + 5
+        relation = Relation(
+            Schema("R", ["A", "B"]), [(huge, 1), (-(2**70), 1), (5, 1)]
+        )
+        assert fingerprint(huge) == fingerprint(5)
+        assert relation.delete((5, 1))
+        assert relation.rows == [(huge, 1), (-(2**70), 1)]
+        assert relation.delete((-(2**70), 1))
+        assert relation.delete((huge, 1))
+        assert not relation.rows and relation._locator == ""
+
+    def test_an_int_enum_key_locates_like_its_int(self):
+        relation = Relation(Schema("R", ["A", "B"]), [(2, 0), (Level.LOW, 0)])
+        assert relation.delete((1, 0))
+        assert relation.rows == [(2, 0)]
+        relation.insert((1, 0))
+        assert relation.delete((Level.LOW, 0))
+        assert relation.rows == [(2, 0)]
+
+    def test_copies_carry_no_locator_or_tail(self, r):
+        assert r.delete((3, 4))
+        r.insert((7, 8))
+        for derived in (
+            r.copy(),
+            r.copy("S"),
+            r.distinct(),
+            r.with_renamed_relation("S"),
+            r.with_renamed_attribute("A", "X"),
+            pickle.loads(pickle.dumps(r)),
+        ):
+            assert derived._locator is None and derived._tail is None
+            derived.insert((9, 9))
+            assert derived.delete((9, 9))
+            assert derived._tail is not r._tail
+        assert r._tail.tolist() == [ord(fingerprint(7))]
+        assert r.rows == [(1, 2), (1, 2), (7, 8)]
 
     def test_bulk_mutations_drop_it(self, r):
         for mutate in (
@@ -117,9 +223,10 @@ class TestDeleteLocator:
         ):
             r.insert((1, 2))
             assert r.delete((1, 2))
-            assert r._locator is not None
+            r.insert((5, 6))
+            assert r._locator is not None and len(r._tail) == 1
             mutate()
-            assert r._locator is None
+            assert r._locator is None and r._tail is None
 
     def test_schema_records_its_first_int_attribute(self):
         mixed = Schema(
@@ -135,7 +242,7 @@ class TestDeleteLocator:
         payload = pickle.dumps(r)
         assert payload == pickle.dumps(untouched)
         shipped = pickle.loads(payload)
-        assert shipped._locator is None
+        assert shipped._locator is None and shipped._tail is None
         assert shipped.delete((1, 2))
         assert shipped.rows == [(1, 2)]
         assert r.rows == [(1, 2), (1, 2)]

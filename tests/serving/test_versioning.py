@@ -253,7 +253,8 @@ class TestSharedRowIsolation:
         store = ExtentStore()
         live = rel("V", [(1, 2), (3, 4), (1, 2), (5, 6), (9, 9)])
         assert live.delete((9, 9))  # builds the live relation's locator
-        live_locator = bytes(live._locator)
+        live.insert((8, 8))  # leaves a pending tail entry
+        live_locator, live_tail = live._locator, live._tail.tolist()
         store["V"] = live
         pinned = store.snapshot()
         rows_before = list(live.rows)
@@ -261,13 +262,16 @@ class TestSharedRowIsolation:
             staged = store.mutable("V")
             assert staged.delete((1, 2))
             assert staged._locator is not live._locator
+            assert staged._tail is not live._tail
             staged.insert((7, 8))
             assert staged.delete((5, 6))
             assert not staged.delete((9, 9))
         extent = pinned.extent("V")
         assert extent is live
         assert extent.rows == rows_before
-        assert bytes(extent._locator) == live_locator
+        assert extent._locator is live_locator
+        assert extent._tail.tolist() == live_tail == [8]
+        assert len(live_locator) + len(live_tail) == len(rows_before)
         pinned.release()
         with store.snapshot() as fresh:
-            assert fresh.extent("V").rows == [(3, 4), (1, 2), (7, 8)]
+            assert fresh.extent("V").rows == [(3, 4), (1, 2), (8, 8), (7, 8)]

@@ -117,3 +117,39 @@ class TestInvertedIndex:
         assert [r.name for r in vkb.views_referencing("S")] == ["V2", "V3"]
         vkb.mark_undefined("V2")
         assert [r.name for r in vkb.views_referencing("S")] == ["V3"]
+
+    def test_memoized_results_follow_every_mutation(self, vkb):
+        """After each define/drop/rewrite/mark-undefined/adopt, every
+        relation's result equals a scan of the registry in definition
+        order, also when the result was memoized before the step."""
+        relations = ("R", "S", "T", "U", "Z")
+
+        def check():
+            for relation in relations:
+                scan = tuple(
+                    record
+                    for record in sorted(vkb, key=lambda r: vkb.order_of(r.name))
+                    if record.alive and relation in record.current.relation_names
+                )
+                assert vkb.views_referencing(relation) == scan
+                assert vkb.views_referencing(relation) == scan
+
+        adopted = ViewKnowledgeBase().define(
+            parse_view("CREATE VIEW W AS SELECT S.A FROM S, T")
+        )
+        steps = [
+            lambda: vkb.define(parse_view("CREATE VIEW V3 AS SELECT R.A, S.B FROM R, S")),
+            lambda: vkb.define(parse_view("CREATE VIEW V0 AS SELECT R.B FROM R")),
+            lambda: self._rewrite(vkb, "V1", "CREATE VIEW V1 AS SELECT T.A FROM T"),
+            lambda: vkb.mark_undefined("V3"),
+            lambda: vkb.drop("V2"),
+            lambda: vkb.define(parse_view("CREATE VIEW V2 AS SELECT U.B FROM U")),
+            lambda: self._rewrite(vkb, "V0", "CREATE VIEW V0 AS SELECT S.A FROM S, U"),
+            lambda: vkb.adopt_record(adopted, order=-1),
+            lambda: vkb.drop("V3"),
+        ]
+        check()
+        for step in steps:
+            step()
+            check()
+        assert [r.name for r in vkb.views_referencing("S")] == ["W", "V0"]

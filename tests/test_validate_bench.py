@@ -68,6 +68,13 @@ class TestStructuralValidation:
         payload["config"] = {"smoke": True}
         validate_payload("maintenance", payload)
 
+    def test_delete_churn_floor_rejects_5_9x_on_a_full_run(self):
+        payload = committed("maintenance")
+        payload["config"] = {"smoke": False}
+        payload["delete_churn"]["speedup"] = 5.9
+        with pytest.raises(BenchValidationError, match="5.9x below the 6.0x"):
+            validate_payload("maintenance", payload)
+
     def test_unknown_bench_rejected(self):
         with pytest.raises(BenchValidationError, match="no validator"):
             validate_payload("warp-drive", {})
