@@ -7,15 +7,14 @@ Run with::
 Builds the paper's travel-agency space, then inspects what the system
 would do without guessing from timings: the evaluation plan for a
 two-way join (greedy join order, index probe vs scan, estimated vs
-actual cardinalities via ``analyze=True``), the guard-railed optimizer's
-transform decisions under ``optimize=True`` (applied with a cost
-improvement, or refused with the reason), and Algorithm 1's maintenance
-itinerary for a data update.  Plans also land in every
+actual cardinalities via ``analyze=True``), the same plan on the
+columnar plane with its column-kernel row counts, and Algorithm 1's
+maintenance itinerary for a data update.  Plans also land in every
 ``apply_changes``/``apply_updates`` run report under the ``plans``
-section (report schema v3).
+section (report schema v4).
 """
 
-from repro import EVESystem, EngineConfig, SystemConfig
+from repro import EVESystem, SystemConfig
 from repro.misd import RelationStatistics
 from repro.relational import Attribute, AttributeType, Relation, Schema
 
@@ -74,39 +73,21 @@ payload = plan.to_dict()
 assert payload["kind"] == "evaluation"
 assert payload["steps"][1]["probe"] == ["Booking.PName = Customer.Name"]
 
-# 3. The guard-railed optimizer: every transform decision is recorded,
-#    applied only when the cost model proves an improvement (here: the
-#    final probe feeds no output and its keys are unique, so it becomes
-#    an early-terminating existence check), refused with a reason
-#    otherwise.  Either way the extent is bag-identical by contract.
-optimizing = build_system(
-    SystemConfig(engine=EngineConfig(optimize=True))
-)
-optimizing.define_view(
-    """
-    CREATE VIEW NycTravellers AS
-    SELECT Customer.Name
-    FROM Customer, Booking
-    WHERE Customer.City = 'nyc' AND Customer.Name = Booking.PName
-    """
-)
-optimized = optimizing.explain("NycTravellers")
+# 3. The columnar plane runs the same plan — join order, access path
+#    per step, estimates — column at a time; an analyze run adds the
+#    column kernels' rows scanned vs selected, and the extent is the
+#    same bag.
+columnar = build_system(SystemConfig.columnar())
+columnar_plan = columnar.explain("Itineraries", analyze=True)
 print()
-print(optimized.optimizer.to_text())
-decision = optimized.optimizer.decisions[0]
-assert decision.transform == "semi_join_probe"
-assert not decision.applied  # "cat" books twice: duplicates refuse it
-assert "duplicate probe keys" in decision.reason
-assert optimizing.explain("Itineraries").optimizer.decisions == ()
-assert optimizing.extent("Itineraries").rows == eve.extent("Itineraries").rows
-
-# Remove the duplicate booking and the same site becomes provably safe:
-# the uniqueness check passes and the transform is applied.
-optimizing.apply_updates([("Booking", "delete", ("cat", "europe"))])
-applied = optimizing.explain("NycTravellers").optimizer.decisions[0]
-print(applied.to_text())
-assert applied.applied
-assert applied.reason == "cost-improvement: unique-key existence probe"
+print(columnar_plan.to_text())
+assert columnar_plan.representation == "columnar"
+assert columnar_plan.join_order == plan.join_order
+assert [s.to_dict() for s in columnar_plan.steps] == payload["steps"]
+assert columnar_plan.actual_rows == plan.actual_rows
+kernels = columnar_plan.kernels
+assert kernels["rows_scanned"] >= kernels["rows_selected"] > 0
+assert columnar.extent("Itineraries") == eve.extent("Itineraries")
 
 # 4. Algorithm 1's maintenance itinerary for an update to Booking.
 itinerary = eve.explain_maintenance("Itineraries", "Booking")

@@ -94,19 +94,11 @@ class EngineConfig:
         Whether the indexed engine's equijoin steps may probe hash
         indexes; ``False`` keeps the compiled plane but joins by
         nested loops (ignored by the naive engine, which never probes).
-    ``optimize``
-        Run the guard-railed transform pass
-        (:class:`~repro.sync.optimizer.PlanOptimizer`) before each
-        evaluation: local-condition pushdown at probe steps and
-        provably-semi existence probes, each applied only when the
-        EXPLAIN cost model scores it an improvement.  Plan-shape-only —
-        extents stay bag-identical.  Requires ``engine="indexed"``.
     """
 
     engine: str = "indexed"
     representation: str = "tuple"
     use_index: bool = True
-    optimize: bool = False
 
     def __post_init__(self) -> None:
         _require_choice(self.engine, _ENGINES, "evaluation engine")
@@ -118,11 +110,6 @@ class EngineConfig:
         _require(
             not (self.representation == "columnar" and self.engine == "naive"),
             "representation='columnar' requires engine='indexed'",
-        )
-        _require(
-            not (self.optimize and self.engine == "naive"),
-            "optimize=True requires engine='indexed' (the naive engine "
-            "is the literal-order reference by definition)",
         )
 
 
@@ -305,7 +292,7 @@ class SystemConfig:
 
     * :meth:`reference` — naive engine, dict delta plane, no index
       probes, serial plan-order dispatch, exhaustive search: the
-      everything-eager parity plane every optimization is compared to.
+      everything-eager parity plane every fast path is compared to.
     * :meth:`fast` — indexed engine, tuple delta plane, pruned search,
       threaded coalescing dispatch: the production-shaped plane.
     * :meth:`columnar` — :meth:`fast` with evaluation and delta

@@ -1125,9 +1125,8 @@ class EVESystem:
     ) -> "explain_plans.EvaluationPlan":
         """The evaluation plan ``view_name`` runs under this system's
         engine config: greedy join order with the cardinality estimates
-        that drove it, per-step index-probe vs scan, projection
-        pushdown, and — when ``config.engine.optimize`` is set — every
-        optimizer transform decision (applied or refused, with costs).
+        that drove it, per-step index-probe vs scan, and projection
+        pushdown.
 
         ``analyze=True`` additionally executes the view with a step
         trace and reconciles estimated vs actual cardinalities (plus

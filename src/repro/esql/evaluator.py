@@ -100,12 +100,6 @@ def evaluate_view(
     the hook :func:`repro.esql.explain.explain_view` uses to reconcile
     estimated vs actual cardinalities.  Steps skipped after an empty
     intermediate result are not recorded.
-
-    With ``config.optimize`` set, the guard-railed transform pass
-    (:class:`~repro.sync.optimizer.PlanOptimizer`) runs first and its
-    applied hints — local-condition pushdown at probe steps, semi-join
-    existence probes — reshape the plan; extents are bag-identical
-    either way.
     """
     from repro.config import EngineConfig
 
@@ -116,15 +110,6 @@ def evaluate_view(
     lookup = _lookup_from(relations)
     schemas = {name: lookup(name).schema for name in view.relation_names}
     resolved = ViewValidator(schemas).resolve_view(view)
-    hints = None
-    if getattr(config, "optimize", False):
-        from repro.sync.optimizer import PlanOptimizer
-
-        hints, _ = PlanOptimizer(statistics).optimize(
-            resolved, lookup, config, schemas=schemas
-        )
-        if hints.empty:
-            hints = None
     if config.representation == "columnar":
         return _evaluate_view_columnar(
             resolved,
@@ -133,7 +118,6 @@ def evaluate_view(
             statistics,
             config.use_index,
             kernel_counters,
-            hints,
             trace,
         )
 
@@ -186,64 +170,15 @@ def evaluate_view(
             )
             bound_slots = tuple(slots[bound.qualified] for _, bound in probe_pairs)
             index = relation.index_on_positions(new_positions)
-            # Optimizer hints (config.optimize): local conditions pushed
-            # ahead of candidate construction, evaluated on the probed
-            # row alone; and provably-semi steps (nothing kept, nothing
-            # residual, unique probe key) as existence probes.  Both are
-            # re-checked structurally here so a stale hint is ignored.
-            prefilter = None
-            if hints is not None:
-                pushed = hints.pushdown.get(relation_name, ())
-                if pushed:
-                    pushed_set = set(pushed)
-                    residual = [
-                        c for c in residual if c not in pushed_set
-                    ]
-                    prefilter = compile_clauses(
-                        list(pushed),
-                        {
-                            f"{relation_name}.{attr}": position
-                            for position, attr in enumerate(
-                                schema.attribute_names
-                            )
-                        },
-                    )
             check = compile_clauses(residual, slots)
-            if (
-                hints is not None
-                and relation_name in hints.semi
-                and relation_name == order[-1]
-                and not residual
-                and prefilter is None
-                and all(
-                    item.ref.relation != relation_name
-                    for item in resolved.select
-                )
-            ):
-                # Semi join on a unique key at the final step: each probe
-                # matches at most one row, and since the relation feeds
-                # neither the SELECT list nor any later clause (it is
-                # last, residual is empty), its slots are dead weight —
-                # surviving bindings pass through unextended,
-                # bag-identical to the general loop, without
-                # constructing candidates.
-                for binding in bindings:
-                    key = tuple(binding[s] for s in bound_slots)
-                    if index.probe(key):
-                        extended.append(binding)
-            else:
-                for binding in bindings:
-                    key = tuple(binding[s] for s in bound_slots)
-                    for row in index.probe(key):
-                        if prefilter is not None and not prefilter(row):
-                            continue
-                        candidate = binding + (
-                            row
-                            if project is None
-                            else tuple(row[p] for p in project)
-                        )
-                        if check(candidate):
-                            extended.append(candidate)
+            for binding in bindings:
+                key = tuple(binding[s] for s in bound_slots)
+                for row in index.probe(key):
+                    candidate = binding + (
+                        row if project is None else tuple(row[p] for p in project)
+                    )
+                    if check(candidate):
+                        extended.append(candidate)
         else:
             # Clauses over this relation alone prune its rows once, not
             # once per binding; cross-relation residuals run per candidate.
@@ -405,7 +340,6 @@ def _evaluate_view_columnar(
     statistics: SpaceStatistics | None,
     use_index: bool,
     counters,
-    hints=None,
     trace: list | None = None,
 ) -> Relation:
     """Column-at-a-time execution of the indexed plan.
@@ -464,32 +398,6 @@ def _evaluate_view_columnar(
             unique = store.index_is_unique(positions)
             li, ri = probe_positions(key_columns, index, counters, unique)
             identity = unique and len(li) == count
-            if hints is not None and li:
-                # Pushed local conditions: filter probed rows against the
-                # relation's own columns before any incoming column is
-                # gathered for the residual conjunction.
-                pushed = hints.pushdown.get(relation_name, ())
-                if pushed:
-                    pushed_set = set(pushed)
-                    residual = [
-                        c for c in residual if c not in pushed_set
-                    ]
-                    local_filter = compile_clauses_kernel(
-                        list(pushed), schema_slots(schema)
-                    )
-                    local_layout: list = [None] * schema.arity
-                    for slot in local_filter.slots:
-                        column = store.columns[slot]
-                        local_layout[slot] = list(
-                            map(column.__getitem__, ri)
-                        )
-                    selection = local_filter(
-                        local_layout, range(len(ri)), counters
-                    )
-                    if len(selection) != len(li):
-                        li = [li[s] for s in selection]
-                        ri = [ri[s] for s in selection]
-                        identity = False
         else:
             # Local clauses prune the relation once; the surviving rows
             # cross every incoming candidate (candidate-major order).

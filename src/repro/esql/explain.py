@@ -19,19 +19,14 @@ decisions as inspectable data:
 
 Plans are pure descriptions: building one never materializes an extent
 or mutates any relation.  ``to_dict()`` is the stable wire form embedded
-in the schema-v3 :class:`~repro.report.SystemReport` ``plans`` section;
-``to_text()`` is the stable human rendering the golden tests pin.
-
-The cost model here (:func:`clause_selectivity`, the per-step
-``estimated_cost`` in abstract *row operations*) is also the judge the
-guard-railed optimizer pass (:mod:`repro.sync.optimizer`) scores its
-transforms against: a transform is applied only when this model says it
-is an improvement.
+in the :class:`~repro.report.SystemReport` ``plans`` section (added in
+schema v3); ``to_text()`` is the stable human rendering the golden tests
+pin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any
 
@@ -49,7 +44,6 @@ from repro.relational.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.config import EngineConfig
-    from repro.sync.optimizer import OptimizationReport, PlanHints
 
 __all__ = [
     "EvaluationPlan",
@@ -85,9 +79,8 @@ def clause_selectivity(
 
     Equijoins take the space-wide join selectivity (Table 1's ``js``),
     single-relation conditions the relation's sigma when statistics
-    cover it, and everything else the paper's default sigma.  This is
-    the ranking key the optimizer's selective-first ordering uses, so
-    it must be deterministic for a given clause + statistics pair.
+    cover it, and everything else the paper's default sigma.  The
+    result is deterministic for a given clause + statistics pair.
     """
     if clause.is_equijoin and len(clause.relations()) > 1:
         if statistics is not None:
@@ -121,37 +114,14 @@ class PlanStep:
     probe: tuple[str, ...] = ()
     local: tuple[str, ...] = ()
     cross: tuple[str, ...] = ()
-    #: Local conditions the optimizer pushed ahead of candidate
-    #: construction at this probe step (subset of what would otherwise
-    #: sit in ``cross``), in the order they will run.
-    pushed: tuple[str, ...] = ()
-    #: True when the optimizer converted this step to an
-    #: early-terminating existence probe (provably-semi join).
-    semi: bool = False
     columns: tuple[str, ...] = ()
     relation_rows: float = 0.0
     estimated_rows: float = 0.0
     estimated_cost: float = 0.0
     actual_rows: int | None = None
-    # Clause objects (not serialized) so the optimizer can act on the
-    # exact conjuncts the evaluator will schedule at this step.
-    local_clauses: tuple[PrimitiveClause, ...] = field(
-        default=(), repr=False, compare=False
-    )
-    cross_clauses: tuple[PrimitiveClause, ...] = field(
-        default=(), repr=False, compare=False
-    )
-    #: Probed attributes of this step's relation (bare names, not
-    #: serialized) — the optimizer's uniqueness proof needs them.
-    probe_attrs: tuple[str, ...] = field(
-        default=(), repr=False, compare=False
-    )
-    #: Whether the relation feeds the SELECT list (not serialized) —
-    #: a semi conversion is only sound when it does not.
-    projected: bool = field(default=False, repr=False, compare=False)
 
     def to_dict(self) -> dict[str, Any]:
-        """Stable serialized step (hidden optimizer fields excluded)."""
+        """Stable serialized step."""
         return {
             "position": self.position,
             "relation": self.relation,
@@ -159,8 +129,6 @@ class PlanStep:
             "probe": list(self.probe),
             "local": list(self.local),
             "cross": list(self.cross),
-            "pushed": list(self.pushed),
-            "semi": self.semi,
             "columns": list(self.columns),
             "relation_rows": self.relation_rows,
             "estimated_rows": self.estimated_rows,
@@ -172,15 +140,11 @@ class PlanStep:
         """One plan line: access method, clauses, estimates, actuals."""
         if self.access == ACCESS_INDEX_PROBE:
             what = f"index probe on {', '.join(self.probe)}"
-            if self.semi:
-                what = f"semi {what}"
         elif self.local:
             what = f"filtered scan [{', '.join(self.local)}]"
         else:
             what = "scan"
         parts = [f"{self.position}. {self.relation}: {what}"]
-        if self.pushed:
-            parts.append(f"pushed=[{', '.join(self.pushed)}]")
         if self.access == ACCESS_INDEX_PROBE and self.local:
             parts.append(f"local=[{', '.join(self.local)}]")
         if self.cross:
@@ -199,7 +163,6 @@ class EvaluationPlan:
     engine: str
     representation: str
     use_index: bool
-    optimize: bool
     join_order: tuple[str, ...]
     steps: tuple[PlanStep, ...]
     output_columns: tuple[str, ...]
@@ -209,7 +172,6 @@ class EvaluationPlan:
     #: Column-kernel rows scanned vs selected during an ``analyze`` run
     #: (columnar representation only).
     kernels: dict[str, int] | None = None
-    optimizer: "OptimizationReport | None" = None
 
     def to_dict(self) -> dict[str, Any]:
         """Stable serialized plan (``kind`` discriminates the plan type)."""
@@ -219,7 +181,6 @@ class EvaluationPlan:
             "engine": self.engine,
             "representation": self.representation,
             "use_index": self.use_index,
-            "optimize": self.optimize,
             "join_order": list(self.join_order),
             "steps": [step.to_dict() for step in self.steps],
             "output": list(self.output_columns),
@@ -227,19 +188,14 @@ class EvaluationPlan:
             "estimated_cost": self.estimated_cost,
             "actual_rows": self.actual_rows,
             "kernels": dict(self.kernels) if self.kernels else None,
-            "optimizer": (
-                self.optimizer.to_dict() if self.optimizer is not None else None
-            ),
         }
 
     def to_text(self) -> str:
         """Multi-line human rendering (header, steps, select, totals)."""
         index = "on" if self.use_index else "off"
-        optimize = "on" if self.optimize else "off"
         lines = [
             f"EXPLAIN Ext({self.view}) [engine={self.engine} "
-            f"representation={self.representation} index={index} "
-            f"optimize={optimize}]",
+            f"representation={self.representation} index={index}]",
             f"  join order: {' -> '.join(self.join_order)}",
         ]
         for step in self.steps:
@@ -255,10 +211,6 @@ class EvaluationPlan:
             lines.append(
                 f"  kernels: scanned={self.kernels.get('rows_scanned', 0)} "
                 f"selected={self.kernels.get('rows_selected', 0)}"
-            )
-        if self.optimizer is not None:
-            lines.extend(
-                "  " + line for line in self.optimizer.to_text().splitlines()
             )
         return "\n".join(lines)
 
@@ -281,9 +233,8 @@ def _resolve(
     """Common resolution for plan builders: (resolved, lookup, schemas).
 
     ``relations`` may be a mapping, a lookup callable, or ``None`` —
-    the last form builds a statistics-only plan (the sync pipeline uses
-    it pre-assessment, before any extent is touched) and then requires
-    ``schemas``.
+    the last form builds a statistics-only plan (no extent is touched)
+    and then requires ``schemas``.
     """
     from repro.esql.evaluator import _lookup_from
 
@@ -313,17 +264,13 @@ def build_plan(
     statistics: SpaceStatistics | None = None,
     config: "EngineConfig | None" = None,
     schemas: Mapping[str, Schema] | None = None,
-    hints: "PlanHints | None" = None,
-    optimizer: "OptimizationReport | None" = None,
 ) -> EvaluationPlan:
     """Derive the plan :func:`~repro.esql.evaluator.evaluate_view` will run.
 
     The walk mirrors the evaluator exactly: greedy join order (literal
     FROM order for the naive engine), per-step probe split, projection
     pushdown, and clause scheduling at the first step where every
-    referenced relation is bound.  ``hints`` (from the optimizer)
-    annotate steps with applied transforms; estimates are never changed
-    by hints — transforms are plan-shape-only by construction.
+    referenced relation is bound.
     """
     from repro.config import EngineConfig
     from repro.esql.evaluator import (
@@ -411,39 +358,10 @@ def build_plan(
 
         # -- cost estimate (abstract row operations) -------------------
         n_residual = len(local) + len(cross)
-        pushed: tuple[str, ...] = ()
-        semi = False
-        projected = any(
-            item.ref.relation == relation_name for item in resolved.select
-        )
         if probe_pairs:
             access = ACCESS_INDEX_PROBE
             emitted = rows_in * card * (js ** len(probe_pairs))
-            if (
-                hints is not None
-                and relation_name in hints.semi
-                and position == len(order)
-                and not residual
-                and not projected
-            ):
-                semi = True
-                cost = rows_in  # existence probes only
-            elif hints is not None and relation_name in hints.pushdown:
-                pushed_clauses = hints.pushdown[relation_name]
-                pushed = tuple(str(c) for c in pushed_clauses)
-                pushed_set = set(pushed_clauses)
-                sigma_pushed = 1.0
-                for clause in pushed_clauses:
-                    sigma_pushed *= clause_selectivity(clause, statistics)
-                rest = sum(1 for c in residual if c not in pushed_set)
-                local = [c for c in local if c not in pushed_set]
-                cost = (
-                    rows_in
-                    + emitted * len(pushed_clauses)
-                    + emitted * sigma_pushed * (1 + rest)
-                )
-            else:
-                cost = rows_in + emitted * (1 + n_residual)
+            cost = rows_in + emitted * (1 + n_residual)
         else:
             access = ACCESS_SCAN
             cost = card + rows_in * card * sigma_local * (1 + len(cross))
@@ -459,16 +377,10 @@ def build_plan(
                 ),
                 local=tuple(str(c) for c in local),
                 cross=tuple(str(c) for c in cross),
-                pushed=pushed,
-                semi=semi,
                 columns=tuple(kept),
                 relation_rows=card,
                 estimated_rows=rows_out,
                 estimated_cost=cost,
-                local_clauses=tuple(local),
-                cross_clauses=tuple(cross),
-                probe_attrs=tuple(new.attribute for new, _ in probe_pairs),
-                projected=projected,
             )
         )
         rows_in = rows_out
@@ -479,7 +391,6 @@ def build_plan(
         engine=config.engine,
         representation=representation,
         use_index=use_index,
-        optimize=getattr(config, "optimize", False),
         join_order=tuple(order),
         steps=tuple(steps),
         output_columns=tuple(
@@ -487,7 +398,6 @@ def build_plan(
         ),
         estimated_rows=rows_in,
         estimated_cost=total_cost,
-        optimizer=optimizer,
     )
 
 
@@ -511,23 +421,7 @@ def explain_view(
 
     if config is None:
         config = EngineConfig()
-
-    hints = None
-    report = None
-    if getattr(config, "optimize", False) and config.engine == "indexed":
-        from repro.sync.optimizer import PlanOptimizer
-
-        hints, report = PlanOptimizer(statistics).optimize(
-            view, relations, config
-        )
-    plan = build_plan(
-        view,
-        relations,
-        statistics,
-        config,
-        hints=hints,
-        optimizer=report,
-    )
+    plan = build_plan(view, relations, statistics, config)
     if not analyze:
         return plan
 

@@ -112,18 +112,6 @@ class HashIndex:
     def distinct_keys(self) -> int:
         return len(self._buckets)
 
-    @property
-    def is_unique(self) -> bool:
-        """True when no key maps to more than one row *right now*.
-
-        Computed on demand (one pass over the buckets) rather than
-        cached: the index mutates in place under insert/delete, so a
-        cached flag could go stale.  The optimizer's semi-join proof
-        checks this against the live extent immediately before an
-        evaluation, which cannot change data mid-run.
-        """
-        return all(len(bucket) <= 1 for bucket in self._buckets.values())
-
     def __len__(self) -> int:
         """Total indexed rows (sum of bucket sizes)."""
         return sum(len(bucket) for bucket in self._buckets.values())

@@ -169,11 +169,6 @@ class PipelineResult:
     evaluations: "list[Evaluation]"
     chosen: "Evaluation | None"
     counters: StageCounters = field(default_factory=StageCounters)
-    #: Statistics-estimated EXPLAIN plan of the chosen winner (dict form
-    #: of :class:`~repro.esql.explain.EvaluationPlan`, optimizer
-    #: decisions included); ``None`` unless the pipeline was built with
-    #: ``explain=True`` and a winner survived.
-    plan: "dict | None" = None
 
     @property
     def survived(self) -> bool:
@@ -197,17 +192,9 @@ class RewritingSearchPipeline:
         synchronizer: ViewSynchronizer,
         qc_model: "QCModel",
         config: "SearchConfig | None" = None,
-        explain: bool = False,
     ) -> None:
         self.synchronizer = synchronizer
         self.qc_model = qc_model
-        #: When set, every surviving search also runs the guard-railed
-        #: optimizer pass (statistics-only, pre-extent) over the chosen
-        #: winner and attaches the resulting EXPLAIN plan to
-        #: :attr:`PipelineResult.plan`.  Purely annotative: QC ranking
-        #: and the chosen winner are byte-identical either way
-        #: (``tests/property/test_pipeline_parity.py``).
-        self.explain = explain
         if config is not None:
             self.policy = config.search_policy()
         else:
@@ -321,50 +308,10 @@ class RewritingSearchPipeline:
                 if active.kind == "top_k":
                     evaluations = evaluations[: active.k]
         chosen = evaluations[0] if evaluations else None
-        plan = (
-            self._explain_winner(chosen)
-            if self.explain and chosen is not None
-            else None
-        )
         counters.seconds = perf_counter() - started
         return PipelineResult(
-            resolved.name, change, active, evaluations, chosen, counters,
-            plan=plan,
+            resolved.name, change, active, evaluations, chosen, counters
         )
-
-    def _explain_winner(self, chosen: "Evaluation") -> "dict | None":
-        """The pre-assessment optimizer pass over the committed winner.
-
-        Runs on statistics alone (no extent exists for the rewriting
-        yet), so cost-model guards still score every transform but the
-        semi-join proof — which needs a live index — refuses as
-        unprovable.  Never raises: an unplannable winner (e.g. a
-        relation the MKB no longer covers) yields ``None``.
-        """
-        from repro.esql.explain import build_plan
-        from repro.sync.optimizer import PlanOptimizer
-
-        view = chosen.rewriting.view
-        mkb = self.synchronizer.mkb
-        try:
-            schemas = {
-                name: mkb.schema(name) for name in view.relation_names
-            }
-            statistics = mkb.statistics
-            hints, report = PlanOptimizer(statistics).optimize(
-                view, None, schemas=schemas
-            )
-            plan = build_plan(
-                view,
-                None,
-                statistics,
-                schemas=schemas,
-                hints=hints,
-                optimizer=report,
-            )
-        except Exception:  # noqa: BLE001 - best-effort EXPLAIN; never fails the sync it describes
-            return None
-        return plan.to_dict()
 
     # ------------------------------------------------------------------
     # Ranking policies

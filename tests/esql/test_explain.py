@@ -65,7 +65,7 @@ class TestGoldenRenderings:
         )
         assert plan.to_text() == (
             "EXPLAIN Ext(V) [engine=indexed representation=tuple "
-            "index=on optimize=off]\n"
+            "index=on]\n"
             "  join order: Customer -> Booking\n"
             "  1. Customer: filtered scan [Customer.City = 'nyc'], "
             "rows~1.5, actual=2\n"
@@ -81,8 +81,8 @@ class TestGoldenRenderings:
         payload = plan.to_dict()
         assert sorted(payload) == [
             "actual_rows", "engine", "estimated_cost", "estimated_rows",
-            "join_order", "kernels", "kind", "optimize", "optimizer",
-            "output", "representation", "steps", "use_index", "view",
+            "join_order", "kernels", "kind", "output", "representation",
+            "steps", "use_index", "view",
         ]
         assert payload["kind"] == "evaluation"
         assert payload["join_order"] == ["Customer", "Booking"]
@@ -90,7 +90,7 @@ class TestGoldenRenderings:
             assert sorted(step) == [
                 "access", "actual_rows", "columns", "cross",
                 "estimated_cost", "estimated_rows", "local", "position",
-                "probe", "pushed", "relation", "relation_rows", "semi",
+                "probe", "relation", "relation_rows",
             ]
         assert [s["access"] for s in payload["steps"]] == [
             "scan", "index_probe",

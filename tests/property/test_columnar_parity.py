@@ -137,20 +137,6 @@ def test_columnar_engine_matches_row_engines(data):
         assert sorted(columnar_extent.rows) == sorted(reference.rows), use_index
         assert columnar_extent.schema == reference.schema
         assert counters.rows_scanned >= 0 and counters.rows_selected >= 0
-    # The guard-railed optimizer pass (ISSUE 8) is plan-shape-only:
-    # with optimize=True both representations still produce the indexed
-    # plane's exact row sequence.
-    indexed = evaluate_view(view, space.relations(), config=EngineConfig())
-    optimized = evaluate_view(
-        view, space.relations(), config=EngineConfig(optimize=True)
-    )
-    optimized_columnar = evaluate_view(
-        view,
-        space.relations(),
-        config=EngineConfig(optimize=True, representation="columnar"),
-    )
-    assert optimized.rows == indexed.rows
-    assert optimized_columnar.rows == indexed.rows
 
 
 # ----------------------------------------------------------------------

@@ -76,13 +76,13 @@ def test_indexed_evaluator_matches_naive(r_data, s_data, t_data, clauses, order)
 def test_optimized_evaluator_matches_naive(
     r_data, s_data, t_data, clauses, order
 ):
-    """optimize=True (ISSUE 8) is plan-shape-only: extents identical.
+    """The compiled planes match naive when only R feeds the SELECT list.
 
-    Only R feeds the SELECT list, so whichever of S/T the greedy order
-    places last is a semi-join candidate; local clauses on probed
-    relations are pushdown candidates.  Whatever the guards decide, the
-    result must stay bag-identical to the naive reference on both the
-    tuple and the columnar representation.
+    Whichever of S/T the greedy order places last is then a relation
+    whose columns are probed or filtered but never projected, and local
+    clauses on probed relations run as residuals.  Both the tuple and
+    the columnar representation must stay bag-identical to the naive
+    reference on these shapes.
     """
     relations = make_relations(r_data, s_data, t_data)
     where = (" WHERE " + " AND ".join(clauses)) if clauses else ""
@@ -91,16 +91,12 @@ def test_optimized_evaluator_matches_naive(
         f"FROM {', '.join(order)}{where}"
     )
     naive = evaluate_view(view, relations, config=EngineConfig(engine="naive"))
-    optimized = evaluate_view(
-        view, relations, config=EngineConfig(optimize=True)
-    )
-    assert optimized == naive  # bag equality over identical schemas
+    indexed = evaluate_view(view, relations, config=EngineConfig())
+    assert indexed == naive  # bag equality over identical schemas
     columnar = evaluate_view(
-        view,
-        relations,
-        config=EngineConfig(optimize=True, representation="columnar"),
+        view, relations, config=EngineConfig(representation="columnar")
     )
-    assert sorted(columnar.rows) == sorted(naive.rows)
+    assert columnar == naive
 
 
 @given(r_rows, s_rows, clause_subsets)

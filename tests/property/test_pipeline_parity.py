@@ -147,32 +147,6 @@ def test_pruned_and_top_k_match_exhaustive(data, include_dominated):
 
 
 @given(scenario())
-@settings(max_examples=60, deadline=None)
-def test_explain_is_purely_annotative(data):
-    """``explain=True`` (ISSUE 8) never changes the search outcome.
-
-    The pre-assessment EXPLAIN of the winner is a statistics-only plan
-    annotation: survival, the chosen rewriting, and its QC value are
-    byte-identical with and without it; the plan dict only appears when
-    requested and a winner survived.
-    """
-    space, view, change = data
-    plain = _pipeline(space).search(view, change)
-    explained = RewritingSearchPipeline(
-        ViewSynchronizer(space.mkb), QCModel(space.mkb), explain=True
-    ).search(view, change)
-    assert explained.survived == plain.survived
-    assert plain.plan is None
-    if plain.survived:
-        assert explained.chosen.rewriting == plain.chosen.rewriting
-        assert explained.chosen.qc == plain.chosen.qc
-        assert explained.plan is not None
-        assert explained.plan["kind"] == "evaluation"
-    else:
-        assert explained.plan is None
-
-
-@given(scenario())
 @settings(max_examples=100, deadline=None)
 def test_exhaustive_matches_eager_reference(data):
     space, view, change = data

@@ -93,9 +93,8 @@ class TestBucketLayout:
 
     def test_uniqueness_and_size_across_layouts(self):
         index = HashIndex((0,), [(1, 1), (2, 2)])
-        assert index.is_unique
+        assert index.distinct_keys == len(index) == 2
         index.add((1, 3))
-        assert not index.is_unique
         assert len(index) == 3
         assert index.distinct_keys == 2
 

@@ -63,6 +63,15 @@ class TestIntrospection:
         b = Relation(Schema("R", ["A"]), [(1,)])
         assert a != b
 
+    def test_bag_inequality_at_equal_length(self):
+        # Same length and same distinct rows, different multiplicities.
+        a = Relation(Schema("R", ["A"]), [(1,), (1,), (2,)])
+        b = Relation(Schema("R", ["A"]), [(1,), (2,), (2,)])
+        c = Relation(Schema("R", ["A"]), [(1,), (2,), (3,)])
+        assert a != b and b != a
+        assert a != c and c != b
+        assert a == Relation(Schema("R", ["A"]), [(2,), (1,), (1,)])
+
     def test_unhashable(self, r):
         with pytest.raises(TypeError):
             hash(r)

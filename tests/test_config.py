@@ -159,6 +159,12 @@ class TestRoundTrip:
         with pytest.raises(ConfigurationError, match="speed"):
             SystemConfig.from_dict({"engine": {"speed": 11}})
 
+    def test_removed_optimize_field_rejected(self):
+        # Payloads written while the engine slice still had an
+        # ``optimize`` switch must fail loudly, not load as the default.
+        with pytest.raises(ConfigurationError, match="optimize"):
+            SystemConfig.from_dict({"engine": {"optimize": False}})
+
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigurationError):
             SystemConfig.from_dict("fast")
