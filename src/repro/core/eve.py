@@ -44,7 +44,7 @@ from repro.errors import (
     UnknownRelationError,
 )
 from repro.esql import explain as explain_plans
-from repro.esql.ast import ViewDefinition
+from repro.esql.ast import ViewDefinition, coalesce_fingerprint
 from repro.esql.evaluator import evaluate_view
 from repro.esql.parser import parse_view
 from repro.esql.validate import ViewValidator
@@ -68,7 +68,12 @@ from repro.relational.columnar import KernelCounters
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.versioning import ExtentSnapshot, ExtentStore
-from repro.report import PLAN_CAPTURE_LIMIT, MaintenanceFlush, SystemReport
+from repro.report import (
+    PLAN_CAPTURE_LIMIT,
+    MaintenanceFlush,
+    MaintenancePlanCapture,
+    SystemReport,
+)
 from repro.space.changes import (
     DeleteRelation,
     RenameRelation,
@@ -92,7 +97,6 @@ from repro.sync.scheduler import (
     UnitBudgetMeter,
     ViewWorkItem,
     build_work_plan,
-    coalesce_fingerprint,
 )
 from repro.sync.synchronizer import ViewSynchronizer
 from repro.sync.vkb import ViewKnowledgeBase, ViewRecord
@@ -611,7 +615,7 @@ class EVESystem:
                 # reads the post-call version number.
                 self._extents._commit_batch()
                 charged = self.maintainer.counters.diff(before)
-                plans, plans_total = self._capture_maintenance_plans(
+                plans, plans_total = self._maintenance_plan_captures(
                     flushes
                 )
                 self.last_report = SystemReport.for_updates(
@@ -1220,51 +1224,47 @@ class EVESystem:
             plans.append(plan.to_dict())
         return plans, len(candidates)
 
-    def _capture_maintenance_plans(
+    def _maintenance_plan_captures(
         self, flushes: "Sequence[MaintenanceFlush]"
-    ) -> tuple[list[dict], int]:
-        """EXPLAIN dicts for a stream's maintenance flushes, one per
-        (view, updated relation) pair up to the capture cap.  Actual
-        counters reconcile the whole flush (which may have covered
-        several relations), noted against the per-relation itinerary.
+    ) -> tuple[list[MaintenancePlanCapture], int]:
+        """What the EXPLAIN itineraries of a stream's flushes need, one
+        per (view, updated relation) pair up to the capture cap; the
+        report builds them on first read.  Actual counters reconcile
+        the whole flush (which may have covered several relations),
+        noted against the per-relation itinerary.
         """
         total = sum(len(flush.relations) for flush in flushes)
-        plans: list[dict] = []
+        captures: list[MaintenancePlanCapture] = []
         for flush in flushes:
-            if len(plans) >= PLAN_CAPTURE_LIMIT:
+            if len(captures) >= PLAN_CAPTURE_LIMIT:
                 break
-            if flush.view not in self.vkb:
-                continue
             record = self.vkb.record(flush.view)
             if not record.alive:
                 continue
             view = record.current
+            try:
+                placement = self.space.placement(view.relation_names)
+            except UnknownRelationError:
+                continue  # a relation left the space since the flush
             actual = {
                 "messages": flush.counters.messages,
                 "bytes_transferred": flush.counters.bytes_transferred,
                 "io_operations": flush.counters.io_operations,
                 "updates": flush.updates,
             }
-            try:
-                owners, schemas = self._owners_and_schemas(view)
-            except UnknownRelationError:
-                continue  # a relation left the space since the flush
-            for relation in flush.relations:
-                if len(plans) >= PLAN_CAPTURE_LIMIT:
-                    break
-                try:
-                    explained = explain_plans.explain_maintenance(
+            for relation in flush.relations[
+                : PLAN_CAPTURE_LIMIT - len(captures)
+            ]:
+                captures.append(
+                    MaintenancePlanCapture(
                         view,
-                        owners,
-                        schemas,
+                        placement,
                         relation,
-                        config=self.config.maintenance,
-                        actual=actual,
+                        actual,
+                        self.config.maintenance,
                     )
-                except Exception:  # noqa: BLE001 - best-effort EXPLAIN; plan dropped
-                    continue
-                plans.append(explained.to_dict())
-        return plans, total
+                )
+        return captures, total
 
     @property
     def synchronization_log(self) -> tuple[SynchronizationResult, ...]:

@@ -8,10 +8,17 @@ Public surface:
   — evolution parameters (Figs. 3, 6)
 * :func:`parse_view` / :func:`format_view` — text <-> AST
 * :class:`ViewValidator` — semantic checks + name resolution
+* :func:`coalesce_fingerprint` — a definition's name-free identity
 * :func:`evaluate_view` — materialize a view extent
 """
 
-from repro.esql.ast import FromItem, SelectItem, ViewDefinition, WhereItem
+from repro.esql.ast import (
+    FromItem,
+    SelectItem,
+    ViewDefinition,
+    WhereItem,
+    coalesce_fingerprint,
+)
 from repro.esql.evaluator import evaluate_view, evaluate_views
 from repro.esql.params import (
     DISPENSABLE_ONLY,
@@ -39,6 +46,7 @@ __all__ = [
     "ViewExtent",
     "ViewValidator",
     "WhereItem",
+    "coalesce_fingerprint",
     "evaluate_view",
     "evaluate_views",
     "format_view",

@@ -394,3 +394,24 @@ class ViewDefinition:
         return ViewDefinition(
             self.name, self.select, self.from_, self.where, extent
         )
+
+
+def coalesce_fingerprint(view: ViewDefinition) -> str:
+    """Order-preserving rendition of a view definition, name excluded.
+
+    Two views may coalesce only when a committed leader definition can
+    be renamed into the follower's *exact* definition — so unlike the
+    assessment cache's :func:`~repro.qc.assessment_cache
+    .fingerprint_view` (which sorts and normalizes WHERE conjuncts,
+    because assessments are order-insensitive), this fingerprint keeps
+    every clause in declared order.  WHERE-order variants therefore
+    never coalesce: ``ViewDefinition`` equality is order-sensitive, and
+    a follower must end up byte-identical to what its own search would
+    have committed.  The view maintainer keys its shared compiled
+    programs on the same string: equal fingerprints resolve, plan and
+    project identically.
+    """
+    select = ",".join(str(item) for item in view.select)
+    from_ = ",".join(str(item) for item in view.from_)
+    where = ",".join(str(item) for item in view.where)
+    return f"{view.extent_parameter}|{select}|{from_}|{where}"

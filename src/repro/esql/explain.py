@@ -30,11 +30,9 @@ from dataclasses import dataclass
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import EvaluationError
 from repro.esql.ast import ViewDefinition
 from repro.esql.validate import ViewValidator
 from repro.misd.statistics import (
-    DEFAULT_CARDINALITY,
     DEFAULT_JOIN_SELECTIVITY,
     DEFAULT_SELECTIVITY,
     SpaceStatistics,
@@ -215,73 +213,34 @@ class EvaluationPlan:
         return "\n".join(lines)
 
 
-class _StatsOnlyRelation:
-    """Stand-in when no extents are available: Table 1 default shape."""
-
-    __slots__ = ("schema", "cardinality")
-
-    def __init__(self, schema: Schema) -> None:
-        self.schema = schema
-        self.cardinality = DEFAULT_CARDINALITY
-
-
-def _resolve(
-    view: ViewDefinition,
-    relations,
-    schemas: Mapping[str, Schema] | None,
-):
-    """Common resolution for plan builders: (resolved, lookup, schemas).
-
-    ``relations`` may be a mapping, a lookup callable, or ``None`` —
-    the last form builds a statistics-only plan (no extent is touched)
-    and then requires ``schemas``.
-    """
-    from repro.esql.evaluator import _lookup_from
-
-    if relations is None:
-        if schemas is None:
-            raise EvaluationError(
-                "build_plan needs concrete relations or explicit schemas"
-            )
-        stand_ins = {
-            name: _StatsOnlyRelation(schemas[name])
-            for name in view.relation_names
-        }
-        lookup = _lookup_from(stand_ins)
-    else:
-        lookup = _lookup_from(relations)
-        if schemas is None:
-            schemas = {
-                name: lookup(name).schema for name in view.relation_names
-            }
-    resolved = ViewValidator(schemas).resolve_view(view)
-    return resolved, lookup, schemas
-
-
 def build_plan(
     view: ViewDefinition,
-    relations=None,
+    relations,
     statistics: SpaceStatistics | None = None,
     config: "EngineConfig | None" = None,
-    schemas: Mapping[str, Schema] | None = None,
 ) -> EvaluationPlan:
     """Derive the plan :func:`~repro.esql.evaluator.evaluate_view` will run.
 
-    The walk mirrors the evaluator exactly: greedy join order (literal
-    FROM order for the naive engine), per-step probe split, projection
-    pushdown, and clause scheduling at the first step where every
-    referenced relation is bound.
+    ``relations`` is a name -> relation mapping or a lookup callable,
+    as :func:`~repro.esql.evaluator.evaluate_view` takes it.  The walk
+    mirrors the evaluator exactly: greedy join order (literal FROM order
+    for the naive engine), per-step probe split, projection pushdown,
+    and clause scheduling at the first step where every referenced
+    relation is bound.
     """
     from repro.config import EngineConfig
     from repro.esql.evaluator import (
         _join_order,
+        _lookup_from,
         _referenced_columns,
         _split_probes,
     )
 
     if config is None:
         config = EngineConfig()
-    resolved, lookup, schemas = _resolve(view, relations, schemas)
+    lookup = _lookup_from(relations)
+    schemas = {name: lookup(name).schema for name in view.relation_names}
+    resolved = ViewValidator(schemas).resolve_view(view)
 
     naive = config.engine == "naive"
     representation = "dict" if naive else config.representation

@@ -101,16 +101,6 @@ class DeltaBatch:
             raise ValueError("batch carries no provenance tags")
         return counts
 
-    def project(self, keys: Sequence[str]) -> list[Row]:
-        """Rows projected onto ``keys`` (exact qualified-column lookup).
-
-        Missing keys raise :class:`KeyError`, exactly like the binding
-        plane's ``binding[key]`` projection.
-        """
-        slots = layout_slots(self.columns)
-        positions = [slots[key] for key in keys]
-        return [tuple(row[p] for p in positions) for row in self.rows]
-
 
 def seed_columns(relation: str, schema: Schema) -> tuple[str, ...]:
     return tuple(f"{relation}.{attr}" for attr in schema.attribute_names)
@@ -124,8 +114,7 @@ class ColumnBatch:
     of fully qualified column names, but the payload is ``cols`` —
     parallel equal-length value lists — instead of row tuples.  ``tags``
     carries per-row provenance exactly like the row form.  The row-wise
-    surface (:meth:`rows`, :meth:`project`) materializes on demand, so
-    extent application code is shared between batch forms.
+    surface (:meth:`rows`) materializes on demand.
     """
 
     columns: tuple[str, ...]
@@ -166,12 +155,6 @@ class ColumnBatch:
         elif self.cardinality:
             raise ValueError("batch carries no provenance tags")
         return counts
-
-    def project(self, keys: Sequence[str]) -> list[Row]:
-        """Rows projected onto ``keys`` (exact qualified-column lookup)."""
-        slots = layout_slots(self.columns)
-        picked = [self.cols[slots[key]] for key in keys]
-        return list(zip(*picked)) if self.cardinality else []
 
 
 # ----------------------------------------------------------------------

@@ -45,31 +45,39 @@ message/IO charge needs — so the batch path's counters equal the
 per-update loop's exactly.
 
 What Algorithm 1 fixes per view — the resolved condition and
-projection, and per updated relation the itinerary, the seed filter and
-the per-source steps — is compiled once into a per-view maintenance
-program and kept across calls.  A program depends only on the
-definition and on the owner and schema of each of its relations, so
-every call re-checks it against the definition object and the view's
-:meth:`~repro.space.space.InformationSpace.placement` (one owner probe
-and one schema identity test per relation) and rebuilds it when either
-moved: capability changes, rewritings and out-of-band catalog edits all
-land there, with no invalidation hook to miss.
+projection, and per updated relation the itinerary, the seed filter,
+the per-source steps and the final projection — is compiled once into a
+maintenance program and kept across calls.  A program depends only on
+the definition's name-free shape
+(:func:`~repro.esql.ast.coalesce_fingerprint`) and on the owner and
+schema of each of its relations, its
+:meth:`~repro.space.space.InformationSpace.placement`; views of the same
+shape under the same placement share one program.  Each call re-checks
+the program against the definition object and against
+:attr:`~repro.relational.catalog.Catalog.epoch`, which every catalog
+write bumps: only when the epoch moved is the placement recomputed and
+compared.  Capability changes, rewritings and out-of-band catalog edits
+all land there, with no invalidation hook to miss.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import weakref
+from bisect import bisect_right
 from collections import Counter
-from itertools import groupby
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Any
 
 from repro.config import MaintenanceConfig
 from repro.errors import MaintenanceError
-from repro.esql.ast import ViewDefinition
+from repro.esql.ast import ViewDefinition, coalesce_fingerprint
 from repro.esql.validate import ViewValidator
 from repro.misd.statistics import SpaceStatistics
 from repro.qc.cost import plan_for_view
+from repro.relational.catalog import Catalog
 from repro.relational.expressions import Condition
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -82,6 +90,7 @@ from repro.maintenance.delta import (
     ColumnBatch,
     DeltaBatch,
     SeedPlan,
+    seed_columns,
     seed_plan,
 )
 
@@ -94,13 +103,14 @@ SizeOverlays = Sequence[Mapping[str, int] | None] | None
 class _UpdatePath:
     """Algorithm 1's sweep for updates at one relation of a view."""
 
-    __slots__ = ("seed", "schema", "steps")
+    __slots__ = ("seed", "schema", "steps", "project")
 
     def __init__(
         self,
         seed: SeedPlan,
         schema: Schema,
         steps: tuple[tuple[tuple[str, ...], str, int], ...],
+        project: Callable[[Any], Any],
     ) -> None:
         self.seed = seed
         #: The updated relation's schema.
@@ -108,23 +118,32 @@ class _UpdatePath:
         #: Per queried source, in visit order: the relations joined
         #: there, the IS name and the width they add to the delta.
         self.steps = steps
+        #: Picks the view's columns, in SELECT order, out of a row of
+        #: the sweep's final delta layout (or out of a columnar batch's
+        #: column list), as a tuple.
+        self.project = project
 
 
 class _ViewProgram:
-    """One view's compiled maintenance program.
+    """A compiled maintenance program for one definition shape.
 
-    Valid while the view is maintained under the same definition
-    object and the same :data:`Placement`; the sweep for updates at a
-    relation is compiled on the first update there.
+    Valid for every view whose definition has the program's
+    :func:`~repro.esql.ast.coalesce_fingerprint` under the program's
+    :data:`Placement`: none of it depends on the view's name, so
+    structurally identical views share one.  The sweep for updates at
+    a relation is compiled on the first update there.
     """
 
     __slots__ = (
         "definition", "placement", "condition", "keys", "paths",
+        "__weakref__",
     )
 
     def __init__(
         self, definition: ViewDefinition, placement: Placement
     ) -> None:
+        #: The definition the program was compiled from (any view of
+        #: the same shape compiles to the same program).
         self.definition = definition
         self.placement = placement
         _, schemas = placement_maps(definition.relation_names, placement)
@@ -152,6 +171,9 @@ class _ViewProgram:
             )
             plan = plan_for_view(self.definition, owners, relation)
             steps = []
+            # The sweep's final delta layout: the updated relation's
+            # columns, then each joined relation's in visit order.
+            layout = list(seed_columns(relation, schemas[relation]))
             for index, group in enumerate(plan.groups):
                 local = (
                     plan.first_source_other_relations
@@ -161,13 +183,40 @@ class _ViewProgram:
                 if local:  # no query to the updating source (footnote 12)
                     width = sum(schemas[n].tuple_byte_size() for n in local)
                     steps.append((local, group.source, width))
+                    for name in local:
+                        layout.extend(seed_columns(name, schemas[name]))
+            positions = [layout.index(key) for key in self.keys]
+            # ``itemgetter`` of one position returns the bare item; a
+            # one-wide slice keeps the result a tuple (or a one-column
+            # list) like the wider getters.
+            project = (
+                itemgetter(slice(positions[0], positions[0] + 1))
+                if len(positions) == 1
+                else itemgetter(*positions)
+            )
             schema = schemas[relation]
             path = self.paths[slot] = _UpdatePath(
                 seed_plan(self.condition, relation, schema),
                 schema,
                 tuple(steps),
+                project,
             )
         return path
+
+
+class _Held:
+    """A view name's hold on its program: the definition it was
+    checked for, and the :attr:`~repro.relational.catalog.Catalog.epoch`
+    at which its placement was last confirmed."""
+
+    __slots__ = ("definition", "epoch", "program")
+
+    def __init__(
+        self, definition: ViewDefinition, epoch: int, program: _ViewProgram
+    ) -> None:
+        self.definition = definition
+        self.epoch = epoch
+        self.program = program
 
 
 class ViewMaintainer:
@@ -196,9 +245,15 @@ class ViewMaintainer:
         #: Columnar-plane observability: rows scanned vs selected per
         #: column kernel.  The row planes never record into it.
         self.kernel_counters = KernelCounters()
-        #: view name -> its compiled program (see :meth:`_program`);
-        #: :meth:`forget` drops a dead view's.
-        self._programs: dict[str, _ViewProgram] = {}
+        #: view name -> its hold on a compiled program (see
+        #: :meth:`_program`); :meth:`forget` drops a dead view's.
+        self._programs: dict[str, _Held] = {}
+        #: (definition fingerprint, placement) -> the program every view
+        #: of that shape shares.  The view names hold the programs, so
+        #: an entry lives exactly as long as some view uses it.
+        self._shared: weakref.WeakValueDictionary[
+            tuple[str, Placement], _ViewProgram
+        ] = weakref.WeakValueDictionary()
 
     @property
     def representation(self) -> str:
@@ -222,7 +277,7 @@ class ViewMaintainer:
             )
         before = self.counters.snapshot()
         program = self._program(view)
-        self._run(program, update.relation, extent, [update])
+        self._run(view.name, program, update.relation, extent, [update])
         return self.counters.diff(before)
 
     def maintain_batch(
@@ -277,19 +332,24 @@ class ViewMaintainer:
         before = self.counters.snapshot()
         if batch:
             program = self._program(view)
-            for relation, run_iter in groupby(
-                enumerate(batch), key=lambda pair: pair[1].relation
-            ):
-                run = list(run_iter)
-                run_updates = [update for _, update in run]
-                run_overlays = (
-                    [overlays[position] for position, _ in run]
-                    if overlays is not None
-                    else None
-                )
+            # Split the stream into same-relation runs by index.
+            start, end = 0, len(batch)
+            while start < end:
+                relation = batch[start].relation
+                stop = start + 1
+                while stop < end and batch[stop].relation == relation:
+                    stop += 1
+                whole = start == 0 and stop == end
                 self._run(
-                    program, relation, extent, run_updates, run_overlays
+                    view.name,
+                    program,
+                    relation,
+                    extent,
+                    batch if whole else batch[start:stop],
+                    overlays if whole or overlays is None
+                    else overlays[start:stop],
                 )
+                start = stop
         return self.counters.diff(before)
 
     def forget(self, view_name: str) -> None:
@@ -297,22 +357,38 @@ class ViewMaintainer:
         self._programs.pop(view_name, None)
 
     def _program(self, view: ViewDefinition) -> _ViewProgram:
-        """``view``'s compiled program, rebuilt when its definition
-        object or its relations' owners or schemas moved."""
-        placement = self._space.placement(view.relation_names)
-        program = self._programs.get(view.name)
-        if (
-            program is None
-            or program.definition is not view
-            or program.placement != placement
-        ):
-            program = self._programs[view.name] = _ViewProgram(
-                view, placement
-            )
+        """``view``'s compiled program.
+
+        Reused while the view is maintained under the same definition
+        object and no catalog moved; when some catalog did move, the
+        view's placement is recomputed and the program kept if that
+        placement is unchanged.  Otherwise the view takes the program
+        of its (fingerprint, placement) shape, compiling it if no other
+        view of that shape holds one.
+        """
+        # Read before the placement, so a catalog write racing this
+        # call moves the epoch past the one recorded below.
+        epoch = Catalog.epoch
+        held = self._programs.get(view.name)
+        if held is not None and held.definition is view:
+            if held.epoch == epoch:
+                return held.program
+            placement = self._space.placement(view.relation_names)
+            if placement == held.program.placement:
+                held.epoch = epoch
+                return held.program
+        else:
+            placement = self._space.placement(view.relation_names)
+        key = (coalesce_fingerprint(view), placement)
+        program = self._shared.get(key)
+        if program is None:
+            program = self._shared[key] = _ViewProgram(view, placement)
+        self._programs[view.name] = _Held(view, epoch, program)
         return program
 
     def _run(
         self,
+        view_name: str,
         program: _ViewProgram,
         relation: str,
         extent: Relation,
@@ -322,13 +398,15 @@ class ViewMaintainer:
         """Propagate + apply one same-relation update run."""
         path = program.path(relation)
         if self._representation == "dict":
+            keys = program.keys
             for position, update in enumerate(updates):
                 sizes = overlays[position] if overlays is not None else None
                 deltas = self._propagate(program, path, update, sizes)
-                self._apply(program, extent, deltas, update.kind)
+                rows = [tuple(binding[key] for key in keys) for binding in deltas]
+                self._apply_rows(view_name, extent, rows, update.kind)
         else:
             batch = self._propagate_tuples(program, path, updates, overlays)
-            self._apply_batch(program, extent, batch, updates)
+            self._apply_batch(view_name, path, extent, batch, updates)
 
     # ------------------------------------------------------------------
     # Delta propagation (the Sec. 6.1 sweep) — binding plane
@@ -494,48 +572,45 @@ class ViewMaintainer:
     # ------------------------------------------------------------------
     # Applying the delta to the materialized extent
     # ------------------------------------------------------------------
-    def _apply(
-        self,
-        program: _ViewProgram,
-        extent: Relation,
-        deltas: list[Binding],
-        kind: UpdateKind,
-    ) -> None:
-        keys = program.keys
-        rows = [tuple(binding[key] for key in keys) for binding in deltas]
-        self._apply_rows(program, extent, rows, kind)
-
     def _apply_batch(
         self,
-        program: _ViewProgram,
+        view_name: str,
+        path: _UpdatePath,
         extent: Relation,
         batch: "DeltaBatch | ColumnBatch",
         updates: list[DataUpdate],
     ) -> None:
         """Project once, then apply per update in stream order."""
-        projected = batch.project(program.keys)
-        if batch.tags is None:
-            if batch.cardinality:
+        if isinstance(batch, ColumnBatch):
+            projected = list(zip(*path.project(batch.cols)))
+        else:
+            projected = list(map(path.project, batch.rows))
+        tags = batch.tags
+        if tags is None:
+            if projected:
                 raise MaintenanceError(
                     "delta batch carries no provenance tags; cannot map "
                     "rows back to their originating updates"
                 )
-            tags: list[int] = []
-        else:
-            tags = batch.tags
-        for tag, group in groupby(
-            zip(tags, projected), key=lambda pair: pair[0]
-        ):
+            return
+        # Rows come out in update order, so each update's rows are one
+        # slice of the tags list.
+        start, end = 0, len(tags)
+        while start < end:
+            tag = tags[start]
+            stop = bisect_right(tags, tag, start)
             self._apply_rows(
-                program,
+                view_name,
                 extent,
-                [row for _, row in group],
+                projected if start == 0 and stop == end
+                else projected[start:stop],
                 updates[tag].kind,
             )
+            start = stop
 
     def _apply_rows(
         self,
-        program: _ViewProgram,
+        view_name: str,
         extent: Relation,
         rows: list[tuple],
         kind: UpdateKind,
@@ -547,7 +622,7 @@ class ViewMaintainer:
             for row in rows:
                 if not extent.delete(row):
                     raise MaintenanceError(
-                        f"view {program.definition.name!r} is inconsistent: "
+                        f"view {view_name!r} is inconsistent: "
                         f"delta row {row!r} not present during delete "
                         f"propagation"
                     )

@@ -4,11 +4,25 @@ Both individual information sources and the warehouse's view store keep
 their relations in a :class:`Catalog`; it provides the uniform
 name -> relation mapping plus the schema-evolution entry points that
 capability changes go through.
+
+Every write to a catalog's relation map goes through one of its six
+mutators (:meth:`Catalog.add`, :meth:`~Catalog.remove`,
+:meth:`~Catalog.rename_relation`, :meth:`~Catalog.drop_attribute`,
+:meth:`~Catalog.add_attribute`, :meth:`~Catalog.rename_attribute`), and
+each one bumps the process-wide :attr:`Catalog.epoch` after writing.  A
+reader that saw the same epoch twice therefore knows no catalog moved
+in between: the view maintainer re-checks its compiled programs'
+placement only when the epoch moved.  repro-lint's RL006 keeps other
+modules from writing ``_relations`` behind the counter's back.  Like the
+relation maps themselves, the counter expects one writer at a time:
+capability changes and out-of-band edits never run concurrently with
+each other or with maintenance.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from typing import ClassVar
 
 from repro.errors import UnknownRelationError, WorkspaceError
 from repro.relational.relation import Relation
@@ -22,6 +36,11 @@ class Catalog:
     """
 
     __slots__ = ("owner", "_relations")
+
+    #: Monotone count of relation-map writes across every catalog in
+    #: the process (bumped after the write, so a placement computed
+    #: after reading an epoch reflects every write that epoch counts).
+    epoch: ClassVar[int] = 0
 
     def __init__(self, owner: str = "catalog") -> None:
         self.owner = owner
@@ -53,6 +72,10 @@ class Catalog:
     def schema(self, name: str) -> Schema:
         return self.get(name).schema
 
+    @staticmethod
+    def _moved() -> None:
+        Catalog.epoch += 1
+
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
@@ -63,6 +86,7 @@ class Catalog:
                 f"relation {relation.name!r} already exists in {self.owner}"
             )
         self._relations[relation.name] = relation
+        self._moved()
         return relation
 
     def add_empty(self, schema: Schema) -> Relation:
@@ -73,7 +97,9 @@ class Catalog:
         """Deregister and return the named relation."""
         if name not in self._relations:
             raise UnknownRelationError(name, self.owner)
-        return self._relations.pop(name)
+        relation = self._relations.pop(name)
+        self._moved()
+        return relation
 
     # ------------------------------------------------------------------
     # Schema evolution (capability changes land here)
@@ -86,12 +112,14 @@ class Catalog:
             )
         relation = self.remove(old).with_renamed_relation(new)
         self._relations[new] = relation
+        self._moved()
         return relation
 
     def drop_attribute(self, relation_name: str, attribute: str) -> Relation:
         """delete-attribute: replace the stored relation in place."""
         evolved = self.get(relation_name).with_schema_dropped_attribute(attribute)
         self._relations[relation_name] = evolved
+        self._moved()
         return evolved
 
     def add_attribute(
@@ -100,10 +128,12 @@ class Catalog:
         """add-attribute with a fill value for existing rows."""
         evolved = self.get(relation_name).with_added_attribute(attribute, default)
         self._relations[relation_name] = evolved
+        self._moved()
         return evolved
 
     def rename_attribute(self, relation_name: str, old: str, new: str) -> Relation:
         """change-attribute-name on the stored relation."""
         evolved = self.get(relation_name).with_renamed_attribute(old, new)
         self._relations[relation_name] = evolved
+        self._moved()
         return evolved

@@ -81,6 +81,18 @@ All five sections are always present (empty/disabled for the parts of
 the API that did not run) so consumers can index unconditionally.  Keys
 are emitted sorted by :meth:`SystemReport.to_json`, making reports
 diff-stable across runs.
+
+Maintenance itineraries are built on read.  An ``apply_updates`` call
+keeps, per captured (view, updated relation) pair, only a
+:class:`MaintenancePlanCapture`: immutable references to the definition
+object, its placement (owner IS and ``Schema`` of each relation), the
+flush's counters and the frozen maintenance config.  Those are all
+:func:`~repro.esql.explain.explain_maintenance` reads, so the plan dicts
+built on the first read of :attr:`SystemReport.plans` (or of
+``to_dict()``/``to_json()``) equal the ones the call could have built,
+however the space moved since.  Evaluation plans read live
+cardinalities and mutable statistics, so ``apply_changes`` builds them
+during the call.
 """
 
 from __future__ import annotations
@@ -88,11 +100,16 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
+from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
+from repro.config import MaintenanceConfig
+from repro.esql import explain
+from repro.esql.ast import ViewDefinition
 from repro.maintenance.counters import MaintenanceCounters
 from repro.relational.columnar import KernelCounters
+from repro.space.space import Placement, placement_maps
 from repro.sync.pipeline import StageCounters
 
 if TYPE_CHECKING:  # imported lazily to avoid package cycles
@@ -101,6 +118,7 @@ if TYPE_CHECKING:  # imported lazily to avoid package cycles
 
 __all__ = [
     "MaintenanceFlush",
+    "MaintenancePlanCapture",
     "PLAN_CAPTURE_LIMIT",
     "REPORT_SCHEMA_VERSION",
     "SynchronizationRecord",
@@ -193,6 +211,42 @@ class MaintenanceFlush:
         }
 
 
+@dataclass(frozen=True)
+class MaintenancePlanCapture:
+    """Everything one maintenance itinerary reads, captured by reference.
+
+    All of it is immutable, so :meth:`to_dict` renders, whenever it is
+    called, the plan the capturing call would have rendered.
+    """
+
+    view: ViewDefinition
+    placement: Placement
+    updated_relation: str
+    #: The flush's counters (the whole flush, which may have covered
+    #: several relations) and its update count.
+    actual: Mapping[str, int]
+    config: MaintenanceConfig
+
+    def to_dict(self) -> dict[str, Any]:
+        """The :func:`~repro.esql.explain.explain_maintenance` rendering."""
+        owners, schemas = placement_maps(
+            self.view.relation_names, self.placement
+        )
+        return explain.explain_maintenance(
+            self.view,
+            owners,
+            schemas,
+            self.updated_relation,
+            config=self.config,
+            actual=self.actual,
+        ).to_dict()
+
+
+#: One entry of a report's plans: a dict built during the call, or a
+#: capture built on first read.
+PlanSource = dict[str, Any] | MaintenancePlanCapture
+
+
 # ----------------------------------------------------------------------
 # The aggregated report
 # ----------------------------------------------------------------------
@@ -209,10 +263,11 @@ class SystemReport:
     #: Column-kernel rows scanned vs selected across the call (non-zero
     #: only when a columnar plane executed).
     kernels: KernelCounters | None = None
-    #: EXPLAIN plan dicts for the call (see :mod:`repro.esql.explain`):
-    #: evaluation plans for ``apply_changes``, maintenance itineraries
-    #: for ``apply_updates``; at most :data:`PLAN_CAPTURE_LIMIT`.
-    plans: tuple[dict, ...] = ()
+    #: The call's EXPLAIN plans, at most :data:`PLAN_CAPTURE_LIMIT`:
+    #: evaluation plan dicts built by ``apply_changes``, maintenance
+    #: captures kept by ``apply_updates``.  Read them through
+    #: :attr:`plans`.
+    plan_sources: tuple[PlanSource, ...] = ()
     #: How many plans the call produced before capping.
     plans_total: int = 0
     #: Serving-plane accounting for the call (extent versions published,
@@ -226,7 +281,7 @@ class SystemReport:
         cls,
         results: "Sequence[SynchronizationResult]",
         schedules: "Sequence[ScheduleReport]",
-        plans: Sequence[dict] = (),
+        plans: Sequence[dict[str, Any]] = (),
         plans_total: int | None = None,
         serving: dict[str, Any] | None = None,
     ) -> "SystemReport":
@@ -237,7 +292,7 @@ class SystemReport:
                 SynchronizationRecord.of(result) for result in results
             ),
             schedules=tuple(schedules),
-            plans=tuple(plans),
+            plan_sources=tuple(plans),
             plans_total=(
                 len(plans) if plans_total is None else plans_total
             ),
@@ -250,7 +305,7 @@ class SystemReport:
         flushes: Sequence[MaintenanceFlush],
         counters: MaintenanceCounters,
         kernels: KernelCounters | None = None,
-        plans: Sequence[dict] = (),
+        plans: Sequence[PlanSource] = (),
         plans_total: int | None = None,
         serving: dict[str, Any] | None = None,
     ) -> "SystemReport":
@@ -260,7 +315,7 @@ class SystemReport:
             flushes=tuple(flushes),
             maintenance_counters=counters,
             kernels=kernels,
-            plans=tuple(plans),
+            plan_sources=tuple(plans),
             plans_total=(
                 len(plans) if plans_total is None else plans_total
             ),
@@ -268,6 +323,23 @@ class SystemReport:
         )
 
     # -- aggregates -----------------------------------------------------
+    @cached_property
+    def plans(self) -> tuple[dict[str, Any], ...]:
+        """EXPLAIN plan dicts for the call (see :mod:`repro.esql.explain`):
+        evaluation plans for ``apply_changes``, maintenance itineraries
+        for ``apply_updates``.  Built on first read and kept; a capture
+        whose itinerary cannot be built is left out."""
+        plans = []
+        for source in self.plan_sources:
+            if isinstance(source, dict):
+                plans.append(source)
+                continue
+            try:
+                plans.append(source.to_dict())
+            except Exception:  # noqa: BLE001 - best-effort EXPLAIN; plan dropped
+                continue
+        return tuple(plans)
+
     @property
     def counters(self) -> StageCounters:
         """Call-merged pipeline counters (deferral accounting included)."""

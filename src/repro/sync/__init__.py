@@ -41,7 +41,6 @@ from repro.sync.scheduler import (
     SynchronizationScheduler,
     ViewWorkItem,
     build_work_plan,
-    coalesce_fingerprint,
 )
 from repro.sync.synchronizer import ViewSynchronizer
 from repro.sync.vkb import ViewKnowledgeBase, ViewRecord
@@ -75,7 +74,6 @@ __all__ = [
     "ViewWorkItem",
     "build_work_plan",
     "check_legality",
-    "coalesce_fingerprint",
     "combine_extent",
     "is_legal",
 ]

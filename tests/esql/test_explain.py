@@ -10,7 +10,6 @@ evaluator actually saw, on every representation.
 import pytest
 
 from repro.config import EngineConfig, MaintenanceConfig
-from repro.errors import EvaluationError
 from repro.esql.explain import (
     build_plan,
     clause_selectivity,
@@ -195,26 +194,6 @@ class TestReconciliation:
         assert plan.actual_rows is None
         assert all(s.actual_rows is None for s in plan.steps)
         assert {n: r.rows for n, r in relations.items()} == before
-
-
-class TestStatisticsOnlyPlans:
-    def test_plan_from_schemas_and_statistics(self, view, relations):
-        schemas = {n: r.schema for n, r in relations.items()}
-        statistics = SpaceStatistics(
-            relations={
-                "Customer": RelationStatistics(cardinality=100),
-                "Booking": RelationStatistics(cardinality=1000),
-            }
-        )
-        plan = build_plan(view, None, statistics, schemas=schemas)
-        by_name = {step.relation: step for step in plan.steps}
-        assert by_name["Customer"].relation_rows == 100.0
-        assert by_name["Booking"].relation_rows == 1000.0
-        assert plan.join_order == ("Customer", "Booking")
-
-    def test_missing_schemas_rejected(self, view):
-        with pytest.raises(EvaluationError, match="schemas"):
-            build_plan(view, None)
 
 
 class TestClauseSelectivity:

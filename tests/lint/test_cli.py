@@ -19,6 +19,7 @@ def test_violations_exit_nonzero_per_rule(capsys):
         "RL003": "rl003_bad.py",
         "RL004": "rl004_bad.py",
         "RL005": "rl005_bad.py",
+        "RL006": "rl006_bad.py",
     }
     assert sorted(cases) == sorted(RULES), "cover every registered rule"
     for code, name in cases.items():

@@ -7,6 +7,7 @@ re-instantiated here with fixture-local configuration — the same
 plugin surface a future rule would use.
 """
 
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -19,9 +20,11 @@ from tools.repro_lint.rules import (
     rl003_silent_children,
     rl004_extent_staging,
     rl005_broad_except,
+    rl006_catalog_epoch,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+REPO = Path(__file__).resolve().parent.parent.parent
 
 
 def fixture(name: str) -> Path:
@@ -146,6 +149,51 @@ def test_rl005_flags_unjustified_broad_handlers():
 def test_rl005_clean_fixture_passes():
     rule = rl005_broad_except.BroadExceptRule()
     assert check(rule, "rl005_clean.py") == []
+
+
+# ----------------------------------------------------------------------
+# RL006
+# ----------------------------------------------------------------------
+def test_rl006_flags_writes_outside_the_catalog_module():
+    rule = rl006_catalog_epoch.CatalogEpochRule()
+    violations = check(rule, "rl006_bad.py")
+    # Outside the owner module every write counts, the __init__
+    # assignment included: 7 (init), 14 (method), 19 (pop), 20 (store)
+    # and 25 (del).
+    assert sorted(v.lineno for v in violations) == [7, 14, 19, 20, 25]
+    messages = "\n".join(v.message for v in violations)
+    assert "_relations.pop" in messages
+    assert "_relations[]" in messages
+    assert all("repro.relational.catalog" in v.message for v in violations)
+
+
+def test_rl006_owner_writes_must_move_the_epoch():
+    rule = rl006_catalog_epoch.CatalogEpochRule(owner_module="rl006_bad")
+    violations = check(rule, "rl006_bad.py")
+    # As the owner, __init__ may write; the three writers that never
+    # call _moved() may not.
+    flagged = {v.message.split()[0] for v in violations}
+    assert flagged == {"Catalog.replace", "rehost", "forget"}
+    assert all("without calling _moved()" in v.message for v in violations)
+
+
+def test_rl006_clean_fixture_passes():
+    rule = rl006_catalog_epoch.CatalogEpochRule(owner_module="rl006_clean")
+    assert check(rule, "rl006_clean.py") == []
+
+
+def test_rl006_guards_the_real_catalog():
+    """Every mutator of the real Catalog moves the epoch, and the rule
+    sees them: dropping one bump from a copy fires it."""
+    source = (REPO / "src" / "repro" / "relational" / "catalog.py").read_text()
+    rule = rl006_catalog_epoch.CatalogEpochRule(owner_module="catalog")
+    with tempfile.TemporaryDirectory() as tmp:
+        module = Path(tmp) / "catalog.py"
+        module.write_text(source)
+        assert list(rule.check(Project.load([module]))) == []
+        module.write_text(source.replace("        self._moved()\n", "", 1))
+        (violation,) = rule.check(Project.load([module]))
+    assert "Catalog.add" in violation.message
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,15 @@ catalog edits — and require after every step that a system with warm
 programs, the same system with a freshly built maintainer per step, and
 a :meth:`~repro.config.SystemConfig.reference` replay agree on errors,
 extents and CF_M/CF_T/CF_IO counters.
+
+``V3`` is ``V2`` under another name, so the two share one compiled
+program until a rewriting or redefinition sets them apart.  The same
+replays also check that an ``apply_updates`` report's maintenance
+itineraries, built only when the report is first read, equal the ones
+captured eagerly at call time.
 """
+
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,7 +26,8 @@ from hypothesis import strategies as st
 
 from repro.config import SystemConfig
 from repro.core.eve import EVESystem
-from repro.errors import UnknownRelationError
+from repro.errors import MaintenanceError, UnknownRelationError
+from repro.esql import explain
 from repro.esql.ast import ViewDefinition
 from repro.maintenance.simulator import ViewMaintainer
 from repro.misd.statistics import RelationStatistics
@@ -33,7 +42,8 @@ from repro.space.changes import (
     RenameAttribute,
     RenameRelation,
 )
-from repro.space.space import InformationSpace
+from repro.report import PLAN_CAPTURE_LIMIT
+from repro.space.space import InformationSpace, placement_maps
 
 VALUES = st.integers(0, 4)
 ROWS = st.tuples(VALUES, VALUES)
@@ -53,6 +63,10 @@ VIEWS = [
     "WHERE (S.C = T.D) (CD = true, CR = true) "
     "AND (T.E > 1) (CD = true, CR = true)",
     "CREATE VIEW V2 (VE = '~') AS "
+    "SELECT R.A (AR = true), R.B (AD = true, AR = true) "
+    "FROM R (RR = true) WHERE (R.B < 3) (CD = true, CR = true)",
+    # V2's twin: one program serves both.
+    "CREATE VIEW V3 (VE = '~') AS "
     "SELECT R.A (AR = true), R.B (AD = true, AR = true) "
     "FROM R (RR = true) WHERE (R.B < 3) (CD = true, CR = true)",
 ]
@@ -301,11 +315,136 @@ def test_program_moves_with_its_inputs(edit):
 def test_a_dead_view_leaves_no_program():
     eve = build_eve(SystemConfig(), TABLES)
     run_step(eve, concrete(WARM_UP, eve, 0))
-    assert {"V0", "V1", "V2"} <= set(eve.maintainer._programs)
-    # R has no donor and neither view may drop it: V0 and V2 die.
+    assert {"V0", "V1", "V2", "V3"} <= set(eve.maintainer._programs)
+    # R has no donor and no view may drop it: V0, V2 and V3 die.
     run_step(eve, ("change", "delete_relation", "IS1", "R"))
-    assert not eve.is_alive("V0") and not eve.is_alive("V2")
+    assert not any(eve.is_alive(name) for name in ("V0", "V2", "V3"))
     assert set(eve.maintainer._programs) == {"V1"}
+    assert list(eve.maintainer._shared.values()) == [
+        eve.maintainer._programs["V1"].program
+    ]
+    # S moves V1 to its equivalent U; U has no donor, so V1 dies too
+    # and no program is left, shared or held.
+    run_step(eve, ("change", "delete_relation", "IS2", "S"))
+    run_step(eve, ("updates", [("U", "insert", (2, 2))]))
+    assert eve.is_alive("V1")
+    run_step(eve, ("change", "delete_relation", "IS3", "U"))
+    assert not eve.is_alive("V1")
+    assert eve.maintainer._programs == {}
+    assert len(eve.maintainer._shared) == 0
+
+
+def test_identical_views_share_one_program_until_rewritten():
+    eve = build_eve(SystemConfig(), TABLES)
+    run_step(eve, concrete(WARM_UP, eve, 0))
+    held = eve.maintainer._programs
+    assert held["V2"].program is held["V3"].program
+    assert held["V0"].program is not held["V2"].program
+    assert len(eve.maintainer._shared) == 3  # V0, V1, and V2 = V3
+    # A capability change that rewrites both alike keeps them together.
+    run_step(eve, ("change", "rename_attribute", "IS1", "R", "B", 0))
+    run_step(eve, concrete(WARM_UP, eve, 1))
+    assert held["V2"].program is held["V3"].program
+    # Redefining one sets them apart; the other keeps its program.
+    kept = held["V2"].program
+    run_step(eve, ("redefine", "V3"))
+    run_step(eve, concrete(WARM_UP, eve, 2))
+    assert held["V2"].program is kept
+    assert held["V3"].program is not kept
+    assert len(eve.maintainer._shared) == 4
+
+
+def test_inconsistency_error_names_the_flushing_view():
+    eve = build_eve(SystemConfig(), TABLES)
+    run_step(eve, concrete(WARM_UP, eve, 0))
+    assert eve.maintainer._programs["V3"].program is (
+        eve.maintainer._programs["V2"].program
+    )
+    # Only V3's extent loses the row, so only V3's flush finds it gone.
+    assert eve._extents.mutable("V3").delete((1, 2))
+    with pytest.raises(MaintenanceError, match="view 'V3' is inconsistent"):
+        eve.apply_updates([("R", "delete", (1, 2))])
+    assert (1, 2) not in eve.extent("V2").rows
+
+
+# ----------------------------------------------------------------------
+# Maintenance itineraries are built when a report is first read.
+# ----------------------------------------------------------------------
+def eager_plans(eve: EVESystem) -> list[dict]:
+    """The itineraries of ``eve.last_report`` as an eager capture builds
+    them at call time, from the live definitions and placements."""
+    plans = []
+    for flush in eve.last_report.flushes:
+        record = eve.vkb.record(flush.view)
+        if len(plans) >= PLAN_CAPTURE_LIMIT or not record.alive:
+            continue
+        view = record.current
+        names = view.relation_names
+        owners, schemas = placement_maps(names, eve.space.placement(names))
+        actual = {
+            "messages": flush.counters.messages,
+            "bytes_transferred": flush.counters.bytes_transferred,
+            "io_operations": flush.counters.io_operations,
+            "updates": flush.updates,
+        }
+        for relation in flush.relations[: PLAN_CAPTURE_LIMIT - len(plans)]:
+            plans.append(
+                explain.explain_maintenance(
+                    view, owners, schemas, relation,
+                    config=eve.config.maintenance, actual=actual,
+                ).to_dict()
+            )
+    return plans
+
+
+def replay_reports(tables, steps) -> None:
+    early = build_eve(SystemConfig(), tables)
+    late = build_eve(SystemConfig(), tables)
+    held = []
+    for counter, abstract in enumerate(steps):
+        step = concrete(abstract, early, counter)
+        if step is None:
+            continue
+        assert run_step(late, step) == run_step(early, step), step
+        if step[0] == "updates":
+            payload = json.loads(early.last_report.to_json())
+            assert payload["plans"]["views"] == eager_plans(early), step
+            held.append((late.last_report, early.last_report.to_json()))
+    # Read only now, after every later rename, move, drop and rewriting.
+    for report, expected in held:
+        assert report.to_json() == expected
+
+
+@given(episodes())
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_plans_read_late_equal_plans_captured_at_call_time(data):
+    replay_reports(*data)
+
+
+def test_unread_reports_build_no_plans(monkeypatch):
+    calls = []
+    original = explain.explain_maintenance
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(explain, "explain_maintenance", counted)
+    eve = build_eve(SystemConfig(), TABLES)
+    for counter in range(3):
+        run_step(eve, concrete(WARM_UP, eve, counter))
+    report = eve.last_report
+    assert calls == []
+    # Reading the report builds each captured itinerary once.
+    assert [(plan["view"], plan["relation"]) for plan in report.plans] == [
+        ("V0", "R"), ("V2", "R"), ("V3", "R"), ("V0", "S"), ("V1", "S"),
+    ]
+    report.to_json()
+    assert calls == ["V0", "V2", "V3", "V0", "V1"]
 
 
 class TestOwnerOf:

@@ -2,9 +2,9 @@
 
 Each source file is parsed exactly once into a :class:`ModuleFacts`
 bundle.  Rules never re-walk the tree — they consume the pre-indexed
-facts (call sites, assignments, ``for`` iterables, ``except`` handlers,
-imports), which is what keeps a five-rule run on the full ``src/`` tree
-a single-digit-millisecond-per-file affair.
+facts (call sites, assignments, stored-to chains, ``for`` iterables,
+``except`` handlers, imports), which is what keeps a full-rule run on
+the ``src/`` tree a single-digit-millisecond-per-file affair.
 
 Descriptors
 -----------
@@ -31,6 +31,7 @@ from pathlib import Path
 __all__ = [
     "AssignmentFact",
     "CallSite",
+    "StoreFact",
     "ExceptFact",
     "ForIterFact",
     "FunctionFacts",
@@ -83,6 +84,16 @@ class AssignmentFact:
 
 
 @dataclass(frozen=True)
+class StoreFact:
+    """An attribute or subscript chain written in place: the target of
+    an assignment, augmented assignment or ``del`` (``self._x[k] = v``
+    -> ``"self._x[]"``)."""
+
+    target: str
+    lineno: int
+
+
+@dataclass(frozen=True)
 class ForIterFact:
     """What one ``for`` loop / comprehension iterates over."""
 
@@ -116,6 +127,7 @@ class FunctionFacts:
     is_dunder_hash: bool
     calls: list[CallSite] = field(default_factory=list)
     assignments: list[AssignmentFact] = field(default_factory=list)
+    stores: list[StoreFact] = field(default_factory=list)
     for_iters: list[ForIterFact] = field(default_factory=list)
     #: Names read in non-call position (function objects passed around).
     referenced: set[str] = field(default_factory=set)
@@ -242,6 +254,17 @@ class _Walker(ast.NodeVisitor):
         )
         self.generic_visit(node)
 
+    def _record_stores(self, target: ast.AST, lineno: int) -> None:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                self._record_stores(element, lineno)
+        elif isinstance(target, ast.Starred):
+            self._record_stores(target.value, lineno)
+        elif isinstance(target, (ast.Attribute, ast.Subscript)):
+            described = describe(target)
+            if described is not None:
+                self._scope.stores.append(StoreFact(described, lineno))
+
     def visit_Assign(self, node: ast.Assign) -> None:
         value = self._value_descriptor(node.value)
         for target in node.targets:
@@ -249,6 +272,7 @@ class _Walker(ast.NodeVisitor):
                 self._scope.assignments.append(
                     AssignmentFact(target.id, value, node.lineno)
                 )
+            self._record_stores(target, node.lineno)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
@@ -260,6 +284,17 @@ class _Walker(ast.NodeVisitor):
                     node.lineno,
                 )
             )
+        if node.value is not None:
+            self._record_stores(node.target, node.lineno)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._record_stores(node.target, node.lineno)
+        self.generic_visit(node)
+
+    def visit_Delete(self, node: ast.Delete) -> None:
+        for target in node.targets:
+            self._record_stores(target, node.lineno)
         self.generic_visit(node)
 
     @staticmethod

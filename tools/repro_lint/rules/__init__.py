@@ -6,7 +6,7 @@ where it came from, how to suppress with justification), and a
 ``check(project)`` method yielding :class:`Violation`.
 
 Registration is declarative — ``@register`` at class-definition time —
-so adding RL006 is one new module in this package plus an import line
+so adding a rule is one new module in this package plus an import line
 below; nothing in the engine or CLI changes.
 """
 
@@ -78,6 +78,7 @@ from tools.repro_lint.rules import (  # noqa: E402 - registry population
     rl003_silent_children,
     rl004_extent_staging,
     rl005_broad_except,
+    rl006_catalog_epoch,
 )
 
 __all__ += [
@@ -86,4 +87,5 @@ __all__ += [
     "rl003_silent_children",
     "rl004_extent_staging",
     "rl005_broad_except",
+    "rl006_catalog_epoch",
 ]
