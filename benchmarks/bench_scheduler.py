@@ -4,24 +4,26 @@ Three timed scenarios over replacement-heavy salvage storms (every view
 needs a replacement search over a donor spectrum — the workload the
 cross-view scheduler exists for):
 
-1. **Parallel storm** — the serial reference scheduler replays every
-   affected view one after the other; the parallel scheduler dispatches
-   chain groups to a thread pool *and coalesces* structurally identical
-   searches (one search per definition-modulo-name + worklist class,
-   results rebound to every follower).  Committed winners, QC-Values,
-   and extents must be identical — the speedup is pure scheduling.  An
-   ablation row reports the thread executor with coalescing off, so the
-   JSON shows honestly where the win comes from on a given machine
+1. **Parallel storm** — the serial reference scheduler (coalescing
+   off, like ``SystemConfig.reference()``) replays every affected view
+   one after the other; the parallel scheduler dispatches chain groups
+   to a thread pool *and coalesces* structurally identical searches
+   (one search per definition-modulo-name + worklist class, results
+   rebound to every follower).  Committed winners, QC-Values, and
+   extents must be identical — the speedup is pure scheduling.  Two
+   rows split the win honestly on a given machine: ``serial +
+   coalesce`` (the default scheduler) is coalescing alone, and the
+   thread executor with coalescing off is parallelism alone
    (coalescing is CPU-count-independent; executor parallelism is not,
    and equals ~1x on a single-core GIL-bound host).
 2. **Sharded storm** — the 100k-view storm replayed as a sequential
-   batch stream through four executors: serial reference, threads +
-   coalescing, per-batch fork (``processes``), and the persistent
-   worker pool (``workers``) over a sharded VKB.  The workers lane
-   separates the cold first batch (pool spawn + per-shard snapshot
-   shipping) from the warm remainder, where only deltas and committed
-   rewritings cross the wire — warm batches must ship zero snapshot
-   bytes, and all lanes must commit byte-identical outcomes.
+   batch stream through four executors: serial reference (coalescing
+   off), threads + coalescing, per-batch fork (``processes``), and the
+   persistent worker pool (``workers``) over a sharded VKB.  The
+   workers lane separates the cold first batch (pool spawn + per-shard
+   snapshot shipping) from the warm remainder, where only deltas and
+   committed rewritings cross the wire — warm batches must ship zero
+   snapshot bytes, and all lanes must commit byte-identical outcomes.
 3. **Deadline sweep** — the same storm under shrinking wall-clock
    budgets with ``degrade="first_legal"``: views scheduled past the
    budget fall back to the old-EVE first-legal policy
@@ -81,22 +83,35 @@ def _fingerprint(eve: EVESystem) -> list[tuple]:
     ]
 
 
-def _run(scheduler: SynchronizationScheduler | None, **stress_args):
+def _serial_reference() -> SynchronizationScheduler:
+    """The serial scheduler that searches every view itself."""
+    return SynchronizationScheduler(ScheduleConfig(coalesce=False))
+
+
+def _run(scheduler: SynchronizationScheduler, **stress_args):
     eve, changes = _stress_system(**stress_args)
     start = perf_counter()
-    if scheduler is None:
-        results = eve.apply_changes(changes)
-    else:
-        results = eve.apply_changes(changes, scheduler=scheduler)
+    results = eve.apply_changes(changes, scheduler=scheduler)
     seconds = perf_counter() - start
     return eve, results, seconds
+
+
+def _qc(results) -> list[tuple]:
+    return [(r.view_name, r.chosen.qc if r.chosen else None) for r in results]
 
 
 # ----------------------------------------------------------------------
 # Scenario 1: serial reference vs parallel + coalescing scheduler
 # ----------------------------------------------------------------------
 def bench_parallel_storm(workers: int, **stress_args) -> tuple[dict, dict]:
-    serial_eve, serial_results, serial_seconds = _run(None, **stress_args)
+    serial_eve, serial_results, serial_seconds = _run(
+        _serial_reference(), **stress_args
+    )
+
+    # Coalescing alone: the default (serial, coalescing) scheduler.
+    serial_coalesce_eve, serial_coalesce_results, serial_coalesce_seconds = (
+        _run(SynchronizationScheduler(ScheduleConfig()), **stress_args)
+    )
 
     parallel = SynchronizationScheduler(
         ScheduleConfig(executor="threads", max_workers=workers, coalesce=True)
@@ -107,18 +122,22 @@ def bench_parallel_storm(workers: int, **stress_args) -> tuple[dict, dict]:
 
     # Ablation: executor parallelism alone, no search coalescing.
     threads_only = SynchronizationScheduler(
-        ScheduleConfig(executor="threads", max_workers=workers)
+        ScheduleConfig(
+            executor="threads", max_workers=workers, coalesce=False
+        )
     )
     _, _, threads_only_seconds = _run(threads_only, **stress_args)
 
-    outcomes_equal = _fingerprint(serial_eve) == _fingerprint(parallel_eve)
-    qc_equal = [
-        (r.view_name, r.chosen.qc if r.chosen else None)
-        for r in serial_results
-    ] == [
-        (r.view_name, r.chosen.qc if r.chosen else None)
-        for r in parallel_results
-    ]
+    serial_fingerprint = _fingerprint(serial_eve)
+    outcomes_equal = (
+        serial_fingerprint == _fingerprint(parallel_eve)
+        and serial_fingerprint == _fingerprint(serial_coalesce_eve)
+    )
+    qc_equal = (
+        _qc(serial_results)
+        == _qc(parallel_results)
+        == _qc(serial_coalesce_results)
+    )
     # The scheduling facts come from the run's SystemReport — the
     # serializable surface the system now exposes for exactly this.
     system_report = parallel_eve.last_report.to_dict()
@@ -133,6 +152,12 @@ def bench_parallel_storm(workers: int, **stress_args) -> tuple[dict, dict]:
         "parallel_seconds": parallel_seconds,
         "speedup": (
             serial_seconds / parallel_seconds if parallel_seconds else 0.0
+        ),
+        "serial_coalesce_seconds": serial_coalesce_seconds,
+        "serial_coalesce_speedup": (
+            serial_seconds / serial_coalesce_seconds
+            if serial_coalesce_seconds
+            else 0.0
         ),
         "threads_only_seconds": threads_only_seconds,
         "threads_only_speedup": (
@@ -169,10 +194,7 @@ def _replay_sharded(scheduler, **storm_args):
     reports = []
     for batch in scenario.change_batches:
         start = perf_counter()
-        if scheduler is None:
-            results = eve.apply_changes(batch)
-        else:
-            results = eve.apply_changes(batch, scheduler=scheduler)
+        results = eve.apply_changes(batch, scheduler=scheduler)
         seconds.append(perf_counter() - start)
         qc.extend(
             (r.view_name, r.chosen.qc if r.chosen else None)
@@ -210,7 +232,7 @@ def bench_sharded_storm(
     from repro.sync.scheduler import _fork_available
 
     serial_seconds, serial_qc, _, serial_fp = _replay_sharded(
-        None, **storm_args
+        _serial_reference(), **storm_args
     )
 
     threads = SynchronizationScheduler(
@@ -352,7 +374,7 @@ def bench_deadline_sweep(
     eve, results, _ = _run(deferring, **stress_args)
     deferred_count = len(eve.last_report.deferred_views)
     resumed = eve.resume_deferred()
-    reference_eve, _, _ = _run(None, **stress_args)
+    reference_eve, _, _ = _run(_serial_reference(), **stress_args)
     sweep["zero_defer"] = {
         "budget_seconds": 0.0,
         "synchronized_at_deadline": len(results),
@@ -410,6 +432,11 @@ def main(argv=None) -> None:
                 ["serial reference (s)", f"{storm['serial_seconds']:.4f}"],
                 ["parallel scheduler (s)", f"{storm['parallel_seconds']:.4f}"],
                 ["speedup", f"{storm['speedup']:.1f}x"],
+                [
+                    "serial + coalesce (s)",
+                    f"{storm['serial_coalesce_seconds']:.4f} "
+                    f"({storm['serial_coalesce_speedup']:.1f}x)",
+                ],
                 [
                     "threads w/o coalescing (s)",
                     f"{storm['threads_only_seconds']:.4f} "

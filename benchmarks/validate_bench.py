@@ -387,6 +387,16 @@ def validate_scheduler(payload: dict) -> None:
         payload["parallel_storm"]["outcomes_equal"],
         "parallel scheduler outcomes diverged",
     )
+    storm = payload["parallel_storm"]
+    # The serial + coalesce lane (coalescing alone: the default
+    # scheduler) is newer than some committed full-scale payloads, so it
+    # may be absent; a payload that carries it must have timed it.
+    if "serial_coalesce_seconds" in storm:
+        _invariant(
+            storm["serial_coalesce_seconds"] > 0
+            and "serial_coalesce_speedup" in storm,
+            "parallel_storm: serial + coalesce lane not timed",
+        )
     sharded = payload["sharded_storm"]
     _invariant(
         sharded["outcomes_equal"],

@@ -213,8 +213,10 @@ class ScheduleConfig:
     ``threads`` | ``processes`` | ``workers``; ``budget`` in wall-clock
     seconds and ``budget_units`` in modeled Eq. 24 cost units (either
     exhausts the other); ``degrade`` in ``first_legal`` | ``defer``;
-    ``order`` in ``cost`` | ``plan``; ``coalesce`` runs one search per
-    structural equivalence class; ``shards`` partitions the VKB for the
+    ``order`` in ``cost`` | ``plan``; ``coalesce`` (default on) runs one
+    search and one rematerialization per class of views that differ
+    only in name, and rebinds the results to the others — off only in
+    :meth:`SystemConfig.reference`; ``shards`` partitions the VKB for the
     persistent-worker pool (``executor="workers"`` only; one long-lived
     spawn-safe process per shard holds its extents and caches across
     batches).
@@ -226,7 +228,7 @@ class ScheduleConfig:
     budget_units: float | None = None
     degrade: str = "first_legal"
     order: str = "cost"
-    coalesce: bool = False
+    coalesce: bool = True
     shards: int | None = None
 
     def __post_init__(self) -> None:
@@ -291,16 +293,19 @@ class SystemConfig:
     planes the benchmarks and property tests exercise:
 
     * :meth:`reference` — naive engine, dict delta plane, no index
-      probes, serial plan-order dispatch, exhaustive search: the
-      everything-eager parity plane every fast path is compared to.
+      probes, serial plan-order dispatch without coalescing, exhaustive
+      search: the everything-eager parity plane every fast path is
+      compared to, and the only preset that searches every view.
     * :meth:`fast` — indexed engine, tuple delta plane, pruned search,
-      threaded coalescing dispatch: the production-shaped plane.
+      threaded dispatch: the production-shaped plane.
     * :meth:`columnar` — :meth:`fast` with evaluation and delta
       propagation on the column-at-a-time kernel plane.
     * :meth:`bounded` — :meth:`fast` under a budget (modeled cost units
       and/or wall-clock seconds) with a degradation mode.
 
-    All presets and the default commit byte-identical winners,
+    The default and every preset but :meth:`reference` coalesce views
+    that differ only in name.  All presets and the default commit
+    byte-identical winners,
     QC-Values, extents, and modeled CF_M/CF_T/CF_IO counters — enforced
     by ``tests/property/test_config_parity.py``.
     """
@@ -329,11 +334,12 @@ class SystemConfig:
     # -- presets --------------------------------------------------------
     @classmethod
     def reference(cls) -> "SystemConfig":
-        """The naive / dict / serial parity plane (everything eager)."""
+        """The naive / dict / serial parity plane (everything eager,
+        one search per view: the one preset that does not coalesce)."""
         return cls(
             engine=EngineConfig(engine="naive", use_index=False),
             search=SearchConfig(policy="exhaustive"),
-            schedule=ScheduleConfig(order="plan"),
+            schedule=ScheduleConfig(order="plan", coalesce=False),
             maintenance=MaintenanceConfig(
                 representation="dict", use_index=False
             ),
@@ -341,17 +347,15 @@ class SystemConfig:
 
     @classmethod
     def fast(cls) -> "SystemConfig":
-        """Indexed / tuple / pruned / coalesced: the production plane."""
-        return cls(
-            schedule=ScheduleConfig(executor="threads", coalesce=True),
-        )
+        """Indexed / tuple / pruned / threaded: the production plane."""
+        return cls(schedule=ScheduleConfig(executor="threads"))
 
     @classmethod
     def columnar(cls) -> "SystemConfig":
         """:meth:`fast` with both planes on the columnar representation."""
         return cls(
             engine=EngineConfig(representation="columnar"),
-            schedule=ScheduleConfig(executor="threads", coalesce=True),
+            schedule=ScheduleConfig(executor="threads"),
             maintenance=MaintenanceConfig(representation="columnar"),
         )
 
@@ -364,7 +368,6 @@ class SystemConfig:
                 executor="workers",
                 shards=shards,
                 max_workers=max_workers,
-                coalesce=True,
             ),
         )
 
@@ -383,7 +386,6 @@ class SystemConfig:
         return cls(
             schedule=ScheduleConfig(
                 executor="threads",
-                coalesce=True,
                 budget=budget,
                 budget_units=budget_units,
                 degrade=degrade,

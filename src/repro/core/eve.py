@@ -268,6 +268,9 @@ class EVESystem:
             on_release=self._on_snapshot_released,
         )
         self._sync_log: list[SynchronizationResult] = []
+        #: Definition modulo name -> the view last materialized with it
+        #: (see :meth:`_share_twin_rows`).
+        self._twins: dict[tuple, str] = {}
         self.space.on_data_update(self._handle_data_update)
         self.space.on_capability_change(self._invalidate_cache)
         self.space.on_capability_change(self._handle_capability_change)
@@ -419,14 +422,38 @@ class EVESystem:
         resolved = ViewValidator(schemas).resolve_view(definition)
         record = self.vkb.define(resolved)
         if materialize:
-            self._extents[resolved.name] = evaluate_view(
+            extent = evaluate_view(
                 resolved,
                 self.space.relation,
                 self.space.mkb.statistics,
                 config=self.config.engine,
                 kernel_counters=self.kernel_counters,
             )
+            self._extents[resolved.name] = self._share_twin_rows(
+                resolved, extent
+            )
         return record
+
+    def _share_twin_rows(
+        self, view: ViewDefinition, extent: Relation
+    ) -> Relation:
+        """``extent``, over the row tuples of its twin's extent when the
+        two are equal.
+
+        The twin is the view last materialized with the same definition
+        modulo name.  Such views evaluate to equal rows, so a class of
+        copies keeps one set of tuples instead of one per view.  The rows
+        are compared, not assumed, so a twin rewritten or maintained
+        since shares its tuples only while its rows still equal
+        ``extent``'s.
+        """
+        key = (view.select, view.from_, view.where, view.extent_parameter)
+        twin_name = self._twins.get(key)
+        self._twins[key] = view.name
+        twin = self._extents.get(twin_name) if twin_name is not None else None
+        if twin is not None and twin.rows == extent.rows:
+            return Relation.from_validated(extent.schema, twin.rows)
+        return extent
 
     def extent(self, view_name: str) -> Relation:
         """The materialized extent of ``view_name``."""
@@ -1052,17 +1079,30 @@ class EVESystem:
                     ViewSynchronized(result.view_name, result.change, result)
                 )
 
-    def finalize_view(self, view_name: str) -> None:
-        """Rematerialize one replayed view's extent, once per batch."""
+    def finalize_view(self, view_name: str, like: str | None = None) -> None:
+        """Rematerialize one replayed view's extent, once per batch.
+
+        ``like`` names a view of the same coalesce class that was
+        finalized earlier in this execution: the two definitions differ
+        only in name, so when ``like`` is alive and materialized its
+        fresh extent is copied under this view's name (shared row
+        tuples, renamed schema) instead of evaluated a second time.
+        """
         record = self.vkb.record(view_name)
-        if record.alive and view_name in self._extents:
-            self._extents[view_name] = evaluate_view(
-                record.current,
-                self.space.relation,
-                self.space.mkb.statistics,
-                config=self.config.engine,
-                kernel_counters=self.kernel_counters,
-            )
+        if not record.alive or view_name not in self._extents:
+            return
+        if like is not None and self.vkb.record(like).alive:
+            fresh = self._extents.get(like)
+            if fresh is not None:
+                self._extents[view_name] = fresh.copy(view_name)
+                return
+        self._extents[view_name] = evaluate_view(
+            record.current,
+            self.space.relation,
+            self.space.mkb.statistics,
+            config=self.config.engine,
+            kernel_counters=self.kernel_counters,
+        )
 
     def resume_deferred(
         self,

@@ -240,9 +240,17 @@ class ViewDefinition:
     # Rewriting derivations (used by the synchronizer)
     # ------------------------------------------------------------------
     def renamed(self, new_name: str) -> "ViewDefinition":
-        return ViewDefinition(
-            new_name, self.select, self.from_, self.where, self.extent_parameter
-        )
+        # A rename cannot make a valid definition invalid, so the copy
+        # skips __init__'s emptiness and duplicate checks (coalesced
+        # rebinding renames every evaluation of every follower).
+        clone = object.__new__(ViewDefinition)
+        clone.name = new_name
+        clone.select = self.select
+        clone.from_ = self.from_
+        clone.where = self.where
+        clone.extent_parameter = self.extent_parameter
+        clone.relation_names = self.relation_names
+        return clone
 
     def dropping_select_item(self, output_name: str) -> "ViewDefinition":
         """Definition without one SELECT item (must keep >= 1)."""

@@ -34,7 +34,8 @@ multiply.  Bag semantics throughout; callers wanting set semantics call
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+import operator
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import Any
 
 from repro.errors import EvaluationError
@@ -143,7 +144,7 @@ def evaluate_view(
         project = (
             None
             if len(kept) == schema.arity
-            else tuple(schema.position(attr) for attr in kept)
+            else _row_projector([schema.position(attr) for attr in kept])
         )
         base = len(slots)
         for offset, attr in enumerate(kept):
@@ -175,7 +176,7 @@ def evaluate_view(
                 key = tuple(binding[s] for s in bound_slots)
                 for row in index.probe(key):
                     candidate = binding + (
-                        row if project is None else tuple(row[p] for p in project)
+                        row if project is None else project(row)
                     )
                     if check(candidate):
                         extended.append(candidate)
@@ -191,13 +192,17 @@ def evaluate_view(
             local_check = compile_clauses(local, local_slots)
             rows = [row for row in relation if local_check(row)]
             if project is not None:
-                rows = [tuple(row[p] for p in project) for row in rows]
-            check = compile_clauses(cross, slots)
-            for binding in bindings:
-                for row in rows:
-                    candidate = binding + row
-                    if check(candidate):
-                        extended.append(candidate)
+                rows = list(map(project, rows))
+            if bindings == [()] and not cross:
+                # The first FROM relation: its rows are the bindings.
+                extended = rows
+            else:
+                check = compile_clauses(cross, slots)
+                for binding in bindings:
+                    for row in rows:
+                        candidate = binding + row
+                        if check(candidate):
+                            extended.append(candidate)
         bindings = extended
         if trace is not None:
             trace.append((relation_name, len(bindings)))
@@ -207,11 +212,25 @@ def evaluate_view(
     output_schema = _output_schema(resolved, schemas)
     if not bindings:
         return Relation(output_schema)
-    out_slots = [slots[str(item.ref)] for item in resolved.select]
-    rows = [tuple(binding[s] for s in out_slots) for binding in bindings]
+    output = _row_projector([slots[str(item.ref)] for item in resolved.select])
+    rows = list(map(output, bindings))
     # Every value came out of a validated relation; adopt without a
     # second validation pass.
     return Relation.from_validated(output_schema, rows)
+
+
+def _row_projector(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """``row -> tuple(row[p] for p in positions)``, compiled once.
+
+    ``operator.itemgetter`` returns a bare value for one position, so
+    the 1-column case wraps it into a 1-tuple.
+    """
+    if len(positions) == 1:
+        position = positions[0]
+        return lambda row: (row[position],)
+    if not positions:
+        return lambda row: ()
+    return operator.itemgetter(*positions)
 
 
 def _join_order(

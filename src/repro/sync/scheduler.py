@@ -34,13 +34,17 @@ replay into an explicit, immutable *work plan* and schedules it:
   linked into one :class:`ChainGroup` and never split across workers, so
   relation-identity interactions can never race (and coalescing below
   always finds its leader in the same group).
-* **Search coalescing** (``coalesce=True``) — the storm workloads define
-  many structurally identical views over the same relation; their salvage
-  searches are identical up to the view name.  A coalescing scheduler
-  runs one search per equivalence class (canonical definition modulo
-  name + worklist) and rebinds the committed results to each follower.
-  Rebinding is exact: assessments never read the view name, so followers
-  receive float-identical QC-Values.
+* **Search coalescing** (``coalesce``, on by default; off only in
+  :meth:`~repro.config.SystemConfig.reference`) — the storm workloads
+  define many structurally identical views over the same relation; their
+  salvage searches are identical up to the view name.  A coalescing
+  scheduler runs one search per equivalence class (canonical definition
+  modulo name + worklist) and rebinds the committed results to each
+  follower.  Rebinding is exact: assessments never read the view name,
+  so followers receive float-identical QC-Values.  Rematerialization
+  coalesces too: a follower whose leader was finalized alive and
+  materialized copies the leader's fresh extent under its own name
+  instead of evaluating its (renamed) definition again.
 
 The scheduler talks to the system through the small
 :class:`SchedulerRuntime` protocol (implemented by
@@ -303,8 +307,13 @@ class SchedulerRuntime(Protocol):
         """Commit results produced elsewhere (fork / coalesced rebind)."""
         ...
 
-    def finalize_view(self, view_name: str) -> None:
-        """Rematerialize the view's extent after its worklist replay."""
+    def finalize_view(self, view_name: str, like: str | None = None) -> None:
+        """Rematerialize the view's extent after its worklist replay.
+
+        ``like`` names a view of the same coalesce class finalized
+        earlier in this execution; its fresh extent, renamed, may stand
+        in for an evaluation (see :meth:`repro.core.eve.EVESystem.finalize_view`).
+        """
         ...
 
 
@@ -397,9 +406,11 @@ class SynchronizationScheduler:
         deterministically; when both are set, whichever exhausts first
         wins.
     ``coalesce``
-        Run one search per (definition modulo name, worklist) class and
-        rebind results to followers — identical outcomes, large wins on
-        storm workloads full of structurally identical views.
+        Run one search and one rematerialization per (definition modulo
+        name, worklist) class and rebind results and extents to
+        followers — identical outcomes, large wins on storm workloads
+        full of structurally identical views.  On by default;
+        ``coalesce=False`` is the one-search-per-view reference.
     """
 
     def __init__(self, config: ScheduleConfig | None = None) -> None:
@@ -496,9 +507,17 @@ class SynchronizationScheduler:
             if not outcome.committed:
                 runtime.adopt_results(outcome.results)
             results.extend(outcome.results)
+        # A coalesced follower's definition is its leader's renamed, so
+        # its extent is the leader's fresh one renamed: the first view
+        # finalized per coalesce class is the one the others copy.
+        finalized: dict[tuple, str] = {}
         for item in plan.items:
-            if item.view_name not in deferred_names:
-                runtime.finalize_view(item.view_name)
+            if item.view_name in deferred_names:
+                continue
+            like = finalized.get(item.coalesce_key) if self.coalesce else None
+            if like is None:
+                finalized[item.coalesce_key] = item.view_name
+            runtime.finalize_view(item.view_name, like)
         return ScheduleReport(
             results=tuple(results),
             deferred=tuple(deferred),

@@ -227,8 +227,8 @@ class _TracingRuntime:
     def adopt_results(self, results):
         self.eve.adopt_results(results)
 
-    def finalize_view(self, view_name):
-        self.eve.finalize_view(view_name)
+    def finalize_view(self, view_name, like=None):
+        self.eve.finalize_view(view_name, like)
 
 
 class _WorkerState:

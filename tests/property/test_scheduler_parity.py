@@ -5,8 +5,9 @@ The acceptance property of the scheduler: whatever the executor
 coalescing, a scheduled batch commits the identical winners with the
 identical QC-Values and materializes the identical extents as the serial
 reference.  Hypothesis drives the storm generators over seeds and
-shapes; every configuration is compared against the default scheduler's
-fingerprint.
+shapes; every configuration is compared against the fingerprint of the
+serial scheduler *without* coalescing — the reference's, which searches
+every view itself (the default coalesces).
 """
 
 import pytest
@@ -69,12 +70,18 @@ def outcome_fingerprint(eve, results):
     )
 
 
+def reference_fingerprint(eve, batch):
+    """The batch applied by the serial, non-coalescing scheduler."""
+    scheduler = SynchronizationScheduler(ScheduleConfig(coalesce=False))
+    return outcome_fingerprint(
+        eve, eve.apply_changes(batch, scheduler=scheduler)
+    )
+
+
 SCHEDULERS = {
-    "serial+coalesce": dict(coalesce=True),
-    "threads": dict(executor="threads", max_workers=3),
-    "threads+coalesce": dict(
-        executor="threads", max_workers=3, coalesce=True
-    ),
+    "serial+coalesce": dict(),
+    "threads": dict(executor="threads", max_workers=3, coalesce=False),
+    "threads+coalesce": dict(executor="threads", max_workers=3),
     "plan-order": dict(order="plan"),
 }
 
@@ -93,9 +100,7 @@ def test_executors_commit_identical_outcomes_on_storms(
     seed, views, changes
 ):
     reference_eve, batch = storm_system(seed, views, changes)
-    reference = outcome_fingerprint(
-        reference_eve, reference_eve.apply_changes(batch)
-    )
+    reference = reference_fingerprint(reference_eve, batch)
     for label, config in SCHEDULERS.items():
         eve, batch = storm_system(seed, views, changes)
         results = eve.apply_changes(
@@ -114,9 +119,7 @@ def test_executors_commit_identical_outcomes_on_salvage_storms(
 ):
     relations = max(2, views // 4)
     reference_eve, batch = stress_system(views, relations, donors)
-    reference = outcome_fingerprint(
-        reference_eve, reference_eve.apply_changes(batch)
-    )
+    reference = reference_fingerprint(reference_eve, batch)
     for label, config in SCHEDULERS.items():
         eve, batch = stress_system(views, relations, donors)
         results = eve.apply_changes(
@@ -131,9 +134,7 @@ def test_executors_commit_identical_outcomes_on_salvage_storms(
 @pytest.mark.parametrize("coalesce", [False, True], ids=["plain", "coalesce"])
 def test_process_executor_commits_identical_outcomes(coalesce):
     reference_eve, batch = stress_system(views=12, relations=4, donors=2)
-    reference = outcome_fingerprint(
-        reference_eve, reference_eve.apply_changes(batch)
-    )
+    reference = reference_fingerprint(reference_eve, batch)
     eve, batch = stress_system(views=12, relations=4, donors=2)
     scheduler = SynchronizationScheduler(
         ScheduleConfig(executor="processes", max_workers=2, coalesce=coalesce)
@@ -149,12 +150,10 @@ def test_worker_pool_commits_identical_outcomes(shards):
     serial for every shard count — including ``shards=1``, where the
     whole VKB lives in a single worker."""
     reference_eve, batch = stress_system(views=12, relations=4, donors=2)
-    reference = outcome_fingerprint(
-        reference_eve, reference_eve.apply_changes(batch)
-    )
+    reference = reference_fingerprint(reference_eve, batch)
     eve, batch = stress_system(views=12, relations=4, donors=2)
     scheduler = SynchronizationScheduler(
-        ScheduleConfig(executor="workers", shards=shards, coalesce=True)
+        ScheduleConfig(executor="workers", shards=shards)
     )
     try:
         results = eve.apply_changes(batch, scheduler=scheduler)
@@ -168,12 +167,10 @@ def test_worker_pool_parity_on_mixed_storm():
     """Renames, deletes, and spare churn — the delta-broadcast path —
     commit the serial outcome through the sharded pool."""
     reference_eve, batch = storm_system(seed=5, views=12, changes=10)
-    reference = outcome_fingerprint(
-        reference_eve, reference_eve.apply_changes(batch)
-    )
+    reference = reference_fingerprint(reference_eve, batch)
     eve, batch = storm_system(seed=5, views=12, changes=10)
     scheduler = SynchronizationScheduler(
-        ScheduleConfig(executor="workers", shards=2, coalesce=True)
+        ScheduleConfig(executor="workers", shards=2)
     )
     try:
         results = eve.apply_changes(batch, scheduler=scheduler)

@@ -89,8 +89,13 @@ class RecordingRuntime:
     def adopt_results(self, results):
         self.adopted.extend(results)
 
-    def finalize_view(self, view_name):
+    def finalize_view(self, view_name, like=None):
         self.finalized.append(view_name)
+
+
+def plain_scheduler():
+    """A scheduler that searches every view itself (the reference's)."""
+    return SynchronizationScheduler(ScheduleConfig(coalesce=False))
 
 
 def make_plan(rows, changes):
@@ -285,8 +290,11 @@ class TestSystemIntegration:
         assert list(scheduled.synchronization_log) == results
 
     def test_per_view_timing_lands_in_counters(self):
+        # Without coalescing every view runs its own timed search.
         eve = build_system()
-        results = eve.apply_changes([DeleteRelation("IS0", "R0")])
+        results = eve.apply_changes(
+            [DeleteRelation("IS0", "R0")], scheduler=plain_scheduler()
+        )
         assert results and all(
             r.counters is not None and r.counters.seconds > 0.0
             for r in results
@@ -294,6 +302,16 @@ class TestSystemIntegration:
         report = eve.last_schedule[0]
         assert set(report.per_view_seconds) == {"V0", "V1"}
         assert report.wall_seconds > 0.0
+
+    def test_coalesced_timing_still_lists_every_view(self):
+        eve = build_system()
+        leader, follower = eve.apply_changes([DeleteRelation("IS0", "R0")])
+        report = eve.last_schedule[0]
+        assert report.coalesced == 1
+        assert set(report.per_view_seconds) == {"V0", "V1"}
+        assert leader.counters.seconds > 0.0
+        # No search ran for the follower: its counters are fresh.
+        assert follower.counters.seconds == 0.0
 
     def test_coalescing_rebinds_identical_views_exactly(self):
         plain = build_system(materialize=True)
@@ -375,11 +393,38 @@ class TestSystemIntegration:
 
         eve.pipeline.search = failing_search
         with pytest.raises(SynchronizationError, match="injected"):
-            eve.apply_changes([DeleteRelation("IS0", "R0")])
+            eve.apply_changes([DeleteRelation("IS0", "R0")], scheduler=plain_scheduler())
         # V0 committed before the failure: the VKB evolved, and the
         # journal made sure the synchronization log saw it too.
         assert eve.generations("V0") == 1
         assert [r.view_name for r in eve.synchronization_log] == ["V0"]
+
+    @pytest.mark.parametrize(
+        "failing, logged", [("V0", []), ("V2", ["V0", "V1"])]
+    )
+    def test_coalesced_leader_failure_keeps_sync_log_consistent_with_vkb(
+        self, failing, logged
+    ):
+        # V0 leads V1's coalesce class; V2 leads its own.  A failing
+        # leader takes its followers down with it, and every commit
+        # made before it (rebound followers included) is logged.
+        eve = build_system()
+        original_search = eve.pipeline.search
+
+        def failing_search(view, change, **kwargs):
+            if view.name == failing:
+                raise SynchronizationError("injected search failure")
+            return original_search(view, change, **kwargs)
+
+        eve.pipeline.search = failing_search
+        with pytest.raises(SynchronizationError, match="injected"):
+            eve.apply_changes(
+                [DeleteRelation("IS0", "R0"), DeleteRelation("IS0", "R1")],
+                scheduler=SynchronizationScheduler(ScheduleConfig(order="plan")),
+            )
+        assert [r.view_name for r in eve.synchronization_log] == logged
+        for view in ("V0", "V1", "V2"):
+            assert eve.generations(view) == logged.count(view)
 
     def test_completed_subbatch_reports_survive_later_failure(self):
         eve = build_system()
@@ -398,7 +443,7 @@ class TestSystemIntegration:
             DeleteRelation("IS0", "RX"),
         ]
         with pytest.raises(SynchronizationError, match="injected"):
-            eve.apply_changes(batch)
+            eve.apply_changes(batch, scheduler=plain_scheduler())
         # The first sub-batch's report (and any deferral records it
         # might carry) survives the second sub-batch's failure...
         assert len(eve.last_schedule) == 1
@@ -409,6 +454,30 @@ class TestSystemIntegration:
         # ...and every VKB commit made before the failure is logged.
         logged = [r.view_name for r in eve.synchronization_log]
         assert logged == ["V0", "V1", "V0"]
+
+    def test_completed_subbatch_survives_later_coalesced_leader_failure(self):
+        eve = build_system()
+        original_search = eve.pipeline.search
+
+        def failing_search(view, change, **kwargs):
+            if isinstance(change, DeleteRelation) and view.name == "V0":
+                raise SynchronizationError("injected delete failure")
+            return original_search(view, change, **kwargs)
+
+        eve.pipeline.search = failing_search
+        with pytest.raises(SynchronizationError, match="injected"):
+            eve.apply_changes(
+                [
+                    RenameRelation("IS0", "R0", "RX"),
+                    DeleteRelation("IS0", "RX"),
+                ]
+            )
+        # The rename sub-batch coalesced V1 onto V0 and completed; the
+        # delete sub-batch's leader failed before anything committed.
+        assert len(eve.last_schedule) == 1
+        assert eve.last_schedule[0].coalesced == 1
+        assert [r.view_name for r in eve.synchronization_log] == ["V0", "V1"]
+        assert [eve.generations(view) for view in ("V0", "V1")] == [1, 1]
 
     def test_resume_deferred_consumes_its_records(self):
         eve = build_system()

@@ -130,6 +130,15 @@ class TestValidation:
         assert SystemConfig() == SystemConfig()
         assert SystemConfig.fast() != SystemConfig.reference()
 
+    def test_reference_is_the_only_non_coalescing_preset(self):
+        # A coalescing reference would make every parity replay against
+        # it (perfbench's salvage check included) compare coalescing
+        # with itself.
+        assert SystemConfig().schedule.coalesce is True
+        assert SystemConfig.reference().schedule.coalesce is False
+        for name, config in ALL_PRESETS.items():
+            assert config.schedule.coalesce is (name != "reference"), name
+
 
 # ----------------------------------------------------------------------
 # Serialization round trip

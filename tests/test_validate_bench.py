@@ -116,6 +116,16 @@ class TestStructuralValidation:
         payload["config"]["smoke"] = True
         validate_payload("scheduler", payload)
 
+    def test_serial_coalesce_lane_checked_when_present(self):
+        payload = committed("scheduler")
+        validate_payload("scheduler", payload)
+        payload["parallel_storm"]["serial_coalesce_seconds"] = 0.0
+        payload["parallel_storm"]["serial_coalesce_speedup"] = 0.0
+        with pytest.raises(BenchValidationError, match="serial \\+ coalesce"):
+            validate_payload("scheduler", payload)
+        payload["parallel_storm"]["serial_coalesce_seconds"] = 0.2
+        validate_payload("scheduler", payload)
+
     def test_torn_reads_rejected(self):
         payload = committed("serving")
         payload["storm_reads"]["torn_reads"] = 1
