@@ -70,6 +70,7 @@ from repro.relational.schema import Schema
 from repro.relational.versioning import ExtentSnapshot, ExtentStore
 from repro.report import (
     PLAN_CAPTURE_LIMIT,
+    EvaluationPlanCapture,
     MaintenanceFlush,
     MaintenancePlanCapture,
     SystemReport,
@@ -97,6 +98,7 @@ from repro.sync.scheduler import (
     UnitBudgetMeter,
     ViewWorkItem,
     build_work_plan,
+    rebind_results,
 )
 from repro.sync.synchronizer import ViewSynchronizer
 from repro.sync.vkb import ViewKnowledgeBase, ViewRecord
@@ -1116,6 +1118,12 @@ class EVESystem:
         is pure postponement: the batch already landed on the space, so
         the replay runs against the same post-batch knowledge it would
         have seen at schedule time.
+
+        Records coalesce as the scheduler's dispatch does: within one
+        plan, the first record of a coalesce class runs the search, and
+        the others adopt its results rebound to their names
+        (:func:`~repro.sync.scheduler.rebind_results`) and copy its fresh
+        extent (:meth:`finalize_view` with ``like``).
         """
         if deferred is None:
             deferred = tuple(
@@ -1128,12 +1136,25 @@ class EVESystem:
                 for report in self.last_schedule
             )
         results: list[SynchronizationResult] = []
+        #: (plan, coalesce key) -> the leader's name and results.
+        leaders: dict[tuple, tuple[str, list[SynchronizationResult]]] = {}
         with self._extents.batch():
             for record in deferred:
-                replayed = self.replay_item(record.item, record.plan)
+                key = (id(record.plan), record.item.coalesce_key)
+                leader = leaders.get(key) if self.scheduler.coalesce else None
+                if leader is None:
+                    like = None
+                    replayed = self.replay_item(record.item, record.plan)
+                    leaders[key] = (record.view_name, replayed)
+                else:
+                    like, leader_results = leader
+                    replayed = list(
+                        rebind_results(leader_results, record.view_name)
+                    )
+                    self.adopt_results(replayed)
                 self._sync_log.extend(replayed)
                 results.extend(replayed)
-                self.finalize_view(record.view_name)
+                self.finalize_view(record.view_name, like)
         return results
 
     # ------------------------------------------------------------------
@@ -1229,15 +1250,17 @@ class EVESystem:
 
     def _capture_evaluation_plans(
         self, results: "Sequence[SynchronizationResult]"
-    ) -> tuple[list[dict], int]:
-        """EXPLAIN dicts for a batch's surviving materialized views.
+    ) -> tuple[list[EvaluationPlanCapture], int]:
+        """What the EXPLAIN plans of a batch's surviving materialized
+        views read; the report builds them on first read.
 
         Capped at :data:`~repro.report.PLAN_CAPTURE_LIMIT` plans chosen
         by sorted view name (deterministic under any executor); the
         returned total still counts every candidate.  Final actual
         cardinalities come from the just-rematerialized extents; a view
-        whose plan cannot be built (e.g. racing definition churn) is
-        skipped rather than failing the batch.
+        whose relations cannot all be looked up is skipped rather than
+        failing the batch, and one whose plan cannot be built is left
+        out of the report when it is read.
         """
         candidates = sorted(
             {
@@ -1246,23 +1269,35 @@ class EVESystem:
                 if result.survived and result.view_name in self._extents
             }
         )
-        plans: list[dict] = []
+        statistics = self.space.mkb.statistics
+        captures: list[EvaluationPlanCapture] = []
         for name in candidates[:PLAN_CAPTURE_LIMIT]:
             record = self.vkb.record(name)
             if not record.alive:
                 continue
+            view = record.current
+            relations = []
             try:
-                plan = explain_plans.explain_view(
-                    record.current,
-                    self.space.relation,
-                    self.space.mkb.statistics,
-                    config=self.config.engine,
-                )
-                plan.actual_rows = self._extents[name].cardinality
-            except Exception:  # noqa: BLE001 - best-effort EXPLAIN; plan dropped
+                for relation in view.relation_names:
+                    live = self.space.relation(relation)
+                    relations.append((
+                        relation,
+                        live.schema,
+                        live.cardinality,
+                        statistics.relations.get(relation),
+                    ))
+            except UnknownRelationError:
                 continue
-            plans.append(plan.to_dict())
-        return plans, len(candidates)
+            captures.append(
+                EvaluationPlanCapture(
+                    view,
+                    tuple(relations),
+                    statistics.join_selectivity,
+                    self.config.engine,
+                    self._extents[name].cardinality,
+                )
+            )
+        return captures, len(candidates)
 
     def _maintenance_plan_captures(
         self, flushes: "Sequence[MaintenanceFlush]"

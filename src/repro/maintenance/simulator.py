@@ -55,9 +55,12 @@ schema of each of its relations, its
 shape under the same placement share one program.  Each call re-checks
 the program against the definition object and against
 :attr:`~repro.relational.catalog.Catalog.epoch`, which every catalog
-write bumps: only when the epoch moved is the placement recomputed and
-compared.  Capability changes, rewritings and out-of-band catalog edits
-all land there, with no invalidation hook to miss.
+write bumps: only when the epoch moved and one of the view's own
+relation names was stamped by a write since the program was last
+confirmed (:meth:`~repro.relational.catalog.Catalog.stamp`) is the
+placement recomputed and compared.  Capability changes, rewritings and
+out-of-band catalog edits all land there, with no invalidation hook to
+miss.
 """
 
 from __future__ import annotations
@@ -360,9 +363,10 @@ class ViewMaintainer:
         """``view``'s compiled program.
 
         Reused while the view is maintained under the same definition
-        object and no catalog moved; when some catalog did move, the
-        view's placement is recomputed and the program kept if that
-        placement is unchanged.  Otherwise the view takes the program
+        object and no catalog write touched one of its relation names
+        since the program was last confirmed; when one did, the view's
+        placement is recomputed and the program kept if that placement
+        is unchanged.  Otherwise the view takes the program
         of its (fingerprint, placement) shape, compiling it if no other
         view of that shape holds one.
         """
@@ -372,6 +376,12 @@ class ViewMaintainer:
         held = self._programs.get(view.name)
         if held is not None and held.definition is view:
             if held.epoch == epoch:
+                return held.program
+            if all(
+                Catalog.stamp(name) <= held.epoch
+                for name in view.relation_names
+            ):
+                held.epoch = epoch
                 return held.program
             placement = self._space.placement(view.relation_names)
             if placement == held.program.placement:

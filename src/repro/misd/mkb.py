@@ -17,10 +17,21 @@ are themselves dropped, exactly like EVE's MKB Evolver.
 Every candidate rewriting reads the constraints of the relation it
 replaces, so per-relation lookups go through a relation -> constraints
 index instead of scanning every live and retired constraint.  The index
-is derived data: it is rebuilt in one pass on the first lookup after
-:attr:`MetaKnowledgeBase.version` moves, and every mutator bumps
-``version``.  Lookups return exactly what the linear scan would: live
-constraints before retired ones and insertion order within each; the
+is derived data, valid for the :attr:`MetaKnowledgeBase.version` it
+was last brought to.  Mutators that only move whole constraints —
+:meth:`~MetaKnowledgeBase.add_pc_constraint`,
+:meth:`~MetaKnowledgeBase.add_join_constraint` and
+:meth:`~MetaKnowledgeBase.on_relation_deleted` — patch it in place, and
+mutators that touch no constraint list leave it as it is; both keep it
+current across their ``version`` bump, so a salvage batch that deletes
+one relation pays for that relation's constraints, not for the whole
+knowledge base.  Renames, attribute deletes and
+:meth:`~MetaKnowledgeBase.retract_pc_constraint` rewrite or filter the
+lists wholesale: they leave the index stale, and the first lookup or
+relation delete after them rebuilds it in one pass (as after
+unpickling).  Lookups return
+exactly what the linear scan would: live constraints before retired
+ones, insertion order within each, and a self-join constraint once; the
 ``sync_*`` lookups then orient PC constraints from the looked-up
 relation and de-duplicate with ``dict.fromkeys``.
 Candidate generation walks these results in order, so the order fixes
@@ -48,17 +59,30 @@ _LIVE_JOIN = "join"
 _RETIRED_JOIN = "retired-join"
 
 
+def _relations_of(constraint: PCConstraint | JoinConstraint) -> tuple[str, ...]:
+    """The relations ``constraint`` is indexed under, each once (a
+    self-join constraint is listed once, as the scan finds it once)."""
+    if isinstance(constraint, PCConstraint):
+        # PCConstraint rejects self-relations, so the names differ.
+        return (constraint.left.relation, constraint.right.relation)
+    left, right = constraint.left_relation, constraint.right_relation
+    return (left,) if left == right else (left, right)
+
+
 class MetaKnowledgeBase:
     """Registry of schemas, constraints and statistics for the space.
 
     Per-relation constraint lookups are answered from an index keyed by
     ``(kind, relation)`` — kind is live or retired, PC or join — that is
-    valid only for the :attr:`version` it was built at (see the module
-    docstring for the order contract); :meth:`sync_pc_constraints`
-    results are memoized for the same version.  Neither is pickled; a
-    copy rebuilds them on first use.  Code that edits the constraint
-    lists must bump :attr:`version` — use :meth:`retract_pc_constraint`
-    rather than filtering them in place.
+    valid while ``_index_version`` equals :attr:`version` (see the
+    module docstring for the order contract); :meth:`sync_pc_constraints`
+    results are memoized alongside it.  Constraint adds and relation
+    deletes patch both in place, dropping only the memo entries of the
+    relations they touched; the other constraint-editing mutators leave
+    them stale and the next lookup rebuilds them.  Neither is pickled; a
+    copy rebuilds them on first use.  Only this class edits the
+    constraint lists, the index and the memo (repro-lint RL007) — use
+    :meth:`retract_pc_constraint` rather than filtering them in place.
     """
 
     def __init__(self, statistics: SpaceStatistics | None = None) -> None:
@@ -86,11 +110,12 @@ class MetaKnowledgeBase:
         self._historical_pc: list[PCConstraint] = []
         self._dropped_schemas: dict[str, Schema] = {}
         self.statistics = statistics if statistics is not None else SpaceStatistics()
-        # Derived from the lists above for one ``version`` (see
-        # :meth:`_indexed`); never pickled.
+        # Derived from the lists above, current while ``_index_version``
+        # equals ``version`` (see :meth:`_indexed`); never pickled.  The
+        # empty index of an empty MKB is current from the start.
         self._index: dict[tuple[str, str], list] = {}
         self._sync_pc: dict[str, tuple[PCConstraint, ...]] = {}
-        self._index_version = -1
+        self._index_version = self.version
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -111,31 +136,75 @@ class MetaKnowledgeBase:
 
     def _refresh_index(self) -> None:
         """Rebuild the index in one pass over the four constraint lists
-        (and drop the :meth:`sync_pc_constraints` memo) if ``version``
-        moved since it was built."""
+        (and drop the :meth:`sync_pc_constraints` memo) if it is stale:
+        after unpickling, or after a mutator that rewrote the lists."""
         if self._index_version != self.version:
             index: dict[tuple[str, str], list] = {}
             for key, constraints in (
                 (_LIVE_PC, self._pc_constraints),
                 (_RETIRED_PC, self._historical_pc),
-            ):
-                for pc in constraints:
-                    for name in (pc.left.relation, pc.right.relation):
-                        index.setdefault((key, name), []).append(pc)
-            for key, joins in (
                 (_LIVE_JOIN, self._join_constraints),
                 (_RETIRED_JOIN, self._historical_join),
             ):
-                for jc in joins:
-                    # A self-join constraint is listed once, as the scan
-                    # would find it once.
-                    for name in dict.fromkeys(
-                        (jc.left_relation, jc.right_relation)
-                    ):
-                        index.setdefault((key, name), []).append(jc)
+                for constraint in constraints:
+                    for name in _relations_of(constraint):
+                        index.setdefault((key, name), []).append(constraint)
             self._index = index
             self._sync_pc = {}
             self._index_version = self.version
+
+    def _advance(self) -> bool:
+        """Bump :attr:`version`, carrying a current index along.
+
+        For mutators that leave the constraint lists alone or patch the
+        index for what they change; returns whether the index was
+        current (and so must be patched).
+        """
+        current = self._index_version == self.version
+        self.version += 1
+        if current:
+            self._index_version = self.version
+        return current
+
+    def _file(self, kind: str, constraint: PCConstraint | JoinConstraint) -> None:
+        """Append ``constraint`` to its ``kind`` buckets (index patch)."""
+        for name in _relations_of(constraint):
+            self._index.setdefault((kind, name), []).append(constraint)
+            if kind in (_LIVE_PC, _RETIRED_PC):
+                self._sync_pc.pop(name, None)
+
+    def _retire_involving(
+        self, relation: str, live_kind: str, retired_kind: str,
+        live: list, retired: list,
+    ) -> list:
+        """Move ``live``'s constraints involving ``relation``, in order,
+        to the end of ``retired``, and patch the (current) index for
+        them; returns what stays live.
+
+        The index's ``relation`` bucket names the movers in list order,
+        so only the buckets of the relations they involve are touched.
+        """
+        moved = self._index.pop((live_kind, relation), None)
+        if not moved:
+            return live
+        retired.extend(moved)
+        gone = set(map(id, moved))
+        partners = dict.fromkeys(
+            name
+            for constraint in moved
+            for name in _relations_of(constraint)
+            if name != relation
+        )
+        for name in partners:
+            key = (live_kind, name)
+            kept = [c for c in self._index[key] if id(c) not in gone]
+            if kept:
+                self._index[key] = kept
+            else:
+                del self._index[key]
+        for constraint in moved:
+            self._file(retired_kind, constraint)
+        return [c for c in live if id(c) not in gone]
 
     def _snapshot_schema(self, relation: str, schema: Schema) -> None:
         """Record a pre-change snapshot, merging with earlier snapshots.
@@ -165,7 +234,7 @@ class MetaKnowledgeBase:
         statistics: RelationStatistics | None = None,
     ) -> None:
         """Register ``IS.R(A_1,...,A_n)`` with optional statistics."""
-        self.version += 1
+        self._advance()
         if schema.name in self._schemas:
             raise ConstraintError(
                 f"relation {schema.name!r} is already registered "
@@ -183,7 +252,7 @@ class MetaKnowledgeBase:
         the deleted relation's cardinality to size the *original* view
         extent it compares rewritings against.
         """
-        self.version += 1
+        self._advance()
         self._require(relation)
         del self._schemas[relation]
         del self._owners[relation]
@@ -247,7 +316,7 @@ class MetaKnowledgeBase:
     # Join constraints
     # ------------------------------------------------------------------
     def add_join_constraint(self, constraint: JoinConstraint) -> None:
-        self.version += 1
+        patch = self._advance()
         self._constraint_epoch += 1
         left = self._require(constraint.left_relation)
         right = self._require(constraint.right_relation)
@@ -264,6 +333,8 @@ class MetaKnowledgeBase:
                         "in either relation"
                     )
         self._join_constraints.append(constraint)
+        if patch:
+            self._file(_LIVE_JOIN, constraint)
 
     def join_constraints(
         self, relation: str | None = None
@@ -295,12 +366,14 @@ class MetaKnowledgeBase:
     # PC constraints
     # ------------------------------------------------------------------
     def add_pc_constraint(self, constraint: PCConstraint) -> None:
-        self.version += 1
+        patch = self._advance()
         self._constraint_epoch += 1
         left = self._require(constraint.left.relation)
         right = self._require(constraint.right.relation)
         constraint.check_against(left, right)
         self._pc_constraints.append(constraint)
+        if patch:
+            self._file(_LIVE_PC, constraint)
 
     def pc_constraints(
         self, relation: str | None = None
@@ -475,23 +548,24 @@ class MetaKnowledgeBase:
     # MKB evolution under capability changes (the MKB Evolver of Fig. 1)
     # ------------------------------------------------------------------
     def on_relation_deleted(self, relation: str) -> None:
-        """Drop the relation; retire (don't discard) constraints touching it."""
-        self.version += 1
+        """Drop the relation; retire (don't discard) constraints touching it.
+
+        The index is brought current first (rebuilt, if a rename or the
+        like left it stale) and then patched for the retired constraints.
+        """
+        self._refresh_index()
+        self._advance()
         if relation in self._schemas:
             self._snapshot_schema(relation, self._schemas[relation])
             self.deregister_relation(relation)
-        self._historical_join.extend(
-            jc for jc in self._join_constraints if jc.involves(relation)
+        self._join_constraints = self._retire_involving(
+            relation, _LIVE_JOIN, _RETIRED_JOIN,
+            self._join_constraints, self._historical_join,
         )
-        self._join_constraints = [
-            jc for jc in self._join_constraints if not jc.involves(relation)
-        ]
-        self._historical_pc.extend(
-            pc for pc in self._pc_constraints if pc.involves(relation)
+        self._pc_constraints = self._retire_involving(
+            relation, _LIVE_PC, _RETIRED_PC,
+            self._pc_constraints, self._historical_pc,
         )
-        self._pc_constraints = [
-            pc for pc in self._pc_constraints if not pc.involves(relation)
-        ]
 
     def on_relation_renamed(self, old: str, new: str) -> None:
         """Re-point the schema entry and rewrite constraints in place."""
@@ -592,7 +666,7 @@ class MetaKnowledgeBase:
 
     def on_attribute_added(self, relation: str, schema: Schema) -> None:
         """Record the grown schema (constraints are unaffected)."""
-        self.version += 1
+        self._advance()
         self._require(relation)
         self._schemas[relation] = schema
 

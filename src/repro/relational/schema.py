@@ -59,7 +59,7 @@ class Schema:
         "row_types",
         "key_position",
         "_attributes",
-        "_index",
+        "_positions",
         "_tuple_byte_size",
     )
 
@@ -69,13 +69,13 @@ class Schema:
         for attr in attributes:
             normalized.append(Attribute(attr) if isinstance(attr, str) else attr)
         self._attributes: tuple[Attribute, ...] = tuple(normalized)
-        self._index: dict[str, int] = {}
+        self._positions: dict[str, int] = {}
         for position, attr in enumerate(self._attributes):
-            if attr.name in self._index:
+            if attr.name in self._positions:
                 raise SchemaError(
                     f"duplicate attribute {attr.name!r} in schema {name!r}"
                 )
-            self._index[attr.name] = position
+            self._positions[attr.name] = position
         # Schemas are immutable, so the tuple width is fixed at birth;
         # computing it here keeps the per-message maintenance loop O(1).
         self._tuple_byte_size = sum(attr.byte_size for attr in self._attributes)
@@ -118,7 +118,7 @@ class Schema:
         return iter(self._attributes)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index
+        return name in self._positions
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Schema):
@@ -135,14 +135,14 @@ class Schema:
     def attribute(self, name: str) -> Attribute:
         """The attribute called ``name`` or :class:`UnknownAttributeError`."""
         try:
-            return self._attributes[self._index[name]]
+            return self._attributes[self._positions[name]]
         except KeyError:
             raise UnknownAttributeError(name, self.name) from None
 
     def position(self, name: str) -> int:
         """Zero-based index of attribute ``name``."""
         try:
-            return self._index[name]
+            return self._positions[name]
         except KeyError:
             raise UnknownAttributeError(name, self.name) from None
 
@@ -166,9 +166,9 @@ class Schema:
 
     def rename_attribute(self, old: str, new: str) -> "Schema":
         """Schema with attribute ``old`` renamed to ``new``."""
-        if old not in self._index:
+        if old not in self._positions:
             raise UnknownAttributeError(old, self.name)
-        if new in self._index and new != old:
+        if new in self._positions and new != old:
             raise SchemaError(f"attribute {new!r} already exists in {self.name!r}")
         return Schema(
             self.name,
@@ -177,7 +177,7 @@ class Schema:
 
     def drop_attribute(self, name: str) -> "Schema":
         """Schema without attribute ``name`` (must leave at least one)."""
-        if name not in self._index:
+        if name not in self._positions:
             raise UnknownAttributeError(name, self.name)
         remaining = [a for a in self._attributes if a.name != name]
         if not remaining:
@@ -186,7 +186,7 @@ class Schema:
 
     def add_attribute(self, attribute: Attribute) -> "Schema":
         """Schema with ``attribute`` appended."""
-        if attribute.name in self._index:
+        if attribute.name in self._positions:
             raise SchemaError(
                 f"attribute {attribute.name!r} already exists in {self.name!r}"
             )
@@ -200,7 +200,7 @@ class Schema:
         how SQL engines disambiguate.
         """
         merged: list[Attribute] = list(self._attributes)
-        taken = set(self._index)
+        taken = set(self._positions)
         for attr in other._attributes:
             name = attr.name
             if name in taken:

@@ -82,17 +82,20 @@ the API that did not run) so consumers can index unconditionally.  Keys
 are emitted sorted by :meth:`SystemReport.to_json`, making reports
 diff-stable across runs.
 
-Maintenance itineraries are built on read.  An ``apply_updates`` call
-keeps, per captured (view, updated relation) pair, only a
-:class:`MaintenancePlanCapture`: immutable references to the definition
-object, its placement (owner IS and ``Schema`` of each relation), the
-flush's counters and the frozen maintenance config.  Those are all
-:func:`~repro.esql.explain.explain_maintenance` reads, so the plan dicts
-built on the first read of :attr:`SystemReport.plans` (or of
+Plans are built on read.  A call keeps, per captured plan, only what
+that plan reads: an ``apply_updates`` call a
+:class:`MaintenancePlanCapture` per (view, updated relation) pair —
+immutable references to the definition object, its placement (owner IS
+and ``Schema`` of each relation), the flush's counters and the frozen
+maintenance config — and an ``apply_changes`` call an
+:class:`EvaluationPlanCapture` per salvaged view — the definition, each
+FROM relation's schema, live cardinality and statistics entry, the join
+selectivity, the frozen engine config and the extent's final
+cardinality.  Those are all :func:`~repro.esql.explain.explain_maintenance`
+and :func:`~repro.esql.explain.build_plan` read, so the plan dicts built
+on the first read of :attr:`SystemReport.plans` (or of
 ``to_dict()``/``to_json()``) equal the ones the call could have built,
-however the space moved since.  Evaluation plans read live
-cardinalities and mutable statistics, so ``apply_changes`` builds them
-during the call.
+however the space and its statistics moved since.
 """
 
 from __future__ import annotations
@@ -102,13 +105,15 @@ import json
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 from functools import cached_property
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
-from repro.config import MaintenanceConfig
+from repro.config import EngineConfig, MaintenanceConfig
 from repro.esql import explain
 from repro.esql.ast import ViewDefinition
 from repro.maintenance.counters import MaintenanceCounters
+from repro.misd.statistics import RelationStatistics, SpaceStatistics
 from repro.relational.columnar import KernelCounters
+from repro.relational.schema import Schema
 from repro.space.space import Placement, placement_maps
 from repro.sync.pipeline import StageCounters
 
@@ -117,6 +122,7 @@ if TYPE_CHECKING:  # imported lazily to avoid package cycles
     from repro.sync.scheduler import ScheduleReport
 
 __all__ = [
+    "EvaluationPlanCapture",
     "MaintenanceFlush",
     "MaintenancePlanCapture",
     "PLAN_CAPTURE_LIMIT",
@@ -242,9 +248,55 @@ class MaintenancePlanCapture:
         ).to_dict()
 
 
-#: One entry of a report's plans: a dict built during the call, or a
-#: capture built on first read.
-PlanSource = dict[str, Any] | MaintenancePlanCapture
+class _CapturedRelation(NamedTuple):
+    """What an evaluation plan reads of a FROM relation."""
+
+    schema: Schema
+    cardinality: int
+
+
+@dataclass(frozen=True)
+class EvaluationPlanCapture:
+    """Everything one evaluation plan reads, captured at call time.
+
+    The definition, the schemas and the config are immutable and held by
+    reference; cardinalities and statistics entries are copied out of
+    the live space, so :meth:`to_dict` renders, whenever it is called,
+    the plan the capturing call would have rendered.
+    """
+
+    view: ViewDefinition
+    #: Per FROM relation: its name, schema, live cardinality and
+    #: ``SpaceStatistics`` entry (None when it has none).
+    relations: tuple[
+        tuple[str, Schema, int, RelationStatistics | None], ...
+    ]
+    join_selectivity: float
+    config: EngineConfig
+    #: The rematerialized extent's cardinality.
+    actual_rows: int
+
+    def to_dict(self) -> dict[str, Any]:
+        """The :func:`~repro.esql.explain.build_plan` rendering."""
+        relations = {
+            name: _CapturedRelation(schema, cardinality)
+            for name, schema, cardinality, _ in self.relations
+        }
+        statistics = SpaceStatistics(
+            self.join_selectivity,
+            relations={
+                name: entry
+                for name, _, _, entry in self.relations
+                if entry is not None
+            },
+        )
+        plan = explain.build_plan(self.view, relations, statistics, self.config)
+        plan.actual_rows = self.actual_rows
+        return plan.to_dict()
+
+
+#: One entry of a report's plans, built on first read.
+PlanSource = EvaluationPlanCapture | MaintenancePlanCapture
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +316,7 @@ class SystemReport:
     #: only when a columnar plane executed).
     kernels: KernelCounters | None = None
     #: The call's EXPLAIN plans, at most :data:`PLAN_CAPTURE_LIMIT`:
-    #: evaluation plan dicts built by ``apply_changes``, maintenance
+    #: evaluation captures kept by ``apply_changes``, maintenance
     #: captures kept by ``apply_updates``.  Read them through
     #: :attr:`plans`.
     plan_sources: tuple[PlanSource, ...] = ()
@@ -281,7 +333,7 @@ class SystemReport:
         cls,
         results: "Sequence[SynchronizationResult]",
         schedules: "Sequence[ScheduleReport]",
-        plans: Sequence[dict[str, Any]] = (),
+        plans: Sequence[EvaluationPlanCapture] = (),
         plans_total: int | None = None,
         serving: dict[str, Any] | None = None,
     ) -> "SystemReport":
@@ -305,7 +357,7 @@ class SystemReport:
         flushes: Sequence[MaintenanceFlush],
         counters: MaintenanceCounters,
         kernels: KernelCounters | None = None,
-        plans: Sequence[PlanSource] = (),
+        plans: Sequence[MaintenancePlanCapture] = (),
         plans_total: int | None = None,
         serving: dict[str, Any] | None = None,
     ) -> "SystemReport":
@@ -328,12 +380,9 @@ class SystemReport:
         """EXPLAIN plan dicts for the call (see :mod:`repro.esql.explain`):
         evaluation plans for ``apply_changes``, maintenance itineraries
         for ``apply_updates``.  Built on first read and kept; a capture
-        whose itinerary cannot be built is left out."""
+        whose plan cannot be built is left out."""
         plans = []
         for source in self.plan_sources:
-            if isinstance(source, dict):
-                plans.append(source)
-                continue
             try:
                 plans.append(source.to_dict())
             except Exception:  # noqa: BLE001 - best-effort EXPLAIN; plan dropped

@@ -69,6 +69,7 @@ from repro.sync.pipeline import SearchPolicy, StageCounters
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.core.eve import SynchronizationResult
+    from repro.esql.ast import ViewDefinition
 
 
 #: One (batch position, change) entry of a per-view worklist.
@@ -776,7 +777,7 @@ class SynchronizationScheduler:
             leader = leaders.get(item.coalesce_key) if self.coalesce else None
             began = perf_counter()
             if leader is not None:
-                results = _rebind_results(leader.results, item.view_name)
+                results = rebind_results(leader.results, item.view_name)
                 runtime.adopt_results(results)
                 outcomes.append(
                     ItemOutcome(
@@ -803,7 +804,7 @@ class SynchronizationScheduler:
 # ----------------------------------------------------------------------
 # Coalescing support
 # ----------------------------------------------------------------------
-def _rebind_results(
+def rebind_results(
     results: "Sequence[SynchronizationResult]", view_name: str
 ):
     """Re-target a leader view's results onto a structurally identical
@@ -824,10 +825,13 @@ def _rebind_results(
     from repro.qc.model import Evaluation
 
     rebound = []
+    #: A search's candidates share the definition they rewrite, so the
+    #: follower's share one renamed copy of it (keyed by identity).
+    originals: dict[int, ViewDefinition] = {}
     for result in results:
         evaluations = tuple(
             Evaluation(
-                _rename_rewriting(evaluation.rewriting, view_name),
+                _rename_rewriting(evaluation.rewriting, view_name, originals),
                 evaluation.quality,
                 evaluation.cost,
                 evaluation.normalized_cost,
@@ -844,7 +848,9 @@ def _rebind_results(
                     break
             if chosen is None:  # chosen not aliased into the list
                 chosen = Evaluation(
-                    _rename_rewriting(result.chosen.rewriting, view_name),
+                    _rename_rewriting(
+                        result.chosen.rewriting, view_name, originals
+                    ),
                     result.chosen.quality,
                     result.chosen.cost,
                     result.chosen.normalized_cost,
@@ -869,11 +875,18 @@ def _rebind_results(
     return tuple(rebound)
 
 
-def _rename_rewriting(rewriting, view_name: str):
+def _rename_rewriting(
+    rewriting, view_name: str, originals: dict[int, ViewDefinition]
+):
     from repro.sync.rewriting import Rewriting
 
+    original = originals.get(id(rewriting.original))
+    if original is None:
+        original = originals[id(rewriting.original)] = (
+            rewriting.original.renamed(view_name)
+        )
     return Rewriting(
-        rewriting.original.renamed(view_name),
+        original,
         rewriting.view.renamed(view_name),
         rewriting.moves,
         rewriting.extent_relationship,

@@ -170,10 +170,10 @@ def _outcomes_from_rows(rows, by_order, outcomes) -> None:
     parent process) adopts them into the live VKB in plan order.
     Rebinding a follower here is exact: the leader's results are the
     very objects a worker-side rebind would have started from, and
-    :func:`~repro.sync.scheduler._rebind_results` never reads anything
+    :func:`~repro.sync.scheduler.rebind_results` never reads anything
     name-dependent.
     """
-    from repro.sync.scheduler import ItemOutcome, _rebind_results
+    from repro.sync.scheduler import ItemOutcome, rebind_results
 
     leaders: dict[int, tuple] = {}
     for row in rows:
@@ -188,7 +188,7 @@ def _outcomes_from_rows(rows, by_order, outcomes) -> None:
             )
         else:
             _, order, leader_order, seconds, degraded = row
-            results = _rebind_results(
+            results = rebind_results(
                 leaders[leader_order], by_order[order].view_name
             )
             outcomes.append(

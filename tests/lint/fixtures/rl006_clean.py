@@ -1,23 +1,27 @@
-"""RL006 clean fixture: the owner writes and moves the epoch; others read."""
+"""RL006 clean fixture: the owner writes, moves the epoch and stamps the
+names it wrote; others read."""
 
 
 class Catalog:
     epoch = 0
+    stamps = {}
 
     def __init__(self) -> None:
         self._relations = {}
 
     @staticmethod
-    def _moved() -> None:
+    def _moved(*names: str) -> None:
         Catalog.epoch += 1
+        for name in names:
+            Catalog.stamps[name] = Catalog.epoch
 
     def add(self, name: str, relation) -> None:
         self._relations[name] = relation
-        self._moved()
+        self._moved(name)
 
     def remove(self, name: str):
         relation = self._relations.pop(name)
-        self._moved()
+        self._moved(name)
         return relation
 
     def get(self, name: str):

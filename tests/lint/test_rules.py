@@ -21,6 +21,7 @@ from tools.repro_lint.rules import (
     rl004_extent_staging,
     rl005_broad_except,
     rl006_catalog_epoch,
+    rl007_mkb_index,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -183,17 +184,67 @@ def test_rl006_clean_fixture_passes():
 
 
 def test_rl006_guards_the_real_catalog():
-    """Every mutator of the real Catalog moves the epoch, and the rule
-    sees them: dropping one bump from a copy fires it."""
+    """Every mutator of the real Catalog moves the epoch and stamps the
+    names it wrote, and the rule sees them: dropping one bump from a
+    copy fires it, and so does dropping the names from one."""
     source = (REPO / "src" / "repro" / "relational" / "catalog.py").read_text()
+    bump = "        self._moved(relation.name)\n"
+    assert bump in source
     rule = rl006_catalog_epoch.CatalogEpochRule(owner_module="catalog")
     with tempfile.TemporaryDirectory() as tmp:
         module = Path(tmp) / "catalog.py"
         module.write_text(source)
         assert list(rule.check(Project.load([module]))) == []
-        module.write_text(source.replace("        self._moved()\n", "", 1))
+        module.write_text(source.replace(bump, "", 1))
+        (violation,) = rule.check(Project.load([module]))
+        assert "Catalog.add" in violation.message
+        assert "without calling _moved()" in violation.message
+        module.write_text(
+            source.replace(bump, "        self._moved()\n", 1)
+        )
         (violation,) = rule.check(Project.load([module]))
     assert "Catalog.add" in violation.message
+    assert "no relation name" in violation.message
+
+
+# ----------------------------------------------------------------------
+# RL007
+# ----------------------------------------------------------------------
+def test_rl007_flags_mkb_writes_outside_the_mkb_module():
+    rule = rl007_mkb_index.MKBIndexRule()
+    violations = check(rule, "rl007_bad.py")
+    # Two list-method calls, three stores (plain, del, augmented), a
+    # mutator through a subscript, a subscript store and ``+=``.
+    assert sorted(v.lineno for v in violations) == [
+        6, 7, 12, 13, 14, 19, 20, 21,
+    ]
+    messages = "\n".join(v.message for v in violations)
+    assert "mkb._index[].append" in messages
+    assert "mkb._sync_pc[]" in messages
+    assert all("repro.misd.mkb" in v.message for v in violations)
+
+
+def test_rl007_clean_fixture_passes():
+    rule = rl007_mkb_index.MKBIndexRule()
+    assert check(rule, "rl007_clean.py") == []
+
+
+def test_rl007_guards_the_real_mkb():
+    """The rule sees the real MKB's writes: as the owner module they are
+    allowed, and the same source under another module name fires."""
+    source = (REPO / "src" / "repro" / "misd" / "mkb.py").read_text()
+    with tempfile.TemporaryDirectory() as tmp:
+        module = Path(tmp) / "mkb.py"
+        module.write_text(source)
+        project = Project.load([module])
+        owner = rl007_mkb_index.MKBIndexRule(owner_module="mkb")
+        assert list(owner.check(project)) == []
+        flagged = {
+            v.message.split(":")[0]
+            for v in rl007_mkb_index.MKBIndexRule().check(project)
+        }
+    assert "self._pc_constraints.append" in flagged
+    assert "self._index_version" in flagged
 
 
 # ----------------------------------------------------------------------

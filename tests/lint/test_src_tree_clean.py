@@ -38,4 +38,6 @@ def test_src_tree_is_clean_via_module_invocation():
 def test_every_registered_rule_participates_in_the_gate():
     codes = [rule.code for rule in default_rules()]
     assert codes == sorted(codes)
-    assert codes == ["RL001", "RL002", "RL003", "RL004", "RL005", "RL006"]
+    assert codes == [
+        "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
+    ]

@@ -12,10 +12,14 @@ a :meth:`~repro.config.SystemConfig.reference` replay agree on errors,
 extents and CF_M/CF_T/CF_IO counters.
 
 ``V3`` is ``V2`` under another name, so the two share one compiled
-program until a rewriting or redefinition sets them apart.  The same
-replays also check that an ``apply_updates`` report's maintenance
-itineraries, built only when the report is first read, equal the ones
-captured eagerly at call time.
+program until a rewriting or redefinition sets them apart.  Out-of-band
+churn in other catalogs moves the process-wide catalog epoch without
+touching a view's relations, so the programs of views over untouched
+names are kept without a placement check.  The same replays also check
+that a report's plans — an ``apply_updates`` call's maintenance
+itineraries and an ``apply_changes`` call's evaluation plans — built
+only when the report is first read, equal the ones captured eagerly at
+call time.
 """
 
 import json
@@ -95,6 +99,8 @@ STEPS = st.one_of(
                 "oob_rename_attribute",
                 "oob_rehost_moved",
                 "oob_rehost_retyped",
+                "oob_churn",
+                "oob_drop",
             ]
         ),
         st.integers(0, 9),
@@ -169,6 +175,13 @@ def concrete(step, eve: EVESystem, counter: int):
     if kind == "oob_rehost_moved":
         target = _pick([s for s in space.source_names if s != owner], argument)
         return ("oob_rehost", owner, name, target, False)
+    if kind == "oob_churn":
+        # Host and drop a relation of a fresh name in some catalog.
+        return ("oob_churn", _pick(space.source_names, argument), f"Z{counter}")
+    if kind == "oob_drop":
+        return ("oob_drop", owner, name)
+    if kind == "statistics":
+        return ("statistics", name, argument)
     return ("oob_rehost", owner, name, owner, True)
 
 
@@ -214,6 +227,25 @@ def run_step(eve: EVESystem, step):
         if kind == "oob_rename_attribute":
             _, owner, name, old, new = step
             eve.space.source(owner).catalog.rename_attribute(name, old, new)
+            return ("ok",)
+        if kind == "oob_churn":
+            _, owner, name = step
+            catalog = eve.space.source(owner).catalog
+            catalog.add(Relation(Schema(name, ["A"])))
+            catalog.remove(name)
+            return ("ok",)
+        if kind == "oob_drop":
+            eve.space.source(step[1]).catalog.remove(step[2])
+            return ("ok",)
+        if kind == "statistics":
+            _, name, argument = step
+            eve.space.mkb.statistics.register(
+                name,
+                RelationStatistics(
+                    cardinality=3 * argument + 1,
+                    selectivity=(argument % 4) / 4,
+                ),
+            )
             return ("ok",)
         _, owner, name, target, retype = step
         relation = eve.space.source(owner).catalog.remove(name)
@@ -310,6 +342,62 @@ WARM_UP = ("updates", [(0, "insert", (2, 1)), (1, "insert", (2, 2))])
 )
 def test_program_moves_with_its_inputs(edit):
     replay_and_compare(TABLES, [WARM_UP, edit, WARM_UP, WARM_UP])
+
+
+CHURN = [("oob_churn", 0), ("oob_churn", 1), ("oob_churn", 2)]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        ("rename_relation", 0),  # R renamed by a capability change
+        ("rename_relation", 1),  # S renamed: V0 and V1 are rewritten
+        ("oob_rehost_moved", 0),  # R moves from IS1 to IS2
+        ("oob_drop", 0),  # R leaves its catalog out of band
+        ("oob_drop", 2),  # T leaves its catalog out of band
+        ("delete_relation", 1),  # S dropped: V0 and V1 move to U
+    ],
+)
+def test_program_follows_its_relation_while_other_catalogs_churn(edit):
+    replay_and_compare(
+        TABLES, [WARM_UP, *CHURN, WARM_UP, edit, *CHURN, WARM_UP, WARM_UP]
+    )
+
+
+class PlacementCounter:
+    """The maintainer's view of the space, counting placement calls."""
+
+    def __init__(self, space: InformationSpace) -> None:
+        self.space = space
+        self.calls: list[tuple[str, ...]] = []
+
+    def placement(self, relations):
+        self.calls.append(tuple(relations))
+        return self.space.placement(relations)
+
+    def __getattr__(self, name):
+        return getattr(self.space, name)
+
+
+def test_churn_elsewhere_skips_the_placement_check():
+    eve = build_eve(SystemConfig(), TABLES)
+    run_step(eve, concrete(WARM_UP, eve, 0))
+    programs = {
+        name: held.program for name, held in eve.maintainer._programs.items()
+    }
+    eve.maintainer._space = counter_space = PlacementCounter(eve.space)
+    calls = counter_space.calls
+    for counter, step in enumerate(CHURN, start=1):
+        run_step(eve, concrete(step, eve, counter))
+    run_step(eve, concrete(WARM_UP, eve, 4))
+    assert calls == []  # the epoch moved, but no view's names did
+    run_step(eve, concrete(("oob_rename_attribute", 2), eve, 5))  # T.E
+    run_step(eve, ("updates", [("R", "insert", (4, 4)), ("S", "insert", (4, 4))]))
+    # Only V1 reads T, so only its placement is re-derived.
+    assert calls == [("S", "T")]
+    assert {
+        name: held.program for name, held in eve.maintainer._programs.items()
+    } == {**programs, "V1": eve.maintainer._programs["V1"].program}
 
 
 def test_a_dead_view_leaves_no_program():
@@ -425,6 +513,77 @@ def test_plans_read_late_equal_plans_captured_at_call_time(data):
     replay_reports(*data)
 
 
+# ----------------------------------------------------------------------
+# Evaluation plans are built when a report is first read, too.
+# ----------------------------------------------------------------------
+def eager_evaluation_plans(eve: EVESystem) -> list[dict]:
+    """The evaluation plans of ``eve.last_report`` as an eager capture
+    builds them at call time, from the live space and statistics."""
+    candidates = sorted(
+        {
+            row.view
+            for row in eve.last_report.synchronizations
+            if row.survived and row.view in eve._extents
+        }
+    )
+    plans = []
+    for name in candidates[:PLAN_CAPTURE_LIMIT]:
+        record = eve.vkb.record(name)
+        if not record.alive:
+            continue
+        try:
+            plan = explain.build_plan(
+                record.current,
+                eve.space.relation,
+                eve.space.mkb.statistics,
+                eve.config.engine,
+            )
+        except Exception:  # noqa: BLE001 - an eager capture drops it too
+            continue
+        plan.actual_rows = eve.extent(name).cardinality
+        plans.append(plan.to_dict())
+    return plans
+
+
+REPORT_STEPS = st.one_of(
+    STEPS, st.tuples(st.just("statistics"), st.integers(0, 9))
+)
+
+
+@st.composite
+def change_episodes(draw):
+    tables = [draw(st.lists(ROWS, max_size=6)) for _ in range(3)]
+    return tables, draw(st.lists(REPORT_STEPS, min_size=1, max_size=10))
+
+
+@given(change_episodes())
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_evaluation_plans_read_late_equal_plans_captured_at_call_time(data):
+    """``apply_changes`` reports read only after later data updates,
+    deletes, renames and statistics registrations render the plans an
+    eager capture built at call time (the twin system's report differs
+    only in wall-clock timings, so the plans section is compared)."""
+    tables, steps = data
+    early = build_eve(SystemConfig(), tables)
+    late = build_eve(SystemConfig(), tables)
+    held = []
+    for counter, abstract in enumerate(steps):
+        step = concrete(abstract, early, counter)
+        if step is None:
+            continue
+        assert run_step(late, step) == run_step(early, step), step
+        if step[0] == "change" and early.last_report.operation == "apply_changes":
+            expected = json.loads(early.last_report.to_json())["plans"]
+            assert expected["views"] == eager_evaluation_plans(early), step
+            held.append((late.last_report, expected))
+    for report, expected in held:
+        assert json.loads(report.to_json())["plans"] == expected
+
+
 def test_unread_reports_build_no_plans(monkeypatch):
     calls = []
     original = explain.explain_maintenance
@@ -445,6 +604,31 @@ def test_unread_reports_build_no_plans(monkeypatch):
     ]
     report.to_json()
     assert calls == ["V0", "V2", "V3", "V0", "V1"]
+
+
+def test_unread_change_reports_build_no_evaluation_plans(monkeypatch):
+    calls = []
+    original = explain.build_plan
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(explain, "build_plan", counted)
+    eve = build_eve(SystemConfig(), TABLES)
+    run_step(eve, concrete(WARM_UP, eve, 0))
+    # S.C renamed: V0 and V1 are rewritten and rematerialized.
+    run_step(eve, ("change", "rename_attribute", "IS2", "S", "C", 1))
+    run_step(eve, concrete(WARM_UP, eve, 2))
+    report = eve.last_report
+    run_step(eve, ("change", "rename_attribute", "IS1", "R", "B", 3))
+    assert calls == []
+    assert report.operation == "apply_updates"
+    report = eve.last_report
+    # R.B renamed: V0, V2 and V3 are rewritten; reading builds each once.
+    assert [plan["view"] for plan in report.plans] == ["V0", "V2", "V3"]
+    report.to_json()
+    assert calls == ["V0", "V2", "V3"]
 
 
 class TestOwnerOf:

@@ -3,17 +3,22 @@
 Random sequences of capability changes applied through the information
 space must never leave dangling constraints (the MKB Consistency Checker
 finds nothing), and retired knowledge must keep growing monotonically.
-Interleaved with constraint additions, every per-relation lookup the
-MKB serves from its relation index must equal a linear scan over the
-live and retired constraint lists, in the same order — also after a
-pickle round trip.
+Interleaved with constraint additions (self-join constraints and
+duplicates of live constraints among them), every per-relation lookup
+the MKB serves from its relation index must equal a linear scan over
+the live and retired constraint lists, in the same order — whether the
+index was patched in place or rebuilt after a run of changes with no
+lookup in between, and also after a pickle round trip.
 """
 
+import dataclasses
 import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConstraintError
 from repro.misd.constraints import (
     JoinConstraint,
     PCConstraint,
@@ -58,7 +63,7 @@ change_ops = st.lists(
     st.tuples(
         st.sampled_from(
             ["delete_relation", "delete_attribute", "rename_attribute",
-             "rename_relation", "add_pc", "add_join"]
+             "rename_relation", "add_pc", "add_join", "dup_pc", "dup_join"]
         ),
         st.sampled_from(RELATIONS),
         st.sampled_from(ATTRS),
@@ -68,9 +73,27 @@ change_ops = st.lists(
 )
 
 
+def add_duplicate(mkb, kind, nonce):
+    """Re-add a live constraint picked by ``nonce``: the same object for
+    even nonces, an equal copy for odd ones; False when none is live."""
+    live = mkb.pc_constraints() if kind == "dup_pc" else mkb.join_constraints()
+    if not live:
+        return False
+    constraint = live[nonce % len(live)]
+    if nonce % 2:
+        constraint = dataclasses.replace(constraint)
+    if kind == "dup_pc":
+        mkb.add_pc_constraint(constraint)
+    else:
+        mkb.add_join_constraint(constraint)
+    return True
+
+
 def add_constraint(mkb, kind, relation, attribute, nonce):
     """Add a PC or join constraint between two live relations (picked by
     ``relation``'s position and ``nonce``); False when none applies."""
+    if kind in ("dup_pc", "dup_join"):
+        return add_duplicate(mkb, kind, nonce)
     live = list(mkb)
     if not live:
         return False
@@ -84,6 +107,13 @@ def add_constraint(mkb, kind, relation, attribute, nonce):
         mkb.add_join_constraint(JoinConstraint(left, right, Condition([clause])))
         return True
     if left == right:
+        # A self-relation PC cannot even be built, so no MKB holds one.
+        with pytest.raises(ConstraintError):
+            PCConstraint(
+                RelationFragment(left, (attribute,)),
+                RelationFragment(right, (attribute,)),
+                PCRelationship.SUBSET,
+            )
         return False
     mkb.add_pc_constraint(
         PCConstraint(
@@ -99,7 +129,7 @@ def apply_ops(space, operations):
     """Apply each op when still applicable; returns #applied."""
     applied = 0
     for kind, relation, attribute, nonce in operations:
-        if kind in ("add_pc", "add_join"):
+        if kind in ("add_pc", "add_join", "dup_pc", "dup_join"):
             applied += add_constraint(space.mkb, kind, relation, attribute, nonce)
             continue
         if not space.has_relation(relation):
@@ -251,20 +281,63 @@ def indexed_lookups(mkb, names):
     return answers
 
 
-@given(change_ops)
-@settings(max_examples=100, deadline=None)
-def test_indexed_lookups_equal_linear_scan(operations):
+@given(change_ops, st.lists(st.booleans(), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_indexed_lookups_equal_linear_scan(operations, looks):
+    """Looking up after an op keeps the index current, so the next
+    constraint add or relation delete patches it; runs of ops with no
+    lookup between them (``looks`` cycles) leave it stale after a
+    rename, attribute delete or retraction, and the next lookup
+    rebuilds it."""
     space = build_space()
     mkb = space.mkb
     seen = dict.fromkeys(RELATIONS)
-    for op in operations:
+    for position, op in enumerate(operations):
         apply_ops(space, [op])
         seen.update(dict.fromkeys(mkb))
+        last = position == len(operations) - 1
+        if not (last or looks[position % len(looks)]):
+            continue
         names = list(seen)  # renamed-away and deleted names included
         expected = scanned_lookups(mkb, names)
         assert indexed_lookups(mkb, names) == expected
         copy = pickle.loads(pickle.dumps(mkb))
         assert indexed_lookups(copy, names) == expected
+
+
+def test_index_patch_keeps_duplicates_and_self_joins_in_list_order():
+    """Same-object and equal duplicates move together when a relation is
+    deleted, and a self-join is listed once, patched or rebuilt."""
+    space = build_space()
+    mkb = space.mkb
+    mkb.sync_pc_constraints("R1")  # current index: what follows patches
+    r0_r1 = mkb.pc_constraints("R0")[0]
+    mkb.add_pc_constraint(r0_r1)
+    mkb.add_pc_constraint(
+        PCConstraint(r0_r1.left, r0_r1.right, r0_r1.relationship)
+    )
+    self_join = JoinConstraint(
+        "R1", "R1", Condition([parse_condition_clause("R1.A = R1.B")])
+    )
+    mkb.add_join_constraint(self_join)
+    assert mkb._index_version == mkb.version  # patched, not stale
+    assert mkb.join_constraints("R1")[-1] is self_join
+    assert mkb.join_constraints("R1").count(self_join) == 1
+    space.delete_relation("R1")
+    assert mkb._index_version == mkb.version
+    names = [*RELATIONS]
+    patched = indexed_lookups(mkb, names)
+    assert patched == scanned_lookups(mkb, names)
+    assert mkb.sync_join_constraints("R1").count(self_join) == 1
+    # Live-list order: R0/R1, R1/R2, then the same R0/R1 object again
+    # and its equal copy.
+    assert [pc == r0_r1 for pc in mkb._historical_pc] == [
+        True, False, True, True,
+    ]
+    assert mkb._historical_pc[2] is r0_r1
+    copy = pickle.loads(pickle.dumps(mkb))
+    assert copy._index_version != copy.version
+    assert indexed_lookups(copy, names) == patched
 
 
 def test_index_is_left_out_of_the_pickled_state():

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.config import ScheduleConfig
+from repro.config import ScheduleConfig, SystemConfig
 from repro.core.eve import EVESystem
 from repro.errors import (
     ConfigurationError,
@@ -22,13 +22,18 @@ from repro.space.changes import (
     RenameRelation,
 )
 from repro.space.space import InformationSpace
-from repro.sync.pipeline import SearchPolicy, StageCounters
+from repro.sync.pipeline import (
+    RewritingSearchPipeline,
+    SearchPolicy,
+    StageCounters,
+)
 from repro.sync.scheduler import (
     BatchWorkPlan,
     SynchronizationScheduler,
     ViewWorkItem,
     build_work_plan,
 )
+from repro.workloadgen.scenarios import build_scheduler_stress_scenario
 
 
 # ----------------------------------------------------------------------
@@ -332,6 +337,14 @@ class TestSystemIntegration:
                 plain.extent(view).rows
             )
             assert coalesced.vkb.current(view).name == view
+        # The follower's evaluations equal its own search's.
+        searched = build_system(materialize=True).apply_changes(
+            [DeleteRelation("IS0", "R0")],
+            scheduler=SynchronizationScheduler(ScheduleConfig(coalesce=False)),
+        )
+        follower = results[1]
+        assert follower.view_name == searched[1].view_name == "V1"
+        assert follower.evaluations == searched[1].evaluations
 
     def test_where_order_variants_never_coalesce(self):
         # fingerprint_view (the assessment cache's) sorts WHERE
@@ -505,6 +518,72 @@ class TestSystemIntegration:
         assert [r.view_name for r in resumed] == ["V0", "V1"]
         assert sorted(eve.extent("V0").rows) == sorted(
             reference.extent("V0").rows
+        )
+
+    def test_resume_coalesces_like_dispatch(self, monkeypatch):
+        """Resuming a zero-budget deferral of the 1k-view stress storm
+        runs one search per coalesce class (100), not one per view, and
+        ends where a one-search-per-view reference replay ends."""
+        def build(config):
+            scenario = build_scheduler_stress_scenario()
+            eve = EVESystem(space=scenario.space, config=config)
+            for view in scenario.views:
+                eve.define_view(view)
+            return eve, scenario.changes
+
+        def outcome(eve, results):
+            return (
+                [
+                    (
+                        result.view_name,
+                        result.chosen.rewriting.view
+                        if result.chosen is not None
+                        else None,
+                        result.chosen.qc if result.chosen is not None else None,
+                    )
+                    for result in results
+                ],
+                fingerprint(eve),
+                {
+                    record.name: sorted(eve.extent(record.name).rows)
+                    for record in eve.vkb
+                    if record.alive
+                },
+            )
+
+        eve, changes = build(SystemConfig())
+        searches = []
+        search = RewritingSearchPipeline.search
+
+        def counted(pipeline, *args, **kwargs):
+            searches.append(1)
+            return search(pipeline, *args, **kwargs)
+
+        monkeypatch.setattr(RewritingSearchPipeline, "search", counted)
+        assert eve.apply_changes(
+            changes,
+            scheduler=SynchronizationScheduler(
+                ScheduleConfig(budget=0.0, degrade="defer")
+            ),
+        ) == []
+        assert searches == []
+        resumed = eve.resume_deferred()
+        assert len(resumed) == 1000
+        assert len(searches) == 100
+        monkeypatch.undo()
+        # A search's candidates rewrite one definition; a follower's
+        # rebound candidates share one renamed copy of it, too.
+        for result in resumed:
+            assert len(result.evaluations) > 1
+            assert len(
+                {id(e.rewriting.original) for e in result.evaluations}
+            ) == 1
+
+        reference, _ = build(SystemConfig.reference())
+        replayed = reference.apply_changes(changes)
+        assert outcome(eve, resumed) == outcome(reference, replayed)
+        assert outcome(eve, eve.synchronization_log) == outcome(
+            reference, reference.synchronization_log
         )
 
     def test_work_plan_is_immutable(self):

@@ -70,6 +70,8 @@ class CallSite:
     #: Positional arguments that are bare names (callables passed
     #: around, e.g. ``pool.map(_replay_group_in_fork, ...)``).
     arg_names: tuple[str, ...]
+    #: How many positional arguments the call passes, of any form.
+    arg_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -250,6 +252,7 @@ class _Walker(ast.NodeVisitor):
                 col=node.col_offset,
                 keywords=keywords,
                 arg_names=arg_names,
+                arg_count=len(node.args),
             )
         )
         self.generic_visit(node)

@@ -79,6 +79,7 @@ from tools.repro_lint.rules import (  # noqa: E402 - registry population
     rl004_extent_staging,
     rl005_broad_except,
     rl006_catalog_epoch,
+    rl007_mkb_index,
 )
 
 __all__ += [
@@ -88,4 +89,5 @@ __all__ += [
     "rl004_extent_staging",
     "rl005_broad_except",
     "rl006_catalog_epoch",
+    "rl007_mkb_index",
 ]
