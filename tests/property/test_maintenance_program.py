@@ -575,8 +575,11 @@ def test_evaluation_plans_read_late_equal_plans_captured_at_call_time(data):
         step = concrete(abstract, early, counter)
         if step is None:
             continue
-        assert run_step(late, step) == run_step(early, step), step
-        if step[0] == "change" and early.last_report.operation == "apply_changes":
+        outcome = run_step(late, step)
+        assert outcome == run_step(early, step), step
+        # A change that raised (say, rematerializing a view an out-of-band
+        # rename left stale) leaves no report of its own to compare.
+        if step[0] == "change" and outcome[0] == "ok":
             expected = json.loads(early.last_report.to_json())["plans"]
             assert expected["views"] == eager_evaluation_plans(early), step
             held.append((late.last_report, expected))
