@@ -40,6 +40,7 @@ in seconds.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -331,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     # Mode marker for the CI regression gate: smoke-scale timings are
     # not comparable with committed full-run baselines.
-    payload["config"] = {"smoke": args.smoke}
+    payload["config"] = {"smoke": args.smoke, "cpus": os.cpu_count() or 1}
     if not args.no_json:
         path = emit_json("maintenance", payload)
         print(f"wrote {path}")

@@ -133,14 +133,14 @@ class SynchronizationResult:
 class _PendingMaintenance:
     """One view's unflushed update run inside :meth:`EVESystem.apply_updates`.
 
-    Carries the updates in stream order, the set of relations present
-    (the O(1) fast path of the join-graph boundary test), and the
-    cardinality overlays a deferred flush must price modeled I/O
-    against.  Overlays are captured *only at skip events*: between two
-    boundary events none of a pending update's priced relations can
-    change (any update to a relation the view references is itself a
-    boundary), so every update enqueued before a skip shares the
-    catalog state captured at that skip, and updates after the last
+    Carries the updates in stream order, the relations present in order
+    of first appearance (the O(1) fast path of the join-graph boundary
+    test), and the cardinality overlays a deferred flush must price
+    modeled I/O against.  Overlays are captured *only at skip events*:
+    between two boundary events none of a pending update's priced
+    relations can change (any update to a relation the view references
+    is itself a boundary), so every update enqueued before a skip shares
+    the catalog state captured at that skip, and updates after the last
     skip price the live catalog.  The common single-relation storm
     therefore allocates nothing per update.
     """
@@ -149,16 +149,22 @@ class _PendingMaintenance:
 
     def __init__(self) -> None:
         self.updates: list[DataUpdate] = []
-        self.relations: set[str] = set()
+        self.relations: dict[str, None] = {}
         #: (end_index, sizes): updates[:end_index] not covered by an
         #: earlier entry price against ``sizes``; past the last entry,
         #: against the live catalog.
         self.closed: list[tuple[int, dict[str, int]]] = []
 
-    def append(self, update: DataUpdate) -> None:
-        """Queue one update for the next flush of this view."""
-        self.updates.append(update)
-        self.relations.add(update.relation)
+    def extend(self, updates: list[DataUpdate]) -> None:
+        """Queue a landed same-relation run for the next flush of this
+        view."""
+        self.updates.extend(updates)
+        self.relations[updates[0].relation] = None
+
+    def foreign(self, relation: str) -> bool:
+        """Whether updates at a relation other than ``relation`` are
+        queued."""
+        return len(self.relations) > 1 or relation not in self.relations
 
     def mark_boundary(self, sizes: dict[str, int]) -> None:
         """A skipped foreign update is about to change the catalog:
@@ -510,10 +516,14 @@ class EVESystem:
 
         Each entry is ``(relation, kind, row)`` with ``kind`` an
         :class:`~repro.space.updates.UpdateKind` (or its string value).
-        Updates are applied to their owning sources in stream order;
-        instead of propagating each one through every referencing view
-        immediately (the per-update listener path), updates accumulate
-        per affected materialized view and flow through
+        The stream is cut into *runs* of consecutive updates at one
+        relation; each run lands on its owning source in one pass
+        (:meth:`~repro.space.space.InformationSpace.apply_run`), in
+        stream order, and ``on_data_update`` listeners see each of its
+        updates once the run has landed.  Instead of propagating each
+        update through every referencing view immediately (the
+        per-update listener path), updates accumulate per affected
+        materialized view and flow through
         :meth:`~repro.maintenance.simulator.ViewMaintainer.maintain_batch`
         — one view resolution and one compiled tuple pipeline per run.
 
@@ -526,9 +536,13 @@ class EVESystem:
         the view's WHERE clauses linking its relation to each pending
         update's relation (plus the incoming relation's local
         selections), and when every pending delta provably cannot join
-        the row — a failed equijoin key, a failed local filter — the
-        batch keeps growing across the boundary.  Modeled CF_IO prices
-        each update against an enqueue-time cardinality snapshot
+        the row — a failed equijoin key, a failed local selection — the
+        batch keeps growing across the boundary.  A view whose pending
+        updates all sit on the run's relation needs no test, so a run
+        lands whole unless a view with foreign pending updates is
+        waiting; that view gets the test row by row, each row landing
+        as a run of one.  Modeled CF_IO prices each update against an
+        enqueue-time cardinality snapshot
         (:class:`~repro.maintenance.simulator.ViewMaintainer`'s
         ``relation_sizes`` overlay), so deferred flushes charge exactly
         what the sequential protocol charged even though the catalog
@@ -538,6 +552,11 @@ class EVESystem:
         can actually reach a pending delta force per-update work; never
         wrong extents, never drifted counters
         (``tests/property/test_delta_parity.py``).
+
+        A failing update (a delete of a missing row, a row of the wrong
+        type, a malformed entry) raises the per-update protocol's error
+        at its position: the updates before it stay applied, and every
+        pending view is still flushed.
 
         Returns the maintenance counters accumulated by the stream;
         per-flush accounting lands in :attr:`last_report` and on
@@ -559,67 +578,90 @@ class EVESystem:
                 record.current, extent, work.updates,
                 relation_sizes=work.overlays(),
             )
-            relations: list[str] = []
-            for update in work.updates:
-                if update.relation not in relations:
-                    relations.append(update.relation)
+            relations = tuple(work.relations)
             flushes.append(
                 MaintenanceFlush(
-                    view_name, tuple(relations), len(work.updates), charged
+                    view_name, relations, len(work.updates), charged
                 )
             )
             if self._observed(ViewMaintained):
                 self.events.emit(
                     ViewMaintained(
-                        view_name,
-                        tuple(relations),
-                        len(work.updates),
-                        charged,
+                        view_name, relations, len(work.updates), charged
                     )
                 )
 
-        was_deferred = self._defer_maintenance
-        self._defer_maintenance = True
-        # The whole stream commits as one atomic extent version: a
-        # concurrent snapshot reader sees every flush or none.
-        self._extents._begin_batch()
-        try:
-            for relation, kind, row in updates:
-                kind = UpdateKind(kind) if isinstance(kind, str) else kind
-                row = tuple(row)
+        def land(relation: str, run: list[tuple[bool, tuple]]) -> None:
+            """Land one same-relation run, cut before every row that a
+            view with foreign pending updates must test first."""
+            referencing = self.vkb.views_referencing(relation)
+            start, end = 0, len(run)
+            while start < end:
+                stop = end
                 # Flush any view whose pending deltas could actually
-                # join against this relation once the update lands; a
-                # view that safely batches across the boundary instead
-                # freezes its pricing state (the landing update changes
-                # a cardinality its pending deltas are priced by).
-                referencing = list(self.vkb.views_referencing(relation))
+                # join against the next row once it lands; a view that
+                # safely batches across the boundary instead freezes its
+                # pricing state (the landing row changes a cardinality
+                # its pending deltas are priced by).
                 for record in referencing:
                     work = pending.get(record.name)
-                    if work is None:
+                    if work is None or not work.foreign(relation):
                         continue
+                    stop = start + 1
                     if self._pending_joins_update(
-                        record.current, work, relation, row
+                        record.current, work, relation, run[start][1]
                     ):
                         flush(record.name)
-                    elif work.relations - {relation}:
+                    else:
                         work.mark_boundary(
                             {
                                 name: self.space.relation(name).cardinality
                                 for name in record.current.relation_names
                             }
                         )
-                if kind is UpdateKind.INSERT:
-                    update = self.space.insert(relation, row)
-                else:
-                    update = self.space.delete(relation, row)
-                for record in referencing:
-                    if record.name in self._extents:
-                        work = pending.get(record.name)
-                        if work is None:
-                            work = pending[record.name] = (
-                                _PendingMaintenance()
-                            )
-                        work.append(update)
+                stretch = run if stop - start == end else run[start:stop]
+                landed = self.space.apply_run(relation, stretch)
+                if landed:
+                    for record in referencing:
+                        name = record.name
+                        if name in self._extents:
+                            work = pending.get(name)
+                            if work is None:
+                                work = pending[name] = _PendingMaintenance()
+                            work.extend(landed)
+                if len(landed) < len(stretch):
+                    # The update the run stopped at fails one by one as
+                    # well, raising the per-update protocol's error.
+                    insert, row = stretch[len(landed)]
+                    if insert:
+                        self.space.insert(relation, row)
+                    else:
+                        self.space.delete(relation, row)
+                start = stop
+
+        was_deferred = self._defer_maintenance
+        self._defer_maintenance = True
+        # The whole stream commits as one atomic extent version: a
+        # concurrent snapshot reader sees every flush or none.
+        self._extents._begin_batch()
+        run_relation = ""
+        run: list[tuple[bool, tuple]] = []
+        try:
+            try:
+                for relation, kind, row in updates:
+                    if relation != run_relation:
+                        if run:
+                            landing, run = run, []
+                            land(run_relation, landing)
+                        run_relation = relation
+                    if isinstance(kind, str):
+                        kind = UpdateKind(kind)
+                    run.append((kind is UpdateKind.INSERT, tuple(row)))
+            finally:
+                # The last run lands here, and so do the updates read
+                # before a malformed entry, as they would one at a time.
+                if run:
+                    land(run_relation, run)
         finally:
             # Pending batches cover updates that already landed on the
             # sources, so they are flushed even when the stream fails
@@ -686,7 +728,7 @@ class EVESystem:
         propagation too.  Undecidable edges (three-relation chains,
         stale schemas) conservatively force the flush.
         """
-        if not (work.relations - {relation}):
+        if not work.foreign(relation):
             return False  # single-relation run at the incoming relation
         foreign = [u for u in work.updates if u.relation != relation]
         if len(foreign) > self._JOIN_ANALYSIS_LIMIT:
@@ -1318,7 +1360,7 @@ class EVESystem:
                 continue
             view = record.current
             try:
-                placement = self.space.placement(view.relation_names)
+                placement = self.maintainer.placement_of(view)
             except UnknownRelationError:
                 continue  # a relation left the space since the flush
             actual = {

@@ -68,7 +68,6 @@ from __future__ import annotations
 import math
 import sys
 import weakref
-from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from operator import itemgetter
@@ -222,6 +221,21 @@ class _Held:
         self.program = program
 
 
+def _unmoved(held: _Held, epoch: int) -> bool:
+    """Whether no catalog write touched one of the held definition's
+    relation names since ``held`` was confirmed; if so, ``held`` is
+    confirmed again at ``epoch`` (the current :attr:`Catalog.epoch`)."""
+    if held.epoch == epoch:
+        return True
+    if all(
+        Catalog.stamp(name) <= held.epoch
+        for name in held.definition.relation_names
+    ):
+        held.epoch = epoch
+        return True
+    return False
+
+
 class ViewMaintainer:
     """Executes Algorithm 1 against a simulated information space.
 
@@ -355,6 +369,19 @@ class ViewMaintainer:
                 start = stop
         return self.counters.diff(before)
 
+    def placement_of(self, view: ViewDefinition) -> Placement:
+        """``view``'s current placement: its held program's, when no
+        catalog write touched one of its relations since the program was
+        last confirmed, and recomputed otherwise."""
+        held = self._programs.get(view.name)
+        if (
+            held is not None
+            and held.definition is view
+            and _unmoved(held, Catalog.epoch)
+        ):
+            return held.program.placement
+        return self._space.placement(view.relation_names)
+
     def forget(self, view_name: str) -> None:
         """Drop ``view_name``'s compiled program (the view died)."""
         self._programs.pop(view_name, None)
@@ -375,13 +402,7 @@ class ViewMaintainer:
         epoch = Catalog.epoch
         held = self._programs.get(view.name)
         if held is not None and held.definition is view:
-            if held.epoch == epoch:
-                return held.program
-            if all(
-                Catalog.stamp(name) <= held.epoch
-                for name in view.relation_names
-            ):
-                held.epoch = epoch
+            if _unmoved(held, epoch):
                 return held.program
             placement = self._space.placement(view.relation_names)
             if placement == held.program.placement:
@@ -590,7 +611,9 @@ class ViewMaintainer:
         batch: "DeltaBatch | ColumnBatch",
         updates: list[DataUpdate],
     ) -> None:
-        """Project once, then apply per update in stream order."""
+        """Project once, then apply the whole flush to the extent as one
+        run (:meth:`~repro.relational.relation.Relation.apply_run`),
+        each row inserted or deleted as its update was."""
         if isinstance(batch, ColumnBatch):
             projected = list(zip(*path.project(batch.cols)))
         else:
@@ -603,20 +626,21 @@ class ViewMaintainer:
                     "rows back to their originating updates"
                 )
             return
-        # Rows come out in update order, so each update's rows are one
-        # slice of the tags list.
-        start, end = 0, len(tags)
-        while start < end:
-            tag = tags[start]
-            stop = bisect_right(tags, tag, start)
+        ops = [
+            (updates[tag].kind is UpdateKind.INSERT, row)
+            for tag, row in zip(tags, projected)
+        ]
+        applied = extent.apply_run(ops)
+        if len(applied) < len(ops):
+            # The row the run stopped at fails one by one as well, with
+            # the per-update path's error.
+            insert, row = ops[len(applied)]
             self._apply_rows(
                 view_name,
                 extent,
-                projected if start == 0 and stop == end
-                else projected[start:stop],
-                updates[tag].kind,
+                [row],
+                UpdateKind.INSERT if insert else UpdateKind.DELETE,
             )
-            start = stop
 
     def _apply_rows(
         self,

@@ -43,12 +43,18 @@ def _fingerprint(value: Any) -> int:
     return (value ^ value >> 16) & 0xFFFF
 
 
+def _marks(rows: Iterable[Row], position: int) -> str:
+    """The locator characters of ``rows``, one fingerprint each."""
+    return "".join([chr(_fingerprint(row[position])) for row in rows])
+
+
 class Relation:
     """A named relation instance: schema + bag of rows.
 
-    Mutating operations (:meth:`insert`, :meth:`delete`) are used by the
-    data-update machinery of the maintenance simulator; algebra operations
-    in :mod:`repro.relational.algebra` always return new relations.
+    Mutating operations (:meth:`insert`, :meth:`delete` and a run of
+    both, :meth:`apply_run`) are used by the data-update machinery of
+    the maintenance simulator; algebra operations in
+    :mod:`repro.relational.algebra` always return new relations.
 
     Validate-once contract: rows are type-checked when they are inserted
     (external data) and never again.  :meth:`from_validated` and the
@@ -59,10 +65,12 @@ class Relation:
 
     Derived structures, each built on first use and never shared:
 
-    * hash indexes (:meth:`index_on`): kept live by :meth:`insert` and
-      :meth:`delete`, dropped by the bulk mutations;
+    * hash indexes (:meth:`index_on`): kept live by :meth:`insert`,
+      :meth:`delete` and :meth:`apply_run`, dropped by the bulk
+      mutations;
     * the column store (:meth:`column_store`): appended to by
-      :meth:`insert`, dropped by anything that removes rows;
+      :meth:`insert` and :meth:`apply_run`, dropped by anything that
+      removes rows;
     * the delete locator: when the schema has an INT attribute
       (``schema.key_position``), the first :meth:`delete` encodes that
       attribute of every row as a ``str`` with one character per row,
@@ -74,7 +82,12 @@ class Relation:
       new row's fingerprint to a pending ``_tail`` array (which exists
       only while a locator does) and :meth:`delete` joins the tail in
       before it searches, then cuts the row's character out; inserts
-      stay O(1) however many arrive between two deletes.  The bulk
+      stay O(1) however many arrive between two deletes.  A run of
+      updates (:meth:`apply_run`) joins the tail once, at its first
+      delete, leaves deleted rows in place until it ends, and then cuts
+      their characters out in one pass, so a run pays one locator
+      rebuild however many deletes it carries; it ends with the locator
+      and tail the same ops one by one would have left.  The bulk
       mutations drop locator and tail.
 
     Pickles carry the schema and the rows only; a copy rebuilds each
@@ -319,34 +332,99 @@ class Relation:
             except ValueError:
                 return False
         else:
-            rows = self._rows
-            locator, tail = self._locator, self._tail
-            if locator is None:
-                locator = "".join(
-                    [chr(_fingerprint(stored[position])) for stored in rows]
-                )
-                self._tail = array("H")
-            elif tail:
-                locator += "".join(map(chr, tail))
-                del tail[:]
+            locator = self._joined_locator(position, len(self._rows))
             slot = self._locate(locator, validated, position)
             if slot < 0:
                 self._locator = locator
                 return False
-            del rows[slot]
+            del self._rows[slot]
             self._locator = locator[:slot] + locator[slot + 1 :]
         for index in self._indexes.values():
             index.discard(validated)
         self._column_store = None
         return True
 
-    def _locate(self, locator: str, row: Row, position: int) -> int:
-        """Slot of the first row ``==`` ``row``, or -1: the ``locator``
-        hits of its key's fingerprint, confirmed in row order."""
+    def apply_run(self, ops: Iterable[tuple[bool, Sequence[Any]]]) -> list[Row]:
+        """Apply a run of inserts (``True``) and deletes (``False``) in
+        one pass; returns the validated row of each applied op.
+
+        Ends exactly as the same ops applied one by one with
+        :meth:`insert` and :meth:`delete`: the same rows in order, the
+        same locator and tail, index ``add``/``discard`` calls in the
+        same order, and the column store appended to or, once a row is
+        deleted, dropped.  A delete takes the first live occurrence, so
+        a base row goes before one inserted earlier in the run.  Deleted
+        rows stay in place until the run ends and are then removed back
+        to front.  The locator is joined once, at the run's first
+        delete; it is extended only when a delete looks for a row
+        inserted since, and cut once at the end.  A run without deletes
+        touches the locator only by appending to the tail.
+
+        The run stops before the first op that fails one by one — a
+        delete that finds no row, or a row that fails validation — so a
+        short result leaves the relation as that prefix one by one
+        would (with the failing delete's tail join), and replaying the
+        op with :meth:`insert` or :meth:`delete` reports its failure.
+        """
+        rows = self._rows
+        base = len(rows)
+        stored: list[Row] = []
+        deletes: _RunDeletes | None = None
+        try:
+            for insert, row in ops:
+                try:
+                    validated = self._validate(row)
+                except SchemaError:
+                    break
+                if insert:
+                    rows.append(validated)
+                    for index in self._indexes.values():
+                        index.add(validated)
+                else:
+                    if deletes is None:
+                        deletes = _RunDeletes(self, base)
+                    if not deletes.remove(validated):
+                        break
+                stored.append(validated)
+        finally:
+            if deletes is not None:
+                deletes.settle()
+            elif self._tail is not None:
+                position = self.schema.key_position
+                self._tail.extend(
+                    [_fingerprint(row[position]) for row in rows[base:]]
+                )
+            if deletes is not None and deletes.dead:
+                self._column_store = None
+            elif self._column_store is not None:
+                for row in rows[base:]:
+                    self._column_store.append(row)
+        return stored
+
+    def _joined_locator(self, position: int, end: int) -> str:
+        """The locator over ``rows[:end]`` with the pending tail joined
+        in, leaving the tail empty: built on first use (``end`` matters
+        only then), one join otherwise."""
+        locator, tail = self._locator, self._tail
+        if locator is None:
+            rows = self._rows
+            locator = _marks(rows if end == len(rows) else rows[:end], position)
+            self._tail = array("H")
+        elif tail:
+            locator += "".join(map(chr, tail))
+            del tail[:]
+        return locator
+
+    def _locate(
+        self, locator: str, row: Row, position: int, start: int = 0
+    ) -> int:
+        """Slot of the first row ``==`` ``row`` from ``start`` on, or -1:
+        the ``locator`` hits of its key's fingerprint, confirmed in row
+        order."""
         rows = self._rows
         find = locator.find
         mark = chr(_fingerprint(row[position]))
-        slot = find(mark)
+        slot = find(mark, start)
         while slot >= 0 and rows[slot] != row:
             slot = find(mark, slot + 1)
         return slot
@@ -438,3 +516,87 @@ class Relation:
             self.schema.rename_relation(new_name) if new_name else self.schema
         )
         return Relation.from_validated(schema, self._rows)
+
+
+class _RunDeletes:
+    """The deletes of one :meth:`Relation.apply_run`.
+
+    A found row is only marked dead, so row slots stay put for the rest
+    of the run; :meth:`settle` removes the dead rows back to front and
+    leaves the locator and tail as the last delete one by one would
+    have: dead rows cut out and the rows inserted before that delete
+    joined in, the rows inserted after it in the tail.
+    """
+
+    __slots__ = (
+        "relation", "rows", "position", "dead", "locator", "covered",
+        "boundary",
+    )
+
+    def __init__(self, relation: "Relation", base: int) -> None:
+        """``base`` is ``len(rows)`` when the run began."""
+        self.relation = relation
+        self.rows = relation._rows
+        self.position = position = relation.schema.key_position
+        self.dead: set[int] = set()
+        #: The locator over ``rows[:covered]`` (keyed schemas only).
+        self.locator = (
+            "" if position is None else relation._joined_locator(position, base)
+        )
+        self.covered = base
+        #: ``len(rows)`` at the last delete.
+        self.boundary = base
+
+    def remove(self, row: Row) -> bool:
+        """Mark the first live row ``==`` ``row`` dead and discard it
+        from the indexes; False if there is none."""
+        rows = self.rows
+        dead = self.dead
+        self.boundary = len(rows)
+        position = self.position
+        if position is None:
+            try:
+                slot = rows.index(row)
+                while slot in dead:
+                    slot = rows.index(row, slot + 1)
+            except ValueError:
+                return False
+        else:
+            locate = self.relation._locate
+            slot = locate(self.locator, row, position)
+            while slot in dead:
+                slot = locate(self.locator, row, position, slot + 1)
+            if slot < 0 and self.covered < self.boundary:
+                # Not among the covered rows: cover the ones inserted
+                # since (none of them is dead yet) and look there.
+                self.locator += _marks(rows[self.covered :], position)
+                slot = locate(self.locator, row, position, self.covered)
+                self.covered = self.boundary
+            if slot < 0:
+                return False
+        dead.add(slot)
+        for index in self.relation._indexes.values():
+            index.discard(row)
+        return True
+
+    def settle(self) -> None:
+        """End the run: the locator and tail, then the dead rows."""
+        relation = self.relation
+        rows = self.rows
+        position = self.position
+        if position is not None:
+            locator = self.locator
+            pieces = []
+            start = 0
+            for slot in sorted(self.dead):
+                pieces.append(locator[start:slot])
+                start = slot + 1
+            pieces.append(locator[start:])
+            pieces.append(_marks(rows[self.covered : self.boundary], position))
+            relation._locator = "".join(pieces)
+            relation._tail = array(
+                "H",
+                [_fingerprint(row[position]) for row in rows[self.boundary :]],
+            )
+        for slot in sorted(self.dead, reverse=True):
+            del rows[slot]

@@ -95,6 +95,27 @@ class InformationSource:
             )
         return DataUpdate(self.name, relation, UpdateKind.DELETE, tuple(row))
 
+    def apply_run(
+        self, relation: str, ops: Sequence[tuple[bool, Sequence[Any]]]
+    ) -> list[DataUpdate]:
+        """Apply a run of ``(insert, row)`` ops to one relation in one
+        pass (:meth:`~repro.relational.relation.Relation.apply_run`;
+        ``insert`` is False for a delete).
+
+        Returns the :class:`DataUpdate` of each applied op, in order, as
+        :meth:`insert` and :meth:`delete` build them.  A short result
+        means the next op fails: :meth:`insert` or :meth:`delete` of it
+        raises its error, and nothing of it has landed.
+        """
+        stored = self.relation(relation).apply_run(ops)
+        name = self.name
+        return [
+            DataUpdate(name, relation, UpdateKind.INSERT, validated)
+            if insert
+            else DataUpdate(name, relation, UpdateKind.DELETE, tuple(row))
+            for (insert, row), validated in zip(ops, stored)
+        ]
+
     # ------------------------------------------------------------------
     # Wrapper query interface (single-site queries of Algorithm 1)
     # ------------------------------------------------------------------

@@ -152,6 +152,10 @@ class InformationSpace:
         self._change_listeners.append(listener)
 
     def on_data_update(self, listener: UpdateListener) -> None:
+        """Call ``listener`` with every data update that lands, once each,
+        in stream order.  :meth:`insert` and :meth:`delete` notify as
+        their update lands; :meth:`apply_run` notifies after its whole
+        run has landed."""
         self._update_listeners.append(listener)
 
     # ------------------------------------------------------------------
@@ -169,6 +173,22 @@ class InformationSpace:
         update = source.delete(relation, tuple(row))
         self._notify_update(update)
         return update
+
+    def apply_run(
+        self, relation: str, ops: Sequence[tuple[bool, Sequence]]
+    ) -> list[DataUpdate]:
+        """Apply a run of ``(insert, row)`` ops to ``relation`` in one
+        pass at the IS offering it (``insert`` is False for a delete),
+        then fan each landed update out.
+
+        Returns the landed updates, in order.  A short result means the
+        next op fails: :meth:`insert` or :meth:`delete` of it raises its
+        error, and nothing of it has landed or been notified.
+        """
+        updates = self.owner_of(relation).apply_run(relation, ops)
+        for update in updates:
+            self._notify_update(update)
+        return updates
 
     def _notify_update(self, update: DataUpdate) -> None:
         for listener in self._update_listeners:

@@ -57,7 +57,6 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from time import perf_counter
 from collections.abc import Mapping, Sequence
@@ -629,6 +628,14 @@ class SynchronizationScheduler:
         self, plan, runtime, groups, started, meter, workers, outcomes,
         deferred,
     ) -> None:
+        # Imported here, like the process executor's pool: the default
+        # serial executor never loads concurrent.futures (~0.7 MB RSS).
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            ThreadPoolExecutor,
+            wait,
+        )
+
         pending = list(groups)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             running = set()

@@ -21,6 +21,7 @@ def test_violations_exit_nonzero_per_rule(capsys):
         "RL005": "rl005_bad.py",
         "RL006": "rl006_bad.py",
         "RL007": "rl007_bad.py",
+        "RL008": "rl008_bad.py",
     }
     assert sorted(cases) == sorted(RULES), "cover every registered rule"
     for code, name in cases.items():

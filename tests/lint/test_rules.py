@@ -22,6 +22,7 @@ from tools.repro_lint.rules import (
     rl005_broad_except,
     rl006_catalog_epoch,
     rl007_mkb_index,
+    rl008_relation_state,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -245,6 +246,59 @@ def test_rl007_guards_the_real_mkb():
         }
     assert "self._pc_constraints.append" in flagged
     assert "self._index_version" in flagged
+
+
+# ----------------------------------------------------------------------
+# RL008
+# ----------------------------------------------------------------------
+def test_rl008_flags_relation_state_writes_outside_the_relation_module():
+    rule = rl008_relation_state.RelationStateRule()
+    violations = check(rule, "rl008_bad.py")
+    # Two list/array writers, three stores (plain, del, augmented), two
+    # dict writers, a subscript store and a plain store.
+    assert sorted(v.lineno for v in violations) == [
+        6, 7, 12, 13, 14, 19, 20, 21, 22,
+    ]
+    messages = "\n".join(v.message for v in violations)
+    assert "relation._rows.append" in messages
+    assert "relation._indexes.clear" in messages
+    assert all("repro.relational.relation" in v.message for v in violations)
+
+
+def test_rl008_clean_fixture_passes():
+    rule = rl008_relation_state.RelationStateRule()
+    assert check(rule, "rl008_clean.py") == []
+
+
+def test_rl008_guards_the_real_relation():
+    """The rule sees the real relation's writes: as the owner module
+    they are allowed, and the same source under another module name
+    fires."""
+    source = (REPO / "src" / "repro" / "relational" / "relation.py").read_text()
+    with tempfile.TemporaryDirectory() as tmp:
+        module = Path(tmp) / "relation.py"
+        module.write_text(source)
+        project = Project.load([module])
+        owner = rl008_relation_state.RelationStateRule(owner_module="relation")
+        assert list(owner.check(project)) == []
+        flagged = {
+            v.message.split(":")[0]
+            for v in rl008_relation_state.RelationStateRule().check(project)
+        }
+    assert "self._rows.append" in flagged
+    assert "relation._locator" in flagged
+
+
+def test_rl004_flags_a_run_on_an_extent_read_from_the_store():
+    rule = rl004_extent_staging.ExtentStagingRule(exempt_modules=())
+    with tempfile.TemporaryDirectory() as tmp:
+        module = Path(tmp) / "runs.py"
+        module.write_text(
+            "def land(system, name, ops):\n"
+            "    system._extents[name].apply_run(ops)\n"
+        )
+        (violation,) = rule.check(Project.load([module]))
+    assert "apply_run" in violation.message
 
 
 # ----------------------------------------------------------------------

@@ -40,4 +40,5 @@ def test_every_registered_rule_participates_in_the_gate():
     assert codes == sorted(codes)
     assert codes == [
         "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
+        "RL008",
     ]

@@ -400,6 +400,33 @@ def test_churn_elsewhere_skips_the_placement_check():
     } == {**programs, "V1": eve.maintainer._programs["V1"].program}
 
 
+def test_capturing_maintenance_plans_derives_no_placement(monkeypatch):
+    """The report reads each flushed view's placement from the program
+    its flush just confirmed: capturing adds no placement call."""
+    eve = build_eve(SystemConfig(), TABLES)
+    run_step(eve, concrete(WARM_UP, eve, 0))
+    calls = []
+    original = InformationSpace.placement
+
+    def counted(space, relations):
+        calls.append(tuple(relations))
+        return original(space, relations)
+
+    monkeypatch.setattr(InformationSpace, "placement", counted)
+    run_step(eve, concrete(WARM_UP, eve, 1))
+    captured = eve.last_report.plan_sources
+    assert {capture.view.name for capture in captured} == {
+        "V0", "V1", "V2", "V3"
+    }
+    assert calls == []
+    # T's schema moves: V1's flush re-derives its placement once, and
+    # the capture reuses it.
+    run_step(eve, concrete(("oob_rename_attribute", 2), eve, 2))
+    run_step(eve, concrete(WARM_UP, eve, 3))
+    assert calls == [("S", "T")]
+    assert list(eve.last_report.plans) == eager_plans(eve)
+
+
 def test_a_dead_view_leaves_no_program():
     eve = build_eve(SystemConfig(), TABLES)
     run_step(eve, concrete(WARM_UP, eve, 0))

@@ -12,9 +12,13 @@ below; nothing in the engine or CLI changes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
-__all__ = ["RULES", "Rule", "Violation", "default_rules", "register"]
+__all__ = [
+    "RULES", "OwnedAttributesRule", "Rule", "Violation", "default_rules",
+    "register",
+]
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,69 @@ class Rule:
         )
 
 
+class OwnedAttributesRule(Rule):
+    """Only ``owner_module`` writes the attributes named ``attrs``.
+
+    Flags, in every other module, assignment, augmented assignment and
+    ``del`` of such an attribute or one of its items, and calls of the
+    in-place writing methods in :data:`WRITERS` on them.  Reads stay
+    legal.  The check is name-based, so the names are reserved across
+    the analyzed tree.  Subclasses set the class attributes below.
+    """
+
+    owner_module: str = ""
+    attrs: tuple[str, ...] = ()
+    #: What the attributes hold and where writes belong, for messages.
+    guarded: str = ""
+    remedy: str = ""
+
+    #: List, dict and array methods that write in place.
+    WRITERS = (
+        "append", "extend", "insert", "remove", "pop", "popitem", "clear",
+        "sort", "reverse", "update", "setdefault",
+        "__setitem__", "__delitem__", "__iadd__",
+    )
+
+    def __init__(
+        self,
+        owner_module: str | None = None,
+        attrs: tuple[str, ...] | None = None,
+    ) -> None:
+        if owner_module is not None:
+            self.owner_module = owner_module
+        if attrs is not None:
+            self.attrs = attrs
+        names = "|".join(map(re.escape, self.attrs))
+        #: ``x._attr`` or ``x._attr[]...`` as a stored target.
+        self._store = re.compile(rf"(^|\.)({names})(\[\])*$")
+        #: ``x._attr[]...<writer>`` as a callee.
+        self._call = re.compile(
+            rf"(^|\.)({names})(\[\])*\.({'|'.join(self.WRITERS)})$"
+        )
+
+    def check(self, project):
+        for module, facts in sorted(project.modules.items()):
+            if module == self.owner_module:
+                continue
+            for function in facts.functions.values():
+                writes = [
+                    (store.lineno, store.target)
+                    for store in function.stores
+                    if self._store.search(store.target)
+                ] + [
+                    (call.lineno, call.callee)
+                    for call in function.calls
+                    if call.callee is not None and self._call.search(call.callee)
+                ]
+                for lineno, written in sorted(writes):
+                    yield self.violation(
+                        facts,
+                        lineno,
+                        f"{written}: only {self.owner_module} writes "
+                        f"{self.guarded}; go through {self.remedy}",
+                    )
+
+
 #: code -> rule class, in registration (= numeric) order.
 RULES: dict[str, type[Rule]] = {}
 
@@ -80,6 +147,7 @@ from tools.repro_lint.rules import (  # noqa: E402 - registry population
     rl005_broad_except,
     rl006_catalog_epoch,
     rl007_mkb_index,
+    rl008_relation_state,
 )
 
 __all__ += [
@@ -90,4 +158,5 @@ __all__ += [
     "rl005_broad_except",
     "rl006_catalog_epoch",
     "rl007_mkb_index",
+    "rl008_relation_state",
 ]

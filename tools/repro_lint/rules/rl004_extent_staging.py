@@ -7,7 +7,9 @@ import re
 from tools.repro_lint.rules import Rule, register
 
 #: In-place Relation mutators that would bypass copy-on-write staging.
-MUTATORS = ("insert", "delete", "delete_where", "replace_rows", "clear")
+MUTATORS = (
+    "insert", "delete", "apply_run", "delete_where", "replace_rows", "clear"
+)
 
 #: The one module allowed to touch extent internals directly.
 DEFAULT_EXEMPT_MODULES = ("repro.relational.versioning",)
@@ -33,7 +35,8 @@ the live relation (docs/serving.md).
 
 Reading an extent (``store[name]``, ``store.get(name)``) and then
 calling an in-place Relation mutator on it — ``insert``, ``delete``,
-``delete_where``, ``replace_rows``, ``clear`` — bypasses that door.
+``apply_run``, ``delete_where``, ``replace_rows``, ``clear`` — bypasses
+that door.
 In serving mode the bypass writes the *published* relation mid-batch:
 concurrent snapshot readers observe a torn extent, exactly the race
 the MVCC tests (``tests/serving/test_concurrent_reads.py``) exist to

@@ -2,35 +2,26 @@
 
 from __future__ import annotations
 
-import re
-
-from tools.repro_lint.rules import Rule, register
-
-#: The one module allowed to write the attributes below.
-DEFAULT_OWNER_MODULE = "repro.misd.mkb"
-
-#: ``MetaKnowledgeBase``'s constraint lists and the derived index state.
-DEFAULT_ATTRS = (
-    "_pc_constraints",
-    "_historical_pc",
-    "_join_constraints",
-    "_historical_join",
-    "_index",
-    "_sync_pc",
-    "_index_version",
-)
-
-#: List and dict methods that write in place.
-MUTATORS = (
-    "append", "extend", "insert", "remove", "pop", "popitem", "clear",
-    "sort", "reverse", "update", "setdefault",
-    "__setitem__", "__delitem__", "__iadd__",
-)
+from tools.repro_lint.rules import OwnedAttributesRule, register
 
 
 @register
-class MKBIndexRule(Rule):
+class MKBIndexRule(OwnedAttributesRule):
     code = "RL007"
+    owner_module = "repro.misd.mkb"
+    #: ``MetaKnowledgeBase``'s constraint lists and the derived index
+    #: state.
+    attrs = (
+        "_pc_constraints",
+        "_historical_pc",
+        "_join_constraints",
+        "_historical_join",
+        "_index",
+        "_sync_pc",
+        "_index_version",
+    )
+    guarded = "the MKB's constraint lists and index"
+    remedy = "a MetaKnowledgeBase method"
     summary = (
         "only misd/mkb.py writes the MKB's constraint lists, its "
         "relation index and the index's memo"
@@ -66,40 +57,3 @@ reserved for the MKB across ``src/`` and ``tools/``.  Edits belong in a
 ``retract_pc_constraint``, the ``on_*`` evolution hooks); there is no
 suppression comment.
 """
-
-    def __init__(
-        self,
-        owner_module: str = DEFAULT_OWNER_MODULE,
-        attrs: tuple[str, ...] = DEFAULT_ATTRS,
-    ) -> None:
-        self.owner_module = owner_module
-        names = "|".join(map(re.escape, attrs))
-        #: ``x._index`` or ``x._index[]...`` as a stored target.
-        self._store = re.compile(rf"(^|\.)({names})(\[\])*$")
-        #: ``x._index[]...<mutator>`` as a callee.
-        self._call = re.compile(
-            rf"(^|\.)({names})(\[\])*\.({'|'.join(MUTATORS)})$"
-        )
-
-    def check(self, project):
-        for module, facts in sorted(project.modules.items()):
-            if module == self.owner_module:
-                continue
-            for function in facts.functions.values():
-                writes = [
-                    (store.lineno, store.target)
-                    for store in function.stores
-                    if self._store.search(store.target)
-                ] + [
-                    (call.lineno, call.callee)
-                    for call in function.calls
-                    if call.callee is not None and self._call.search(call.callee)
-                ]
-                for lineno, written in sorted(writes):
-                    yield self.violation(
-                        facts,
-                        lineno,
-                        f"{written}: only {self.owner_module} writes the "
-                        "MKB's constraint lists and index; go through a "
-                        "MetaKnowledgeBase method",
-                    )
