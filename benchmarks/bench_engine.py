@@ -323,7 +323,7 @@ def bench_system_surface(rows: int) -> tuple[dict, dict]:
     from repro.space.changes import DeleteRelation
 
     space = _synchronization_space(rows)
-    eve = EVESystem(space=space, config=SystemConfig.fast())
+    eve = EVESystem(space=space, config=SystemConfig())
     eve.define_view(parse_view(_SYNC_VIEW))
     start = time.perf_counter()
     results = eve.apply_changes([DeleteRelation("IS1", "R")])

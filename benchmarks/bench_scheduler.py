@@ -1,30 +1,30 @@
-"""Scheduler benchmarks: serial reference vs cost-aware parallel dispatch.
+"""Scheduler benchmarks: serial reference vs the default and sharded
+schedulers.
 
 Three timed scenarios over replacement-heavy salvage storms (every view
 needs a replacement search over a donor spectrum — the workload the
 cross-view scheduler exists for):
 
-1. **Parallel storm** — the serial reference scheduler (coalescing
-   off, like ``SystemConfig.reference()``) replays every affected view
-   one after the other; the parallel scheduler dispatches chain groups
-   to a thread pool *and coalesces* structurally identical searches
-   (one search per definition-modulo-name + worklist class, results
-   rebound to every follower).  Committed winners, QC-Values, and
-   extents must be identical — the speedup is pure scheduling.  Two
-   rows split the win honestly on a given machine: ``serial +
-   coalesce`` (the default scheduler) is coalescing alone, and the
-   thread executor with coalescing off is parallelism alone
-   (coalescing is CPU-count-independent; executor parallelism is not,
-   and equals ~1x on a single-core GIL-bound host).
+1. **Parallel storm** (the lane keeps its historical name) — the serial
+   reference scheduler (coalescing off, like
+   ``SystemConfig.reference()``) replays every affected view one after
+   the other; the default scheduler (serial, coalescing) runs one search
+   per definition-modulo-name + worklist class and rebinds the results
+   to every follower.  Committed winners, QC-Values, and extents must be
+   identical.  The ``parallel_seconds``/``speedup`` keys time the
+   default scheduler: the win is coalescing, which is
+   CPU-count-independent, and is never credited to parallelism.
 2. **Sharded storm** — the 100k-view storm replayed as a sequential
-   batch stream through four executors: serial reference (coalescing
-   off), threads + coalescing, per-batch fork (``processes``), and the
-   persistent worker pool (``workers``) over a sharded VKB.  The
+   batch stream through the serial reference (coalescing off), the
+   default serial + coalesce scheduler, and the persistent worker pool
+   (``workers``) over a sharded VKB.  The serial + coalesce row is the
+   previous best the workers lane must beat to keep its place.  The
    workers lane separates the cold first batch (pool spawn + per-shard
    snapshot shipping) from the warm remainder, where only deltas and
    committed rewritings cross the wire — warm batches must ship zero
    snapshot bytes, and all lanes must commit byte-identical outcomes.
-3. **Deadline sweep** — the same storm under shrinking wall-clock
+3. **Deadline sweep** — the same storm on the default serial scheduler
+   under shrinking wall-clock
    budgets with ``degrade="first_legal"``: views scheduled past the
    budget fall back to the old-EVE first-legal policy
    (cheapest-to-salvage views, scheduled first, keep full QC ranking).
@@ -39,7 +39,8 @@ the repo root (via :func:`conftest.emit_json`).  Run directly::
     PYTHONPATH=src python benchmarks/bench_scheduler.py [--smoke]
 
 ``--smoke`` shrinks every scale so CI can assert the harness stays
-healthy in seconds.  Full runs enforce >=2x parallel speedup with
+healthy in seconds.  Full runs enforce >=2x speedup of the default
+scheduler and >=3x of the workers lane over the serial reference, with
 identical outcomes.
 """
 
@@ -101,43 +102,19 @@ def _qc(results) -> list[tuple]:
 
 
 # ----------------------------------------------------------------------
-# Scenario 1: serial reference vs parallel + coalescing scheduler
+# Scenario 1: serial reference vs the default (coalescing) scheduler
 # ----------------------------------------------------------------------
-def bench_parallel_storm(workers: int, **stress_args) -> tuple[dict, dict]:
+def bench_parallel_storm(**stress_args) -> tuple[dict, dict]:
     serial_eve, serial_results, serial_seconds = _run(
         _serial_reference(), **stress_args
     )
-
-    # Coalescing alone: the default (serial, coalescing) scheduler.
-    serial_coalesce_eve, serial_coalesce_results, serial_coalesce_seconds = (
-        _run(SynchronizationScheduler(ScheduleConfig()), **stress_args)
-    )
-
-    parallel = SynchronizationScheduler(
-        ScheduleConfig(executor="threads", max_workers=workers, coalesce=True)
-    )
     parallel_eve, parallel_results, parallel_seconds = _run(
-        parallel, **stress_args
+        SynchronizationScheduler(ScheduleConfig()), **stress_args
     )
-
-    # Ablation: executor parallelism alone, no search coalescing.
-    threads_only = SynchronizationScheduler(
-        ScheduleConfig(
-            executor="threads", max_workers=workers, coalesce=False
-        )
-    )
-    _, _, threads_only_seconds = _run(threads_only, **stress_args)
 
     serial_fingerprint = _fingerprint(serial_eve)
-    outcomes_equal = (
-        serial_fingerprint == _fingerprint(parallel_eve)
-        and serial_fingerprint == _fingerprint(serial_coalesce_eve)
-    )
-    qc_equal = (
-        _qc(serial_results)
-        == _qc(parallel_results)
-        == _qc(serial_coalesce_results)
-    )
+    outcomes_equal = serial_fingerprint == _fingerprint(parallel_eve)
+    qc_equal = _qc(serial_results) == _qc(parallel_results)
     # The scheduling facts come from the run's SystemReport — the
     # serializable surface the system now exposes for exactly this.
     system_report = parallel_eve.last_report.to_dict()
@@ -152,18 +129,6 @@ def bench_parallel_storm(workers: int, **stress_args) -> tuple[dict, dict]:
         "parallel_seconds": parallel_seconds,
         "speedup": (
             serial_seconds / parallel_seconds if parallel_seconds else 0.0
-        ),
-        "serial_coalesce_seconds": serial_coalesce_seconds,
-        "serial_coalesce_speedup": (
-            serial_seconds / serial_coalesce_seconds
-            if serial_coalesce_seconds
-            else 0.0
-        ),
-        "threads_only_seconds": threads_only_seconds,
-        "threads_only_speedup": (
-            serial_seconds / threads_only_seconds
-            if threads_only_seconds
-            else 0.0
         ),
         "outcomes_equal": outcomes_equal and qc_equal,
         "coalesced_searches": batch["coalesced"],
@@ -183,7 +148,7 @@ def _replay_sharded(scheduler, **storm_args):
     Returns the per-batch wall clocks, the committed (view, QC) pairs,
     the per-batch :class:`~repro.report.SystemReport` payloads, and the
     final VKB fingerprint — everything the lane comparison needs, with
-    the system itself released so four lanes never coexist in memory.
+    the system itself released so the lanes never coexist in memory.
     """
     scenario = build_sharded_storm_scenario(**storm_args)
     eve = EVESystem(space=scenario.space)
@@ -218,10 +183,8 @@ def _shard_totals(report: dict) -> dict:
     return totals
 
 
-def bench_sharded_storm(
-    shards: int, workers: int, **storm_args
-) -> tuple[dict, dict]:
-    """Serial vs threads vs fork vs persistent workers on the storm.
+def bench_sharded_storm(shards: int, **storm_args) -> tuple[dict, dict]:
+    """Serial reference vs serial + coalesce vs persistent workers.
 
     All lanes replay the identical batch stream; committed winners,
     QC-Values, and VKB fingerprints must be byte-identical.  The
@@ -229,42 +192,19 @@ def bench_sharded_storm(
     shipping) from the warm remainder (delta shipping only), and
     asserts the warm batches ship no snapshot bytes at all.
     """
-    from repro.sync.scheduler import _fork_available
-
     serial_seconds, serial_qc, _, serial_fp = _replay_sharded(
         _serial_reference(), **storm_args
     )
 
-    threads = SynchronizationScheduler(
-        ScheduleConfig(executor="threads", max_workers=workers, coalesce=True)
+    coalesce_seconds, coalesce_qc, _, coalesce_fp = _replay_sharded(
+        SynchronizationScheduler(ScheduleConfig()), **storm_args
     )
-    threads_seconds, threads_qc, _, threads_fp = _replay_sharded(
-        threads, **storm_args
-    )
-    threads_equal = threads_fp == serial_fp and threads_qc == serial_qc
-    del threads_fp
-
-    fork_total = None
-    fork_equal = True
-    if _fork_available():
-        fork = SynchronizationScheduler(
-            ScheduleConfig(
-                executor="processes", max_workers=workers, coalesce=True
-            )
-        )
-        fork_seconds, fork_qc, _, fork_fp = _replay_sharded(
-            fork, **storm_args
-        )
-        fork_total = sum(fork_seconds)
-        fork_equal = fork_fp == serial_fp and fork_qc == serial_qc
-        del fork_fp
+    coalesce_equal = coalesce_fp == serial_fp and coalesce_qc == serial_qc
+    del coalesce_fp
 
     pool = SynchronizationScheduler(
         ScheduleConfig(
-            executor="workers",
-            shards=shards,
-            max_workers=workers,
-            coalesce=True,
+            executor="workers", shards=shards, coalesce=True
         )
     )
     try:
@@ -287,7 +227,7 @@ def bench_sharded_storm(
             warm_totals[field] += value
 
     serial_total = sum(serial_seconds)
-    threads_total = sum(threads_seconds)
+    coalesce_total = sum(coalesce_seconds)
     workers_total = sum(workers_seconds)
     workers_warm = sum(workers_seconds[1:])
     serial_warm = sum(serial_seconds[1:])
@@ -297,13 +237,10 @@ def bench_sharded_storm(
         "shards": shards,
         "batches": len(serial_seconds),
         "serial_seconds": serial_total,
-        "threads_seconds": threads_total,
-        "threads_speedup": (
-            serial_total / threads_total if threads_total else 0.0
-        ),
-        "fork_seconds": fork_total,
-        "fork_speedup": (
-            serial_total / fork_total if fork_total else None
+        "serial_coalesce_seconds": coalesce_total,
+        "serial_coalesce_warm_seconds": sum(coalesce_seconds[1:]),
+        "serial_coalesce_speedup": (
+            serial_total / coalesce_total if coalesce_total else 0.0
         ),
         "workers_seconds": workers_total,
         "workers_cold_seconds": workers_seconds[0],
@@ -325,7 +262,7 @@ def bench_sharded_storm(
         "worker_wall_seconds": round(
             cold_totals["worker_seconds"] + warm_totals["worker_seconds"], 6
         ),
-        "outcomes_equal": workers_equal and threads_equal and fork_equal,
+        "outcomes_equal": workers_equal and coalesce_equal,
         "cpu_count": os.cpu_count() or 1,
     }
     # The last warm batch's report carries the per-shard dispatch rows
@@ -336,22 +273,14 @@ def bench_sharded_storm(
 # ----------------------------------------------------------------------
 # Scenario 3: QC achieved vs wall-clock budget
 # ----------------------------------------------------------------------
-def bench_deadline_sweep(
-    serial_seconds: float, workers: int, **stress_args
-) -> dict:
+def bench_deadline_sweep(serial_seconds: float, **stress_args) -> dict:
     """Run the storm under shrinking budgets; report QC vs budget."""
     sweep = {}
     fractions = {"unbounded": None, "half": 0.5, "tenth": 0.1, "zero": 0.0}
     for label, fraction in fractions.items():
         budget = None if fraction is None else serial_seconds * fraction
         scheduler = SynchronizationScheduler(
-            ScheduleConfig(
-                executor="threads",
-                max_workers=workers,
-                coalesce=True,
-                budget=budget,
-                degrade="first_legal",
-            )
+            ScheduleConfig(budget=budget, degrade="first_legal")
         )
         eve, results, seconds = _run(scheduler, **stress_args)
         report = eve.last_report
@@ -408,7 +337,6 @@ def main(argv=None) -> None:
             views=2000, view_relations=40, donors_per_relation=3,
             view_attributes=2, batches=2, tail_changes=1,
         )
-        workers = 2
         shards = 2
     else:
         stress_args = dict(
@@ -419,10 +347,9 @@ def main(argv=None) -> None:
             views=100_000, view_relations=200, donors_per_relation=3,
             view_attributes=2, batches=4, tail_changes=1,
         )
-        workers = min(8, max(2, (os.cpu_count() or 1)))
         shards = 4
 
-    storm, system_report = bench_parallel_storm(workers, **stress_args)
+    storm, system_report = bench_parallel_storm(**stress_args)
     emit(
         format_table(
             ["metric", "value"],
@@ -430,29 +357,17 @@ def main(argv=None) -> None:
                 ["views", storm["views"]],
                 ["synchronizations", storm["synchronizations"]],
                 ["serial reference (s)", f"{storm['serial_seconds']:.4f}"],
-                ["parallel scheduler (s)", f"{storm['parallel_seconds']:.4f}"],
+                ["serial + coalesce (s)", f"{storm['parallel_seconds']:.4f}"],
                 ["speedup", f"{storm['speedup']:.1f}x"],
-                [
-                    "serial + coalesce (s)",
-                    f"{storm['serial_coalesce_seconds']:.4f} "
-                    f"({storm['serial_coalesce_speedup']:.1f}x)",
-                ],
-                [
-                    "threads w/o coalescing (s)",
-                    f"{storm['threads_only_seconds']:.4f} "
-                    f"({storm['threads_only_speedup']:.1f}x)",
-                ],
                 ["coalesced searches", storm["coalesced_searches"]],
-                ["workers / cpus", f"{storm['workers']} / {storm['cpu_count']}"],
+                ["cpus", storm["cpu_count"]],
                 ["outcomes identical", storm["outcomes_equal"]],
             ],
-            title="Parallel scheduler (1k-view salvage storm)",
+            title="Default scheduler (1k-view salvage storm)",
         )
     )
 
-    sharded, sharded_report = bench_sharded_storm(
-        shards, workers, **storm_args
-    )
+    sharded, sharded_report = bench_sharded_storm(shards, **storm_args)
     emit(
         format_table(
             ["metric", "value"],
@@ -461,16 +376,13 @@ def main(argv=None) -> None:
                 ["shards / batches", f"{sharded['shards']} / {sharded['batches']}"],
                 ["serial reference (s)", f"{sharded['serial_seconds']:.4f}"],
                 [
-                    "threads + coalesce (s)",
-                    f"{sharded['threads_seconds']:.4f} "
-                    f"({sharded['threads_speedup']:.1f}x)",
+                    "serial + coalesce (s)",
+                    f"{sharded['serial_coalesce_seconds']:.4f} "
+                    f"({sharded['serial_coalesce_speedup']:.1f}x)",
                 ],
                 [
-                    "fork + coalesce (s)",
-                    "unavailable"
-                    if sharded["fork_seconds"] is None
-                    else f"{sharded['fork_seconds']:.4f} "
-                    f"({sharded['fork_speedup']:.1f}x)",
+                    "serial + coalesce warm batches (s)",
+                    f"{sharded['serial_coalesce_warm_seconds']:.4f}",
                 ],
                 [
                     "workers total (s)",
@@ -486,6 +398,7 @@ def main(argv=None) -> None:
                 ["cold snapshot (bytes)", sharded["cold_snapshot_bytes"]],
                 ["warm snapshot (bytes)", sharded["warm_snapshot_bytes"]],
                 ["deltas + results (bytes)", sharded["bytes_shipped"] + sharded["bytes_received"]],
+                ["cpus", sharded["cpu_count"]],
                 ["outcomes identical", sharded["outcomes_equal"]],
             ],
             title=(
@@ -494,9 +407,7 @@ def main(argv=None) -> None:
         )
     )
 
-    sweep = bench_deadline_sweep(
-        storm["serial_seconds"], workers, **stress_args
-    )
+    sweep = bench_deadline_sweep(storm["serial_seconds"], **stress_args)
     emit(
         format_table(
             ["budget", "seconds", "synced", "degraded", "QC achieved"],
@@ -533,9 +444,11 @@ def main(argv=None) -> None:
     )
 
     if not storm["outcomes_equal"]:
-        raise SystemExit("parallel scheduler diverged from serial outcomes")
+        raise SystemExit("default scheduler diverged from serial outcomes")
     if not sharded["outcomes_equal"]:
-        raise SystemExit("sharded workers diverged from serial outcomes")
+        raise SystemExit(
+            "sharded storm lanes diverged from serial outcomes"
+        )
     if sharded["warm_snapshot_bytes"] != 0:
         raise SystemExit(
             f"warm dispatch shipped {sharded['warm_snapshot_bytes']} "
@@ -546,7 +459,7 @@ def main(argv=None) -> None:
     if not args.smoke:
         if storm["speedup"] < 2.0:
             raise SystemExit(
-                f"parallel speedup {storm['speedup']:.1f}x < 2x"
+                f"default scheduler speedup {storm['speedup']:.1f}x < 2x"
             )
         if sharded["workers_speedup"] < 3.0:
             raise SystemExit(

@@ -24,8 +24,8 @@ Three measured lanes over one populated evolution-storm space:
    the serial per-version extent digest, so a read that mixed two
    batches cannot hide.
 3. **Executor parity** — the same storm plus a tail update stream
-   replayed under the ``serial``, ``threads``, ``processes``, and
-   ``workers`` executors: committed winners, QC-Values, extent
+   replayed under the ``serial`` and ``workers`` executors: committed
+   winners, QC-Values, extent
    digests, and modeled CF_M/CF_T/CF_IO counters must be
    byte-identical in every lane.
 
@@ -60,7 +60,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from conftest import emit, emit_json  # noqa: E402
 
-from repro.config import ScheduleConfig, SystemConfig  # noqa: E402
+from repro.config import SystemConfig  # noqa: E402
 from repro.core.eve import EVESystem  # noqa: E402
 from repro.core.report import format_table  # noqa: E402
 from repro.workloadgen.scenarios import (  # noqa: E402
@@ -303,18 +303,10 @@ def bench_reads(readers, views_per_read, idle_reads, think_s, storm_args):
 def bench_executor_parity(updates_per_relation, storm_args):
     """Replay storm + tail updates under every executor; compare all."""
     # Parity is about outcomes, not latency: small extents keep the
-    # four full-system replays affordable without weakening the check.
+    # full-system replays affordable without weakening the check.
     storm_args = {**storm_args, "rows": min(storm_args["rows"], 80)}
     lanes = {
         "serial": None,
-        "threads": SystemConfig.fast(),
-        "processes": SystemConfig(
-            schedule=ScheduleConfig(
-                executor="processes",
-                max_workers=storm_args["workers"],
-                coalesce=True,
-            )
-        ),
         "workers": SystemConfig.sharded(storm_args["shards"]),
     }
     outcomes = {}
@@ -407,7 +399,6 @@ def main(argv=None) -> None:
             rows=40,
             seed=11,
             batches=3,  # 1 warm-up + 2 measured
-            workers=2,
             shards=2,
         )
         readers = 2
@@ -421,7 +412,6 @@ def main(argv=None) -> None:
             rows=1000,
             seed=11,
             batches=6,  # 1 warm-up + 5 measured
-            workers=min(8, max(2, (os.cpu_count() or 1))),
             shards=4,
         )
         readers = 2

@@ -26,12 +26,13 @@ from repro.relational import Relation, Schema
 # 1. Configure the columnar plane.  Spelled out, the profile is an
 #    indexed engine evaluating views columnar plus a maintainer
 #    propagating deltas columnar; SystemConfig.columnar() is the
-#    one-call preset for the same thing (plus threaded coalesced
-#    scheduling), and both round-trip losslessly through JSON.
+#    one-call preset for the same thing, and both round-trip losslessly
+#    through JSON.
 config = SystemConfig(
     engine=EngineConfig(representation="columnar"),
     maintenance=MaintenanceConfig(representation="columnar"),
 )
+assert config == SystemConfig.columnar()
 assert SystemConfig.from_dict(config.to_dict()) == config
 eve = EVESystem(config=config)
 

@@ -24,11 +24,12 @@ from repro.relational import Relation, Schema
 from repro.space import DeleteRelation
 
 # 0. One declarative profile configures every subsystem.  Presets:
-#    SystemConfig() (the default), SystemConfig.reference() (the naive
-#    everything-eager parity plane), SystemConfig.fast() (indexed /
-#    pruned / coalesced), SystemConfig.bounded(budget_units=...).
+#    SystemConfig() (the default: indexed / pruned / serial, coalesced),
+#    SystemConfig.reference() (the naive everything-eager parity
+#    plane), SystemConfig.columnar(), SystemConfig.sharded(n) (the
+#    persistent worker pool), SystemConfig.bounded(budget_units=...).
 #    Profiles round-trip losslessly through JSON:
-config = SystemConfig.fast()
+config = SystemConfig()
 assert SystemConfig.from_dict(config.to_dict()) == config
 eve = EVESystem(config=config)
 

@@ -27,9 +27,9 @@ from repro.core.report import format_table
 from repro.space import DeleteRelation
 from repro.workloadgen import build_cardinality_scenario
 
-#: One profile for every system in this script (the fast plane; the
+#: One profile for every system in this script (the default plane; the
 #: ranking itself is engine-independent, as the parity tests enforce).
-CONFIG = SystemConfig.fast()
+CONFIG = SystemConfig()
 
 scenario = build_cardinality_scenario()
 explorer = EVESystem(

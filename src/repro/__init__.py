@@ -19,7 +19,7 @@ substrate it depends on implemented here:
 Quickstart::
 
     from repro import EVESystem, SystemConfig, ViewSynchronized
-    eve = EVESystem(config=SystemConfig.fast())
+    eve = EVESystem(config=SystemConfig())
     eve.subscribe(ViewSynchronized, lambda event: print(event.view_name))
     ...
 

@@ -14,15 +14,15 @@ declarative surface:
   (``sync.pipeline`` / ``sync.generators``): search policy, generator
   chain, top-k width.
 * :class:`ScheduleConfig` — how batch synchronization is *dispatched*
-  (``sync.scheduler``): executor, workers, wall-clock / modeled-unit
+  (``sync.scheduler``): executor, shards, wall-clock / modeled-unit
   budgets, degradation mode, ordering, coalescing.
 * :class:`MaintenanceConfig` — how deltas are *propagated*
   (``maintenance.simulator``): tuple vs dict delta plane, index probes.
 
 :class:`SystemConfig` composes the four slices and is the one object
 :class:`~repro.core.eve.EVESystem` is configured with.  Named presets
-(:meth:`SystemConfig.reference`, :meth:`SystemConfig.fast`,
-:meth:`SystemConfig.bounded`) capture the parity planes the property
+(:meth:`SystemConfig.reference`, :meth:`SystemConfig.columnar`,
+:meth:`SystemConfig.sharded`, :meth:`SystemConfig.bounded`) capture the parity planes the property
 tests pin against each other, and :meth:`SystemConfig.to_dict` /
 :meth:`SystemConfig.from_dict` round-trip losslessly through JSON so
 benchmarks, CI, and scenario sweeps declare configurations as data.
@@ -57,7 +57,7 @@ __all__ = [
 _ENGINES = ("indexed", "naive")
 _ENGINE_REPRESENTATIONS = ("tuple", "columnar")
 _REPRESENTATIONS = ("tuple", "dict", "columnar")
-_EXECUTORS = ("serial", "threads", "processes", "workers")
+_EXECUTORS = ("serial", "workers")
 _DEGRADE_MODES = ("first_legal", "defer")
 _ORDERS = ("cost", "plan")
 
@@ -209,8 +209,8 @@ class ScheduleConfig:
     """How batch synchronization is dispatched
     (:class:`~repro.sync.scheduler.SynchronizationScheduler`).
 
-    Field semantics are the scheduler's: ``executor`` in ``serial`` |
-    ``threads`` | ``processes`` | ``workers``; ``budget`` in wall-clock
+    Field semantics are the scheduler's: ``executor`` in ``serial`` (the
+    reference) | ``workers`` (the one parallel path); ``budget`` in wall-clock
     seconds and ``budget_units`` in modeled Eq. 24 cost units (either
     exhausts the other); ``degrade`` in ``first_legal`` | ``defer``;
     ``order`` in ``cost`` | ``plan``; ``coalesce`` (default on) runs one
@@ -223,7 +223,6 @@ class ScheduleConfig:
     """
 
     executor: str = "serial"
-    max_workers: int | None = None
     budget: float | None = None
     budget_units: float | None = None
     degrade: str = "first_legal"
@@ -242,10 +241,6 @@ class ScheduleConfig:
         _require(
             self.budget_units is None or self.budget_units >= 0,
             "budget_units must be >= 0",
-        )
-        _require(
-            self.max_workers is None or self.max_workers >= 1,
-            "max_workers must be >= 1",
         )
         _require(
             self.shards is None or self.shards >= 1,
@@ -289,18 +284,20 @@ class SystemConfig:
     """One declarative profile for the whole EVE stack.
 
     ``EVESystem(config=SystemConfig(...))`` is the single entry point;
-    each subsystem receives its slice.  Three named presets cover the
-    planes the benchmarks and property tests exercise:
+    each subsystem receives its slice.  The default ``SystemConfig()``
+    is the production-shaped plane (indexed engine, tuple delta plane,
+    pruned search, serial coalescing dispatch); named presets cover the
+    other planes the benchmarks and property tests exercise:
 
     * :meth:`reference` — naive engine, dict delta plane, no index
       probes, serial plan-order dispatch without coalescing, exhaustive
       search: the everything-eager parity plane every fast path is
       compared to, and the only preset that searches every view.
-    * :meth:`fast` — indexed engine, tuple delta plane, pruned search,
-      threaded dispatch: the production-shaped plane.
-    * :meth:`columnar` — :meth:`fast` with evaluation and delta
+    * :meth:`columnar` — the default with evaluation and delta
       propagation on the column-at-a-time kernel plane.
-    * :meth:`bounded` — :meth:`fast` under a budget (modeled cost units
+    * :meth:`sharded` — the default dispatched through the
+      persistent-worker pool.
+    * :meth:`bounded` — the default under a budget (modeled cost units
       and/or wall-clock seconds) with a degradation mode.
 
     The default and every preset but :meth:`reference` coalesce views
@@ -346,30 +343,18 @@ class SystemConfig:
         )
 
     @classmethod
-    def fast(cls) -> "SystemConfig":
-        """Indexed / tuple / pruned / threaded: the production plane."""
-        return cls(schedule=ScheduleConfig(executor="threads"))
-
-    @classmethod
     def columnar(cls) -> "SystemConfig":
-        """:meth:`fast` with both planes on the columnar representation."""
+        """The default with both planes on the columnar representation."""
         return cls(
             engine=EngineConfig(representation="columnar"),
-            schedule=ScheduleConfig(executor="threads"),
             maintenance=MaintenanceConfig(representation="columnar"),
         )
 
     @classmethod
-    def sharded(cls, shards: int, max_workers: int | None = None) -> "SystemConfig":
-        """:meth:`fast` with the persistent-worker pool over ``shards``
+    def sharded(cls, shards: int) -> "SystemConfig":
+        """The default with the persistent-worker pool over ``shards``
         VKB shards (long-lived spawn-safe processes, delta shipping)."""
-        return cls(
-            schedule=ScheduleConfig(
-                executor="workers",
-                shards=shards,
-                max_workers=max_workers,
-            ),
-        )
+        return cls(schedule=ScheduleConfig(executor="workers", shards=shards))
 
     @classmethod
     def bounded(
@@ -378,14 +363,13 @@ class SystemConfig:
         budget: float | None = None,
         degrade: str = "first_legal",
     ) -> "SystemConfig":
-        """:meth:`fast` under a modeled-cost and/or wall-clock budget."""
+        """The default under a modeled-cost and/or wall-clock budget."""
         _require(
             budget_units is not None or budget is not None,
             "bounded() needs budget_units and/or budget",
         )
         return cls(
             schedule=ScheduleConfig(
-                executor="threads",
                 budget=budget,
                 budget_units=budget_units,
                 degrade=degrade,

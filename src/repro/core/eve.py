@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import threading
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
@@ -220,10 +219,6 @@ class EVESystem:
         self.auto_synchronize = auto_synchronize
         #: Typed event bus; see :meth:`subscribe`.
         self.events = EventBus()
-        # Fork-based executors replay searches in child processes; an
-        # event observed there would fire again when the parent adopts
-        # the results, so emission is suppressed outside the owner pid.
-        self._owner_pid = os.getpid()
         #: Batch executor built from ``config.schedule``: the default
         #: (serial, cost-ordered, no budget) reproduces the sequential
         #: reference exactly.
@@ -238,8 +233,8 @@ class EVESystem:
         #: sites (define/refresh/rematerialize); non-zero only when the
         #: engine runs the columnar plane.
         self.kernel_counters = KernelCounters()
-        # Guards VKB commits and extent bookkeeping when a parallel
-        # executor replays independent views concurrently.
+        # Guards VKB commits and extent bookkeeping: a serving
+        # frontend's writer thread commits beside the caller's thread.
         self._commit_lock = threading.Lock()
         #: Crash-consistency journal: inside apply_changes, every
         #: committed result is appended here the moment it lands so an
@@ -285,18 +280,8 @@ class EVESystem:
 
     def _invalidate_cache(self, change: SchemaChange) -> None:
         self.assessment_cache.invalidate()
-        if self._observed(CacheInvalidated):
+        if self.events.wants(CacheInvalidated):
             self.events.emit(CacheInvalidated("capability-change"))
-
-    def _observed(self, event_type) -> bool:
-        """Whether an event of this type should be built and emitted.
-
-        False in fork-executor children: the parent emits exactly once
-        when it adopts the child's results.
-        """
-        return os.getpid() == self._owner_pid and self.events.wants(
-            event_type
-        )
 
     # ------------------------------------------------------------------
     # Online serving plane (MVCC snapshots)
@@ -304,13 +289,13 @@ class EVESystem:
     def _on_snapshot_published(
         self, version: int, touched: tuple[str, ...], views: int, pins: int
     ) -> None:
-        if self._observed(SnapshotPublished):
+        if self.events.wants(SnapshotPublished):
             self.events.emit(
                 SnapshotPublished(version, touched, views, pins)
             )
 
     def _on_snapshot_released(self, version: int, remaining: int) -> None:
-        if self._observed(SnapshotReleased):
+        if self.events.wants(SnapshotReleased):
             self.events.emit(SnapshotReleased(version, remaining))
 
     def snapshot(self) -> ExtentSnapshot:
@@ -384,7 +369,7 @@ class EVESystem:
         """
         # New relations change ownership maps and replacement routes.
         self.assessment_cache.invalidate()
-        if self._observed(CacheInvalidated):
+        if self.events.wants(CacheInvalidated):
             self.events.emit(CacheInvalidated("relation-registered"))
         return self.space.register_relation(source, relation, statistics)
 
@@ -397,7 +382,7 @@ class EVESystem:
         ``event_type`` is one of the :mod:`repro.events` classes (or its
         name); subscribing to :class:`~repro.events.SystemEvent` is the
         firehose.  Handlers run synchronously on the emitting thread —
-        under a parallel scheduler that may be a worker thread — and
+        under a serving frontend that may be its writer thread — and
         must not raise.  Returns ``handler`` (decorator-friendly).
         """
         return self.events.subscribe(event_type, handler)
@@ -490,7 +475,7 @@ class EVESystem:
     def _handle_data_update(self, update: DataUpdate) -> None:
         if self._defer_maintenance:
             return
-        observed = self._observed(ViewMaintained)
+        observed = self.events.wants(ViewMaintained)
         # One version per propagated update: every affected extent's
         # maintenance lands in the same atomic publish.
         with self._extents.batch():
@@ -556,7 +541,9 @@ class EVESystem:
         A failing update (a delete of a missing row, a row of the wrong
         type, a malformed entry) raises the per-update protocol's error
         at its position: the updates before it stay applied, and every
-        pending view is still flushed.
+        pending view is still flushed.  A listener that raises stops the
+        stream the same way, after its run has landed and been queued,
+        so every extent still matches the sources.
 
         Returns the maintenance counters accumulated by the stream;
         per-flush accounting lands in :attr:`last_report` and on
@@ -584,7 +571,7 @@ class EVESystem:
                     view_name, relations, len(work.updates), charged
                 )
             )
-            if self._observed(ViewMaintained):
+            if self.events.wants(ViewMaintained):
                 self.events.emit(
                     ViewMaintained(
                         view_name, relations, len(work.updates), charged
@@ -629,6 +616,10 @@ class EVESystem:
                             if work is None:
                                 work = pending[name] = _PendingMaintenance()
                             work.extend(landed)
+                    # Listeners run only once the run is queued: one that
+                    # raises stops the stream, and the final flush still
+                    # covers every update that landed.
+                    self.space.notify_updates(landed)
                 if len(landed) < len(stretch):
                     # The update the run stopped at fails one by one as
                     # well, raising the per-update protocol's error.
@@ -839,7 +830,7 @@ class EVESystem:
                 outcome.counters,
                 outcome.policy,
             )
-        if self._observed(ViewSynchronized):
+        if self.events.wants(ViewSynchronized):
             self.events.emit(
                 ViewSynchronized(result.view_name, result.change, result)
             )
@@ -935,9 +926,9 @@ class EVESystem:
         self, report: ScheduleReport, scheduler: SynchronizationScheduler
     ) -> None:
         """Publish one completed sub-batch's scheduling outcomes."""
-        if self._observed(BatchScheduled):
+        if self.events.wants(BatchScheduled):
             self.events.emit(BatchScheduled(report))
-        if report.degraded_views and self._observed(DegradedToFirstLegal):
+        if report.degraded_views and self.events.wants(DegradedToFirstLegal):
             for view_name in report.degraded_views:
                 self.events.emit(
                     DegradedToFirstLegal(
@@ -946,7 +937,7 @@ class EVESystem:
                         budget_units=scheduler.budget_units,
                     )
                 )
-        if report.deferred and self._observed(SynchronizationDeferred):
+        if report.deferred and self.events.wants(SynchronizationDeferred):
             for record in report.deferred:
                 self.events.emit(SynchronizationDeferred(record))
 
@@ -1102,8 +1093,8 @@ class EVESystem:
     ) -> None:
         """Commit replay results produced outside the live VKB.
 
-        Used by the process executor (results searched in a forked
-        child) and by coalesced followers (results rebound from a
+        Used by the workers executor (results searched in a worker
+        process) and by coalesced followers (results rebound from a
         structurally identical leader): replays exactly the commits
         :meth:`_synchronize_record` would have made.
         """
@@ -1117,7 +1108,7 @@ class EVESystem:
                     self.vkb.apply_rewriting(result.chosen.rewriting)
                 if self._batch_journal is not None:
                     self._batch_journal.append(result)
-        if self._observed(ViewSynchronized):
+        if self.events.wants(ViewSynchronized):
             for result in results:
                 self.events.emit(
                     ViewSynchronized(result.view_name, result.change, result)

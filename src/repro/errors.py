@@ -83,7 +83,7 @@ class ConfigurationError(ReproError):
 
     Raised by every :mod:`repro.config` profile constructor (unknown
     engine/policy/executor/representation names, negative budgets,
-    ``max_workers < 1``, conflicting legacy-kwarg/config spellings) so
+    ``shards < 1``, conflicting legacy-kwarg/config spellings) so
     callers validate declarative configurations against one exception
     type regardless of which subsystem the offending field configures.
     """

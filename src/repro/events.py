@@ -43,9 +43,9 @@ And two cover the online serving plane's version/pin accounting:
 * :class:`SnapshotReleased` — a reader released its pin on a version.
 
 Delivery contract: handlers run synchronously on the thread that
-produced the event — under a parallel scheduler that may be a worker
-thread, and under the fork-based process executor child-side emissions
-stay in the child (the parent emits once when it adopts the results).
+produced the event — under a serving frontend that may be its writer
+thread.  Worker processes of the ``workers`` executor never emit: the
+parent emits once when it adopts their results.
 Handlers must not raise; an exception propagates to the emitting call.
 """
 

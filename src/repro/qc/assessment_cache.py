@@ -137,8 +137,9 @@ class AssessmentCache:
                 # FIFO eviction: drop the oldest insertions (dicts keep
                 # insertion order); crude but O(1) amortized and safe.
                 # pop() tolerates a concurrent evictor under the GIL
-                # (the scheduler's thread executor shares this cache);
-                # worst case both threads over-evict, never KeyError.
+                # (a serving frontend's writer thread may share this
+                # cache); worst case both threads over-evict, never
+                # KeyError.
                 for stale in list(self._entries)[: self.max_entries // 8 or 1]:
                     self._entries.pop(stale, None)
             self._entries[full_key] = value

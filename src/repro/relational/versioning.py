@@ -28,11 +28,9 @@ acquisition to increment a refcount, and every subsequent
 :meth:`ExtentSnapshot.extent` call is a plain dict lookup against an
 immutable mapping.
 
-Thread/fork safety: all store mutations take the internal lock.  The
-fork-based process executor can fork while a reader thread briefly
-holds that lock, so the store re-arms its lock in fork children via a
-module-level ``os.register_at_fork`` hook (children never serve reads;
-they only replay synchronizations).
+Thread safety: all store mutations take the internal lock.  Nothing
+forks the store: the ``workers`` executor spawns its processes and ships
+them plain extents, never the store itself.
 
 The store keeps the mutating half of the mapping API (``get`` /
 ``pop`` / ``update`` / item access) so the synchronization machinery —
@@ -42,9 +40,7 @@ unchanged against it.
 
 from __future__ import annotations
 
-import os
 import threading
-import weakref
 from collections.abc import Callable, Iterator, Mapping
 from typing import TYPE_CHECKING
 
@@ -52,25 +48,6 @@ if TYPE_CHECKING:
     from repro.relational.relation import Relation
 
 __all__ = ["ExtentSnapshot", "ExtentStore"]
-
-
-#: Live stores whose locks must be re-armed in fork children (a reader
-#: thread may hold a store lock at the instant the process executor
-#: forks; the child would otherwise deadlock on its inherited copy).
-_LIVE_STORES: "weakref.WeakSet[ExtentStore]" = weakref.WeakSet()
-_AT_FORK_ARMED = False
-
-
-def _rearm_locks_after_fork() -> None:
-    for store in list(_LIVE_STORES):
-        store._rearm_after_fork()
-
-
-def _arm_at_fork() -> None:
-    global _AT_FORK_ARMED
-    if not _AT_FORK_ARMED and hasattr(os, "register_at_fork"):
-        os.register_at_fork(after_in_child=_rearm_locks_after_fork)
-        _AT_FORK_ARMED = True
 
 
 _SENTINEL = object()
@@ -180,13 +157,6 @@ class ExtentStore:
         self._pins: dict[int, int] = {}
         self.on_publish = on_publish
         self.on_release = on_release
-        _LIVE_STORES.add(self)
-        _arm_at_fork()
-
-    def _rearm_after_fork(self) -> None:
-        # Fork children replay searches only; any pin state belongs to
-        # the parent's reader threads, which did not cross the fork.
-        self._lock = threading.Lock()
 
     # -- mapping API (writer-side: overlay over current) ---------------
     def get(self, view_name: str, default=None):

@@ -32,7 +32,7 @@ consumed by the benchmark drivers in place of their hand-rolled dicts.
            "coalesced": int, "wall_seconds": float,
            "budget": float | null, "budget_units": float | null,
            "units_spent": float,
-           "executor_fallback": str | null,
+           "executor_fallback": null,
            "degraded": [view, ...], "deferred": [view, ...],
            "shards": [{<ShardDispatch fields>}, ...]},
           ...
@@ -493,7 +493,10 @@ class SystemReport:
                         "budget": schedule.budget,
                         "budget_units": schedule.budget_units,
                         "units_spent": round(schedule.units_spent, 6),
-                        "executor_fallback": schedule.executor_fallback,
+                        # Always null: no executor falls back to another
+                        # any more; the key stays in the v4 layout until
+                        # the next schema bump.
+                        "executor_fallback": None,
                         "degraded": list(schedule.degraded_views),
                         "deferred": [
                             record.view_name

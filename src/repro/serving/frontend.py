@@ -11,9 +11,8 @@ The serving contract, end to end:
 * **Writes serialize on one writer thread.**  :meth:`apply_changes`
   and :meth:`apply_updates` run on a dedicated single-thread executor;
   awaiting them yields the event loop to concurrent reads.  The
-  underlying scheduler executor (``serial`` / ``threads`` /
-  ``processes`` / ``workers``) is whatever the system's config says —
-  the frontend adds no constraint.
+  underlying scheduler executor (``serial`` / ``workers``) is whatever
+  the system's config says — the frontend adds no constraint.
 * **Reads are torn-proof.**  A :class:`ServedRead` carries the version
   it was served from; its rows equal that version's committed extent
   byte for byte, never a mixture of two batches.

@@ -154,8 +154,9 @@ class InformationSpace:
     def on_data_update(self, listener: UpdateListener) -> None:
         """Call ``listener`` with every data update that lands, once each,
         in stream order.  :meth:`insert` and :meth:`delete` notify as
-        their update lands; :meth:`apply_run` notifies after its whole
-        run has landed."""
+        their update lands; :meth:`apply_run` lands a whole run without
+        notifying, and its caller passes the landed updates to
+        :meth:`notify_updates`."""
         self._update_listeners.append(listener)
 
     # ------------------------------------------------------------------
@@ -178,17 +179,22 @@ class InformationSpace:
         self, relation: str, ops: Sequence[tuple[bool, Sequence]]
     ) -> list[DataUpdate]:
         """Apply a run of ``(insert, row)`` ops to ``relation`` in one
-        pass at the IS offering it (``insert`` is False for a delete),
-        then fan each landed update out.
+        pass at the IS offering it (``insert`` is False for a delete).
 
-        Returns the landed updates, in order.  A short result means the
-        next op fails: :meth:`insert` or :meth:`delete` of it raises its
-        error, and nothing of it has landed or been notified.
+        Returns the landed updates, in order, *not yet notified*: the
+        caller queues them for maintenance first and then hands them to
+        :meth:`notify_updates`, so a listener that raises cannot leave a
+        landed update unqueued.  A short result means the next op fails:
+        :meth:`insert` or :meth:`delete` of it raises its error, and
+        nothing of it has landed.
         """
-        updates = self.owner_of(relation).apply_run(relation, ops)
+        return self.owner_of(relation).apply_run(relation, ops)
+
+    def notify_updates(self, updates: Sequence[DataUpdate]) -> None:
+        """Fan landed updates out to the ``on_data_update`` listeners,
+        in order; a listener's error propagates at once."""
         for update in updates:
             self._notify_update(update)
-        return updates
 
     def _notify_update(self, update: DataUpdate) -> None:
         for listener in self._update_listeners:

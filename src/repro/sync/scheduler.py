@@ -19,13 +19,9 @@ replay into an explicit, immutable *work plan* and schedules it:
   *modeled* Eq. 24 cost, debited per dispatched view from its salvage
   bound — same degrade/defer semantics, fully deterministic (no wall
   clock), so budgets can be planned offline and asserted in tests.
-* **Pluggable executors** — ``serial`` (the reference), ``threads``
-  (:class:`~concurrent.futures.ThreadPoolExecutor`), ``processes``
-  (fork-based, for true CPU parallelism where the platform offers it;
-  falls back to ``serial`` elsewhere, with a one-time
-  :class:`RuntimeWarning` and the demotion recorded on the report), and
-  ``workers`` (the persistent sharded pool of
-  :mod:`repro.sync.workers`: spawn-safe long-lived processes that keep
+* **Two executors** — ``serial`` (the default and the reference) and
+  ``workers`` (the one parallel path: the persistent sharded pool of
+  :mod:`repro.sync.workers`, spawn-safe long-lived processes that keep
   their VKB shard and extents warm across batches, shipping only
   deltas).  Whatever the executor, committed winners, QC-Values, and
   extents are identical to the serial reference — enforced by
@@ -54,12 +50,9 @@ out of the control plane proper.
 
 from __future__ import annotations
 
-import os
-import threading
-import warnings
 from dataclasses import dataclass
 from time import perf_counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from typing import TYPE_CHECKING, Protocol
 
 from repro.config import ScheduleConfig
@@ -224,12 +217,6 @@ class ItemOutcome:
     item: ViewWorkItem
     results: "tuple[SynchronizationResult, ...]"
     seconds: float
-    #: True when the executing process already committed to the live
-    #: VKB — serial/threads outcomes, including coalesced followers
-    #: (``_run_group`` adopts those on the spot).  False only for
-    #: process-executor outcomes, which the parent rebuilds from the
-    #: child's rows and must adopt itself.
-    committed: bool
     degraded: bool = False
     coalesced: bool = False
 
@@ -264,11 +251,6 @@ class ScheduleReport:
     #: the Eq. 24 units debited by this execution's dispatches.
     budget_units: float | None = None
     units_spent: float = 0.0
-    #: The executor that was *requested* when the one reported in
-    #: ``executor`` is a silent-no-more demotion (currently only
-    #: ``"processes"`` on fork-less platforms); None when the requested
-    #: executor actually ran.
-    executor_fallback: str | None = None
     #: Per-shard accounting of the ``workers`` executor — one
     #: :class:`~repro.sync.workers.ShardDispatch` per shard the batch
     #: touched (views, chain groups, bytes shipped/received, bootstrap
@@ -304,7 +286,7 @@ class SchedulerRuntime(Protocol):
     def adopt_results(
         self, results: "Sequence[SynchronizationResult]"
     ) -> None:
-        """Commit results produced elsewhere (fork / coalesced rebind)."""
+        """Commit results produced elsewhere (worker / coalesced rebind)."""
         ...
 
     def finalize_view(self, view_name: str, like: str | None = None) -> None:
@@ -315,67 +297,6 @@ class SchedulerRuntime(Protocol):
         in for an evaluation (see :meth:`repro.core.eve.EVESystem.finalize_view`).
         """
         ...
-
-
-#: Fork-side state for the process executor: (runtime, plan, groups,
-#: policy overrides).  Set in the parent immediately before the pool
-#: forks its workers; index-addressed by :func:`_replay_group_in_fork`.
-#: The lock serializes concurrent process-executor runs in one parent —
-#: the state must stay stable from the moment it is written until the
-#: pool has forked and drained, so overlapping schedules take turns.
-_FORK_STATE: dict = {}
-_FORK_LOCK = threading.Lock()
-
-
-def _fork_available() -> bool:
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-#: Whether the processes→serial demotion has been announced yet.  One
-#: warning per process: the demotion is a platform property, not a
-#: per-batch surprise, and storm workloads schedule thousands of
-#: batches.  (The report still records it on every affected batch.)
-_FALLBACK_WARNED = False
-
-
-def _warn_fork_fallback() -> None:
-    global _FALLBACK_WARNED
-    if _FALLBACK_WARNED:
-        return
-    _FALLBACK_WARNED = True
-    warnings.warn(
-        "executor='processes' requires the fork start method, which this "
-        "platform does not offer; falling back to executor='serial'. "
-        "Use executor='workers' for spawn-safe process parallelism.",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-def _replay_group_in_fork(group_index: int):
-    """Worker entry point: replay one chain group in the forked child.
-
-    The child inherited a copy-on-write snapshot of the whole system, so
-    the serial replay code runs unchanged against the child's private
-    VKB; only (picklable) result rows travel back to the parent, which
-    rebuilds the outcomes and adopts them into the live VKB in plan
-    order.  The rows are the dedupe format of
-    :func:`repro.sync.workers._dedupe_rows`: a coalesced follower ships
-    one back-reference to its leader's row instead of re-pickling the
-    leader's full result set once per follower — on a storm of
-    structurally identical views that is the difference between a
-    payload linear in *searches run* and one linear in *views*.
-    """
-    from repro.sync.workers import _dedupe_rows
-
-    scheduler = _FORK_STATE["scheduler"]
-    runtime = _FORK_STATE["runtime"]
-    plan = _FORK_STATE["plan"]
-    group, policy, degraded = _FORK_STATE["groups"][group_index]
-    outcomes = scheduler._run_group(plan, runtime, group, policy, degraded)
-    return _dedupe_rows(outcomes)
 
 
 class SynchronizationScheduler:
@@ -390,11 +311,11 @@ class SynchronizationScheduler:
         first (ties broken by plan order); ``"plan"`` keeps definition
         order.  Results and the synchronization log are always reported
         in plan order, so ordering only moves *scheduling* priority —
-        which views make it under a deadline, and latency under a
-        parallel executor.
+        which views make it under a deadline, and latency under the
+        ``workers`` executor.
     ``executor``
-        ``"serial"`` | ``"threads"`` | ``"processes"`` (fork; falls back
-        to serial where fork is unavailable).
+        ``"serial"`` (the reference) | ``"workers"`` (the persistent
+        sharded pool over ``shards`` VKB shards).
     ``budget`` / ``budget_units`` / ``degrade``
         Wall-clock seconds (``budget``) or a token bucket of modeled
         Eq. 24 cost units (``budget_units``, debited per dispatched
@@ -419,7 +340,6 @@ class SynchronizationScheduler:
         #: (``executor="workers"`` only); survives across executions.
         self._worker_pool = None
         self.executor = self.config.executor
-        self.max_workers = self.config.max_workers
         self.budget = self.config.budget
         self.budget_units = self.config.budget_units
         self.degrade = self.config.degrade
@@ -457,55 +377,41 @@ class SynchronizationScheduler:
         if self.order == "cost":
             groups.sort(key=lambda group: (group.cost_bound, group.order))
 
-        executor = self.executor
-        executor_fallback = None
-        if executor == "processes" and not _fork_available():
-            executor = "serial"
-            executor_fallback = "processes"
-            _warn_fork_fallback()
-        if len(groups) <= 1 and executor != "workers":
-            # A single chain group gains nothing from thread/fork
-            # fan-out.  The workers executor is exempt: every batch
-            # must flow through the pool or the shard mirrors would
-            # miss the commits and re-bootstrap on the next dispatch.
-            executor = "serial"
-        workers = self.max_workers or min(8, (os.cpu_count() or 1) + 3)
-
         outcomes: list[ItemOutcome] = []
         deferred: list[DeferredSynchronization] = []
+        admitted = self._admit(plan, groups, started, unit_meter, deferred)
         shard_dispatches: tuple = ()
-        if executor == "serial":
-            self._execute_serial(
-                plan, runtime, groups, started, unit_meter, outcomes, deferred
-            )
-            workers = 1
-        elif executor == "threads":
-            self._execute_threads(
-                plan, runtime, groups, started, unit_meter, workers,
-                outcomes, deferred,
-            )
-        elif executor == "workers":
-            shard_dispatches = self._execute_workers(
-                plan, runtime, groups, started, unit_meter, outcomes,
-                deferred,
-            )
+        workers = 1
+        if self.executor == "workers":
+            # Budget decisions happen up front: the batch ships as one
+            # message per shard, so there is no mid-flight dispatch
+            # point to re-check the clock at.  Every batch flows through
+            # the pool, even a single chain group: the shard mirrors
+            # must see every commit or they re-bootstrap on the next
+            # dispatch.
+            dispatchable = list(admitted)
+            if dispatchable:
+                committed, dispatches = self._ensure_pool().run_batch(
+                    plan, runtime, dispatchable
+                )
+                outcomes.extend(committed)
+                shard_dispatches = tuple(dispatches)
             workers = self.config.shards or 1
         else:
-            self._execute_processes(
-                plan, runtime, groups, started, unit_meter, workers,
-                outcomes, deferred,
-            )
+            for group, policy, degraded in admitted:
+                outcomes.extend(
+                    self._run_group(plan, runtime, group, policy, degraded)
+                )
 
-        # Adoption + reporting happen in plan order regardless of the
-        # executor's completion order, so the synchronization log (and
-        # the VKB commit order for adopted outcomes) is deterministic.
+        # Every outcome is committed by now (serial replays commit on
+        # the spot; the pool adopts its replies in plan order).  Results
+        # are reported in plan order whatever the dispatch order, so the
+        # synchronization log is deterministic.
         outcomes.sort(key=lambda outcome: outcome.item.order)
         deferred.sort(key=lambda record: record.item.order)
         deferred_names = {record.view_name for record in deferred}
         results: list = []
         for outcome in outcomes:
-            if not outcome.committed:
-                runtime.adopt_results(outcome.results)
             results.extend(outcome.results)
         # A coalesced follower's definition is its leader's renamed, so
         # its extent is the leader's fresh one renamed: the first view
@@ -531,7 +437,7 @@ class SynchronizationScheduler:
                 for outcome in outcomes
             },
             wall_seconds=perf_counter() - wall_started,
-            executor=executor,
+            executor=self.executor,
             workers=workers,
             coalesced=sum(1 for outcome in outcomes if outcome.coalesced),
             budget=self.budget,
@@ -544,7 +450,6 @@ class SynchronizationScheduler:
                 if unit_meter is not None
                 else 0.0
             ),
-            executor_fallback=executor_fallback,
             shards=shard_dispatches,
         )
 
@@ -605,149 +510,24 @@ class SynchronizationScheduler:
     # ------------------------------------------------------------------
     # Executors
     # ------------------------------------------------------------------
-    def _execute_serial(
-        self, plan, runtime, groups, started, meter, outcomes, deferred
-    ) -> None:
-        for group in groups:
-            if self._over_budget(started, meter):
-                if self.degrade == "defer":
-                    self._park(plan, group, deferred, meter)
-                    continue
-                outcomes.extend(
-                    self._run_group(
-                        plan, runtime, group, "first_legal", True
-                    )
-                )
-            else:
-                self._debit(meter, group)
-                outcomes.extend(
-                    self._run_group(plan, runtime, group, None, False)
-                )
+    def _admit(
+        self, plan, groups, started, meter, deferred
+    ) -> Iterator[tuple[ChainGroup, str | None, bool]]:
+        """Yield ``(group, policy, degraded)`` for each group to dispatch,
+        in dispatch order; park past-budget groups under ``defer``.
 
-    def _execute_threads(
-        self, plan, runtime, groups, started, meter, workers, outcomes,
-        deferred,
-    ) -> None:
-        # Imported here, like the process executor's pool: the default
-        # serial executor never loads concurrent.futures (~0.7 MB RSS).
-        from concurrent.futures import (
-            FIRST_COMPLETED,
-            ThreadPoolExecutor,
-            wait,
-        )
-
-        pending = list(groups)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            running = set()
-
-            # dispatch() only ever runs on the scheduling thread, so the
-            # unit meter is read and debited without synchronization.
-            def dispatch() -> None:
-                while pending and len(running) < workers:
-                    if self._over_budget(started, meter):
-                        if self.degrade == "defer":
-                            while pending:
-                                self._park(
-                                    plan, pending.pop(0), deferred, meter
-                                )
-                            return
-                        group = pending.pop(0)
-                        running.add(
-                            pool.submit(
-                                self._run_group, plan, runtime, group,
-                                "first_legal", True,
-                            )
-                        )
-                    else:
-                        group = pending.pop(0)
-                        self._debit(meter, group)
-                        running.add(
-                            pool.submit(
-                                self._run_group, plan, runtime, group,
-                                None, False,
-                            )
-                        )
-
-            dispatch()
-            while running:
-                done, running = wait(running, return_when=FIRST_COMPLETED)
-                for future in done:
-                    outcomes.extend(future.result())
-                dispatch()
-
-    def _execute_processes(
-        self, plan, runtime, groups, started, meter, workers, outcomes,
-        deferred,
-    ) -> None:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Decide degradation/deferral up front: the fork snapshot is
-        # taken once, so budget checks cannot usefully run mid-flight in
-        # the children.  A zero/over-run budget degrades everything not
-        # already dispatched, exactly like the other executors observe
-        # at their dispatch points.
-        dispatchable: list[tuple[ChainGroup, str | None, bool]] = []
-        for group in groups:
-            if self._over_budget(started, meter):
-                if self.degrade == "defer":
-                    self._park(plan, group, deferred, meter)
-                    continue
-                dispatchable.append((group, "first_legal", True))
-            else:
-                self._debit(meter, group)
-                dispatchable.append((group, None, False))
-        if not dispatchable:
-            return
-        with _FORK_LOCK:
-            _FORK_STATE.update(
-                scheduler=self, runtime=runtime, plan=plan,
-                groups=dispatchable,
-            )
-            try:
-                context = multiprocessing.get_context("fork")
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(dispatchable)),
-                    mp_context=context,
-                ) as pool:
-                    from repro.sync.workers import _outcomes_from_rows
-
-                    by_order = {item.order: item for item in plan.items}
-                    for rows in pool.map(
-                        _replay_group_in_fork, range(len(dispatchable))
-                    ):
-                        _outcomes_from_rows(rows, by_order, outcomes)
-            finally:
-                _FORK_STATE.clear()
-
-    def _execute_workers(
-        self, plan, runtime, groups, started, meter, outcomes, deferred
-    ) -> tuple:
-        """Dispatch through the persistent sharded worker pool.
-
-        Budget decisions happen up front, exactly like the fork
-        executor's: the batch ships as one message per shard, so there
-        is no mid-flight dispatch point to re-check the clock at.
-        Returns the per-shard :class:`~repro.sync.workers.ShardDispatch`
-        accounting rows for the report.
+        Lazy: the serial executor runs each group before the next
+        budget check, so the clock is read at every dispatch point.
         """
-        dispatchable: list[tuple[ChainGroup, str | None, bool]] = []
         for group in groups:
             if self._over_budget(started, meter):
                 if self.degrade == "defer":
                     self._park(plan, group, deferred, meter)
                     continue
-                dispatchable.append((group, "first_legal", True))
+                yield group, "first_legal", True
             else:
                 self._debit(meter, group)
-                dispatchable.append((group, None, False))
-        if not dispatchable:
-            return ()
-        committed, dispatches = self._ensure_pool().run_batch(
-            plan, runtime, dispatchable
-        )
-        outcomes.extend(committed)
-        return tuple(dispatches)
+                yield group, None, False
 
     def _ensure_pool(self):
         if self._worker_pool is None:
@@ -767,8 +547,8 @@ class SynchronizationScheduler:
             self._worker_pool.close()
 
     # ------------------------------------------------------------------
-    # Group replay (shared by every executor; runs in the child for
-    # the process executor)
+    # Group replay (shared by both executors; runs in the worker
+    # process for the workers executor)
     # ------------------------------------------------------------------
     def _run_group(
         self,
@@ -789,7 +569,7 @@ class SynchronizationScheduler:
                 outcomes.append(
                     ItemOutcome(
                         item, results, perf_counter() - began,
-                        committed=True, degraded=degraded, coalesced=True,
+                        degraded=degraded, coalesced=True,
                     )
                 )
                 continue
@@ -799,8 +579,7 @@ class SynchronizationScheduler:
                     if result.counters is not None:
                         result.counters.degraded += 1
             outcome = ItemOutcome(
-                item, results, perf_counter() - began,
-                committed=True, degraded=degraded,
+                item, results, perf_counter() - began, degraded=degraded,
             )
             outcomes.append(outcome)
             if self.coalesce:

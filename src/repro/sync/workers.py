@@ -1,10 +1,9 @@
 """Persistent-worker execution over a sharded VKB.
 
-The fork-based ``processes`` executor re-forks the whole runtime for
-every ``apply_changes`` batch: each batch pays a full copy-on-write
-snapshot, and platforms without ``fork`` get nothing at all.  This
-module is the actor-style alternative — long-lived workers that hold
-state and receive work over queues:
+The ``workers`` executor is the scheduler's one parallel path (``serial``
+is the reference).  Rather than snapshotting the runtime for every
+``apply_changes`` batch, it keeps long-lived workers that hold state and
+receive work over queues:
 
 * The VKB is partitioned into **shards** along the relation→views
   inverted index: a relation's shard is ``crc32(name) % shards``, and a
@@ -19,7 +18,7 @@ state and receive work over queues:
   data updates the parent observed since the worker's last sync point,
   the committed rewritings of home views that were executed on another
   shard, and the routed :class:`~repro.sync.scheduler.ChainGroup` work
-  items.  No re-fork, no per-batch snapshot pickling — the
+  items.  No per-batch snapshot pickling — the
   ``snapshot_bytes`` accounting in :class:`ShardDispatch` is zero on
   every warm dispatch, and the benchmarks gate on exactly that.
 * Chain groups that span shards route to the shard owning the item
@@ -131,9 +130,8 @@ def _dedupe_rows(outcomes) -> list:
     rows; coalesced followers as ``("coalesced", order, leader_order,
     seconds, degraded)`` — the receiver rebinds the leader's results to
     the follower's name, reproducing the executing side's rebind float
-    for float.  Shared by the workers executor and the fork executor
-    (whose per-group payloads used to repeat every follower's full
-    result set).
+    for float.  A payload therefore grows with searches run, not with
+    views coalesced.
     """
     leader_by_key: dict = {}
     rows = []
@@ -166,8 +164,8 @@ def _dedupe_rows(outcomes) -> list:
 def _outcomes_from_rows(rows, by_order, outcomes) -> None:
     """Rebuild :class:`ItemOutcome`\\ s from :func:`_dedupe_rows` rows.
 
-    Appends to ``outcomes`` with ``committed=False`` — the caller (the
-    parent process) adopts them into the live VKB in plan order.
+    Appends to ``outcomes`` uncommitted — the caller (the parent
+    process) adopts them into the live VKB in plan order.
     Rebinding a follower here is exact: the leader's results are the
     very objects a worker-side rebind would have started from, and
     :func:`~repro.sync.scheduler.rebind_results` never reads anything
@@ -182,8 +180,7 @@ def _outcomes_from_rows(rows, by_order, outcomes) -> None:
             leaders[order] = results
             outcomes.append(
                 ItemOutcome(
-                    by_order[order], results, seconds,
-                    committed=False, degraded=degraded,
+                    by_order[order], results, seconds, degraded=degraded,
                 )
             )
         else:
@@ -194,7 +191,7 @@ def _outcomes_from_rows(rows, by_order, outcomes) -> None:
             outcomes.append(
                 ItemOutcome(
                     by_order[order], results, seconds,
-                    committed=False, degraded=degraded, coalesced=True,
+                    degraded=degraded, coalesced=True,
                 )
             )
 
@@ -258,8 +255,7 @@ def _worker_bootstrap(message) -> _WorkerState:
         space=space,
         auto_synchronize=False,
         config=config.with_schedule(
-            executor="serial", shards=None, max_workers=None,
-            budget=None, budget_units=None,
+            executor="serial", shards=None, budget=None, budget_units=None,
         ),
     )
     for original, current, alive, order in records:
@@ -656,11 +652,10 @@ class ShardedWorkerPool:
         """Dispatch one batch's chain groups; commit in plan order.
 
         ``dispatchable`` carries the scheduler's up-front budget
-        decisions: ``(group, policy, degraded)`` triples, exactly like
-        the fork executor's.  Returns the plan-order
-        :class:`~repro.sync.scheduler.ItemOutcome` list (already
-        adopted into the parent VKB, ``committed=True``) and the
-        per-shard accounting rows.
+        decisions: ``(group, policy, degraded)`` triples.  Returns the
+        plan-order :class:`~repro.sync.scheduler.ItemOutcome` list
+        (already adopted into the parent VKB) and the per-shard
+        accounting rows.
         """
         reason = self._needs_bootstrap(runtime)
         if reason is not None:
@@ -742,7 +737,6 @@ class ShardedWorkerPool:
         outcomes.sort(key=lambda outcome: outcome.item.order)
         for outcome in outcomes:
             runtime.adopt_results(outcome.results)
-            outcome.committed = True
             # A home shard that did not execute its view receives the
             # commit through its delta backlog, in log order.
             home = self._home[outcome.item.view_name]

@@ -11,8 +11,10 @@ cardinality snapshots price the deferred flush exactly).
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.core.eve import EVESystem
 from repro.errors import MaintenanceError
+from repro.esql.evaluator import evaluate_view
 from repro.events import ViewMaintained
 from repro.misd.statistics import RelationStatistics
 from repro.relational.relation import Relation
@@ -20,7 +22,7 @@ from repro.relational.schema import Schema
 from repro.space.space import InformationSpace
 
 
-def build_eve(view_text, r_rows=((1, 10), (2, 20)), s_rows=((1, 5), (2, 6))):
+def build_space(r_rows=((1, 10), (2, 20)), s_rows=((1, 5), (2, 6))):
     space = InformationSpace()
     space.add_source("IS1")
     space.add_source("IS2")
@@ -34,6 +36,11 @@ def build_eve(view_text, r_rows=((1, 10), (2, 20)), s_rows=((1, 5), (2, 6))):
         Relation(Schema("S", ["A", "C"]), list(s_rows)),
         RelationStatistics(cardinality=max(len(s_rows), 1)),
     )
+    return space
+
+
+def build_eve(view_text, r_rows=((1, 10), (2, 20)), s_rows=((1, 5), (2, 6))):
+    space = build_space(r_rows, s_rows)
     eve = EVESystem(space=space, auto_synchronize=False)
     eve.define_view(view_text)
     return eve
@@ -228,3 +235,54 @@ class TestRelationSizesContract:
             reference.bytes_transferred,
             reference.io_operations,
         )
+
+
+class TestRaisingListener:
+    """A listener that raises stops the stream, but every update that
+    landed is still queued and flushed: no extent goes stale."""
+
+    VIEWS = (
+        EQUIJOIN,
+        "CREATE VIEW W AS SELECT R.A, R.B FROM R WHERE R.B > 1",
+        "CREATE VIEW X AS SELECT S.A, S.C FROM S",
+    )
+    STREAM = [
+        ("R", "insert", (3, 30)),
+        ("R", "insert", (1, 11)),
+        ("R", "delete", (2, 20)),
+        ("S", "insert", (3, 7)),
+        ("S", "delete", (2, 6)),
+        ("R", "insert", (2, 21)),
+        ("R", "insert", (4, 40)),
+    ]
+
+    @pytest.mark.parametrize("k", range(1, len(STREAM) + 1))
+    @pytest.mark.parametrize("serving", [False, True], ids=["direct", "serving"])
+    @pytest.mark.parametrize(
+        "config",
+        [SystemConfig(), SystemConfig.columnar()],
+        ids=["tuple", "columnar"],
+    )
+    def test_extents_match_sources_after_listener_error(
+        self, config, serving, k
+    ):
+        space = build_space()
+        eve = EVESystem(space=space, auto_synchronize=False, config=config)
+        for text in self.VIEWS:
+            eve.define_view(text)
+        if serving:
+            eve.snapshot().release()
+        seen = []
+
+        def listener(update):
+            seen.append(update)
+            if len(seen) == k:
+                raise RuntimeError(f"listener fails on update {k}")
+
+        space.on_data_update(listener)
+        with pytest.raises(RuntimeError, match=f"update {k}"):
+            eve.apply_updates(self.STREAM)
+        relations = space.relations()
+        for name in ("V", "W", "X"):
+            expected = evaluate_view(eve.vkb.current(name), relations)
+            assert sorted(eve.extent(name).rows) == sorted(expected.rows)

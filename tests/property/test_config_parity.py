@@ -6,7 +6,8 @@ committed winners, QC-Values, extents, and modeled CF_M/CF_T/CF_IO
 counters to the default spelling of the same planes.  The presets
 deliberately span every plane pair the property tests already pin
 (naive/indexed engines, dict/tuple delta representations,
-serial/threaded/coalesced schedulers, exhaustive/pruned policies), so
+plan-order/cost-order and plain/coalesced schedulers, exhaustive/pruned
+policies), so
 this test is the composition of those parities through the one public
 entry point.
 """
@@ -134,7 +135,6 @@ def test_presets_commit_identical_outcomes(data):
     reference = run(tables, updates, deleted)  # the default profile
     for label, config in {
         "reference": SystemConfig.reference(),
-        "fast": SystemConfig.fast(),
         "columnar": SystemConfig.columnar(),
         "bounded-unbinding": SystemConfig.bounded(budget_units=1e12),
     }.items():

@@ -1,8 +1,7 @@
 """Serial/parallel parity: executors must never change committed outcomes.
 
 The acceptance property of the scheduler: whatever the executor
-(``serial`` / ``threads`` / ``processes``), with or without search
-coalescing, a scheduled batch commits the identical winners with the
+(``serial`` / ``workers``), with or without search coalescing, a scheduled batch commits the identical winners with the
 identical QC-Values and materializes the identical extents as the serial
 reference.  Hypothesis drives the storm generators over seeds and
 shapes; every configuration is compared against the fingerprint of the
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.config import ScheduleConfig
 from repro.core.eve import EVESystem
-from repro.sync.scheduler import SynchronizationScheduler, _fork_available
+from repro.sync.scheduler import SynchronizationScheduler
 from repro.workloadgen.scenarios import (
     build_evolution_storm_scenario,
     build_scheduler_stress_scenario,
@@ -80,8 +79,6 @@ def reference_fingerprint(eve, batch):
 
 SCHEDULERS = {
     "serial+coalesce": dict(),
-    "threads": dict(executor="threads", max_workers=3, coalesce=False),
-    "threads+coalesce": dict(executor="threads", max_workers=3),
     "plan-order": dict(order="plan"),
 }
 
@@ -126,22 +123,6 @@ def test_executors_commit_identical_outcomes_on_salvage_storms(
             batch, scheduler=SynchronizationScheduler(ScheduleConfig(**config))
         )
         assert outcome_fingerprint(eve, results) == reference, label
-
-
-@pytest.mark.skipif(
-    not _fork_available(), reason="fork start method unavailable"
-)
-@pytest.mark.parametrize("coalesce", [False, True], ids=["plain", "coalesce"])
-def test_process_executor_commits_identical_outcomes(coalesce):
-    reference_eve, batch = stress_system(views=12, relations=4, donors=2)
-    reference = reference_fingerprint(reference_eve, batch)
-    eve, batch = stress_system(views=12, relations=4, donors=2)
-    scheduler = SynchronizationScheduler(
-        ScheduleConfig(executor="processes", max_workers=2, coalesce=coalesce)
-    )
-    results = eve.apply_changes(batch, scheduler=scheduler)
-    assert outcome_fingerprint(eve, results) == reference
-    assert eve.last_schedule[0].executor == "processes"
 
 
 @pytest.mark.parametrize("shards", [1, 2, 3])

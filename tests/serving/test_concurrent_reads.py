@@ -2,8 +2,9 @@
 
 The satellite-3 acceptance property of the serving plane: reader
 threads that continuously query views while ``apply_changes`` /
-``apply_updates`` storms run on the ``threads``, ``processes``, and
-``workers`` executors must only ever observe a committed version — the
+``apply_updates`` storms run on the ``serial`` executor (default and
+reference planes) and the ``workers`` executor must only ever observe a
+committed version — the
 rows of every read equal the serial reference extent at that read's
 version, never a mixture of two batches.
 
@@ -17,7 +18,7 @@ import threading
 
 import pytest
 
-from repro.config import ScheduleConfig, SystemConfig
+from repro.config import SystemConfig
 from repro.core.eve import EVESystem
 from repro.misd.statistics import RelationStatistics
 from repro.relational.relation import Relation
@@ -145,18 +146,7 @@ def storm_with_readers(config, reader_count=3):
 
 EXECUTORS = [
     pytest.param(None, id="serial"),
-    pytest.param(
-        SystemConfig(
-            schedule=ScheduleConfig(executor="threads", max_workers=2)
-        ),
-        id="threads",
-    ),
-    pytest.param(
-        SystemConfig(
-            schedule=ScheduleConfig(executor="processes", max_workers=2)
-        ),
-        id="processes",
-    ),
+    pytest.param(SystemConfig.reference(), id="reference"),
     pytest.param(SystemConfig.sharded(2), id="workers"),
 ]
 

@@ -1,6 +1,5 @@
 """Unit tests for the cost-aware synchronization scheduler."""
 
-import threading
 
 import pytest
 
@@ -79,7 +78,6 @@ class RecordingRuntime:
 
     def __init__(self, fail_for=()):
         self.replayed = []
-        self.threads = {}
         self.finalized = []
         self.adopted = []
         self.fail_for = set(fail_for)
@@ -88,7 +86,6 @@ class RecordingRuntime:
         if item.view_name in self.fail_for:
             raise ValueError(f"injected failure for {item.view_name}")
         self.replayed.append((item.view_name, policy))
-        self.threads[item.view_name] = threading.get_ident()
         return []
 
     def adopt_results(self, results):
@@ -202,23 +199,6 @@ class TestDispatch:
         )
         assert [name for name, _ in runtime.replayed] == ["V0", "V1", "V2"]
 
-    def test_chain_groups_never_split_across_workers(self):
-        runtime = RecordingRuntime()
-        plan = make_plan(
-            [(f"V{i}", (i % 3,), float(i), f"k{i}") for i in range(12)],
-            CHANGES,
-        )
-        SynchronizationScheduler(
-            ScheduleConfig(executor="threads", max_workers=4)
-        ).execute(plan, runtime)
-        groups = plan.groups()
-        assert len(groups) == 3
-        for group in groups:
-            workers = {
-                runtime.threads[item.view_name] for item in group.items
-            }
-            assert len(workers) == 1
-
     def test_zero_budget_defers_everything(self):
         runtime = RecordingRuntime()
         plan = make_plan(
@@ -247,13 +227,13 @@ class TestDispatch:
         assert report.degraded_views == ("V0", "V1")
         assert report.deferred == ()
 
-    @pytest.mark.parametrize("executor", ["serial", "threads"])
+    @pytest.mark.parametrize("executor", ["serial"])
     def test_replay_exceptions_surface(self, executor):
         plan = make_plan(
             [("V0", (0,), 1.0, "a"), ("V1", (1,), 2.0, "b")], CHANGES
         )
         runtime = RecordingRuntime(fail_for={"V1"})
-        scheduler = SynchronizationScheduler(ScheduleConfig(executor=executor, max_workers=2))
+        scheduler = SynchronizationScheduler(ScheduleConfig(executor=executor))
         with pytest.raises(ValueError, match="injected failure"):
             scheduler.execute(plan, runtime)
 
@@ -267,7 +247,7 @@ class TestDispatch:
         with pytest.raises(ConfigurationError):
             ScheduleConfig(budget=-1.0)
         with pytest.raises(ConfigurationError):
-            ScheduleConfig(max_workers=0)
+            ScheduleConfig(executor="threads")
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,8 @@ recycles, and the next batch on the same system re-bootstraps and
 commits the serial outcome.
 """
 
+import json
+
 import pytest
 
 from repro import (
@@ -320,43 +322,26 @@ class TestCrashLifecycle:
 
 
 # ----------------------------------------------------------------------
-# processes -> serial fallback is loud, once
+# The report layout outlives the fork executor
 # ----------------------------------------------------------------------
-class TestForkFallback:
-    def test_fallback_warns_once_and_is_recorded(self, monkeypatch):
-        from repro.sync import scheduler as scheduler_module
-
-        monkeypatch.setattr(
-            scheduler_module, "_fork_available", lambda: False
-        )
-        monkeypatch.setattr(scheduler_module, "_FALLBACK_WARNED", False)
-        eve = build_system(
-            SystemConfig().with_schedule(executor="processes")
-        )
-        with pytest.warns(RuntimeWarning, match="fork"):
-            eve.apply_changes([RenameAttribute("IS0", "R0", "A", "A2")])
-        (report,) = eve.last_schedule
-        assert report.executor == "serial"
-        assert report.executor_fallback == "processes"
-
-        # Once per process, not once per batch.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            eve.apply_changes([RenameAttribute("IS0", "R0", "A2", "A3")])
-        assert eve.last_schedule[0].executor_fallback == "processes"
-
-    def test_no_fallback_marker_on_native_executors(self):
+class TestReportLayout:
+    def test_schedule_batches_carry_null_executor_fallback(self):
+        # ``executor_fallback`` stays in every schema-v4 schedule batch,
+        # always null: only the removed fork executor could fall back.
         eve = build_system()
         eve.apply_changes([RenameAttribute("IS0", "R0", "A", "A2")])
         (report,) = eve.last_schedule
-        assert report.executor_fallback is None
+        assert report.executor == "serial"
         assert report.shards == ()
+        payload = json.loads(eve.last_report.to_json())
+        assert payload["schema_version"] == 4
+        (batch,) = payload["schedule"]["batches"]
+        assert "executor_fallback" in batch
+        assert batch["executor_fallback"] is None
 
 
 # ----------------------------------------------------------------------
-# Dedupe wire rows (shared by the fork and workers executors)
+# Dedupe wire rows (serialized by the workers executor)
 # ----------------------------------------------------------------------
 class _StubItem:
     def __init__(self, order, key, name):
@@ -400,7 +385,9 @@ class TestDedupeRows:
         (outcome,) = outcomes
         assert outcome.item is item
         assert outcome.results == ("payload",)
-        assert outcome.committed is False
+        assert (outcome.seconds, outcome.degraded, outcome.coalesced) == (
+            0.25, False, False,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -408,7 +395,7 @@ class TestDedupeRows:
 # ----------------------------------------------------------------------
 class TestConfigSurface:
     def test_sharded_preset_round_trips(self):
-        config = SystemConfig.sharded(4, max_workers=4)
+        config = SystemConfig.sharded(4)
         assert config.schedule.executor == "workers"
         assert config.schedule.shards == 4
         assert SystemConfig.from_dict(config.to_dict()) == config

@@ -40,7 +40,6 @@ from repro.sync.synchronizer import ViewSynchronizer
 ALL_PRESETS = {
     "default": SystemConfig(),
     "reference": SystemConfig.reference(),
-    "fast": SystemConfig.fast(),
     "columnar": SystemConfig.columnar(),
     "sharded": SystemConfig.sharded(2),
     "bounded-units": SystemConfig.bounded(budget_units=25.0),
@@ -64,11 +63,15 @@ class TestValidation:
             lambda: SearchConfig(policy="top_k(2)", top_k=3),
             lambda: SearchConfig(generators=("rename", "teleport")),
             lambda: ScheduleConfig(executor="rayon"),
+            lambda: ScheduleConfig(executor="threads"),  # removed
+            lambda: ScheduleConfig(executor="processes"),  # removed
             lambda: ScheduleConfig(degrade="drop"),
             lambda: ScheduleConfig(order="random"),
             lambda: ScheduleConfig(budget=-1.0),
             lambda: ScheduleConfig(budget_units=-0.5),
-            lambda: ScheduleConfig(max_workers=0),
+            # A payload written while the schedule slice had a
+            # ``max_workers`` knob fails loudly, whatever its value.
+            lambda: SystemConfig.from_dict({"schedule": {"max_workers": 0}}),
             lambda: ScheduleConfig(executor="workers", shards=0),
             lambda: ScheduleConfig(shards=2),  # needs executor="workers"
             lambda: MaintenanceConfig(representation="quantum"),
@@ -87,6 +90,8 @@ class TestValidation:
             "top_k-conflict",
             "generator-name",
             "executor-name",
+            "executor-threads",
+            "executor-processes",
             "degrade-name",
             "order-name",
             "budget-negative",
@@ -108,8 +113,10 @@ class TestValidation:
     def test_error_messages_name_the_offender(self):
         with pytest.raises(ConfigurationError, match="rayon"):
             ScheduleConfig(executor="rayon")
+        with pytest.raises(ConfigurationError, match="threads"):
+            ScheduleConfig(executor="threads")
         with pytest.raises(ConfigurationError, match="max_workers"):
-            ScheduleConfig(max_workers=-3)
+            SystemConfig.from_dict({"schedule": {"max_workers": 4}})
         with pytest.raises(ConfigurationError, match="teleport"):
             SearchConfig(generators=("teleport",))
 
@@ -128,7 +135,19 @@ class TestValidation:
         with pytest.raises(AttributeError):
             config.engine = EngineConfig()
         assert SystemConfig() == SystemConfig()
-        assert SystemConfig.fast() != SystemConfig.reference()
+        assert SystemConfig() != SystemConfig.reference()
+
+    def test_removed_executor_knobs_are_gone(self):
+        # Two executors remain (serial, workers); the threads/fork pool
+        # width and the threads preset went with the other two.
+        with pytest.raises(TypeError):
+            ScheduleConfig(max_workers=2)
+        with pytest.raises(TypeError):
+            SystemConfig.sharded(2, max_workers=2)
+        with pytest.raises(TypeError):
+            SystemConfig().with_schedule(max_workers=2)
+        assert not hasattr(SystemConfig, "fast")
+        assert "max_workers" not in SystemConfig().to_dict()["schedule"]
 
     def test_reference_is_the_only_non_coalescing_preset(self):
         # A coalescing reference would make every parity replay against
@@ -181,7 +200,7 @@ class TestRoundTrip:
             SystemConfig.from_dict({"engine": "naive"})
 
     def test_sweep_helpers_replace_fields(self):
-        swept = SystemConfig.fast().with_schedule(budget_units=9.0)
+        swept = SystemConfig().with_schedule(budget_units=9.0)
         assert swept.schedule.budget_units == 9.0
         assert swept.schedule.coalesce is True  # other fields kept
         assert SystemConfig().with_search(policy="first_legal") == (
@@ -223,8 +242,10 @@ class TestConfigSpellings:
     def test_config_spellings_never_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            EVESystem(config=SystemConfig.fast())
-            SynchronizationScheduler(ScheduleConfig(executor="threads"))
+            EVESystem(config=SystemConfig())
+            SynchronizationScheduler(
+                ScheduleConfig(executor="workers", shards=2)
+            )
             ViewMaintainer(
                 tiny_space(),
                 config=MaintenanceConfig(representation="dict"),

@@ -116,7 +116,7 @@ class TestPublicSurface:
         assert undocumented == []
 
     def test_presets_reachable_from_exported_config(self):
-        for preset in ("reference", "fast", "bounded"):
+        for preset in ("reference", "columnar", "sharded", "bounded"):
             assert callable(getattr(repro.SystemConfig, preset))
 
     def test_subpackage_all_lists_resolve(self):

@@ -119,11 +119,11 @@ class TestStructuralValidation:
     def test_serial_coalesce_lane_checked_when_present(self):
         payload = committed("scheduler")
         validate_payload("scheduler", payload)
-        payload["parallel_storm"]["serial_coalesce_seconds"] = 0.0
-        payload["parallel_storm"]["serial_coalesce_speedup"] = 0.0
+        payload["sharded_storm"]["serial_coalesce_seconds"] = 0.0
+        payload["sharded_storm"]["serial_coalesce_speedup"] = 0.0
         with pytest.raises(BenchValidationError, match="serial \\+ coalesce"):
             validate_payload("scheduler", payload)
-        payload["parallel_storm"]["serial_coalesce_seconds"] = 0.2
+        payload["sharded_storm"]["serial_coalesce_seconds"] = 0.2
         validate_payload("scheduler", payload)
 
     def test_torn_reads_rejected(self):
@@ -200,7 +200,7 @@ class TestSystemReportValidation:
         from repro.relational.schema import Schema
         from repro.space.changes import DeleteRelation
 
-        eve = EVESystem(config=SystemConfig.fast())
+        eve = EVESystem(config=SystemConfig())
         eve.add_source("IS1")
         eve.add_source("IS2")
         eve.register_relation(

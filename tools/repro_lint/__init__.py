@@ -14,8 +14,8 @@ RL002     No nondeterminism source (wall clock, RNG, set-order
           iteration) reachable from the modeled-cost entry points in
           ``repro.qc``, ``repro.maintenance.counters``, and
           ``repro.space.source``.
-RL003     No ``EventBus`` emission reachable from fork-child /
-          worker-process code paths.
+RL003     No ``EventBus`` emission reachable from worker-process code
+          paths (``Process(target=...)`` roots).
 RL004     Serving-plane discipline: extents read out of an
           ``ExtentStore`` must not be mutated in place — mutation goes
           through ``ExtentStore.mutable()`` staging.

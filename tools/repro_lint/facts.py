@@ -67,9 +67,6 @@ class CallSite:
     #: Keyword arguments whose values are bare names/dotted chains
     #: (``target=_worker_main`` -> {"target": "_worker_main"}).
     keywords: tuple[tuple[str, str], ...]
-    #: Positional arguments that are bare names (callables passed
-    #: around, e.g. ``pool.map(_replay_group_in_fork, ...)``).
-    arg_names: tuple[str, ...]
     #: How many positional arguments the call passes, of any form.
     arg_count: int = 0
 
@@ -242,16 +239,12 @@ class _Walker(ast.NodeVisitor):
             if kw.arg is not None
             and (described := describe(kw.value)) is not None
         )
-        arg_names = tuple(
-            arg.id for arg in node.args if isinstance(arg, ast.Name)
-        )
         self._scope.calls.append(
             CallSite(
                 callee=describe(node.func),
                 lineno=node.lineno,
                 col=node.col_offset,
                 keywords=keywords,
-                arg_names=arg_names,
                 arg_count=len(node.args),
             )
         )

@@ -1,4 +1,4 @@
-"""RL003: fork-child / worker-process code never emits bus events."""
+"""RL003: worker-process code never emits bus events."""
 
 from __future__ import annotations
 
@@ -15,18 +15,14 @@ The observability contract since PR 7: every ``SystemEvent`` is emitted
 *in the parent process* (``repro.events`` module docstring; the
 workers' module docstring restates it for the fleet).  A child emitting
 would be worse than useless — the child's ``EventBus`` is a fresh
-mirror with no subscribers, so the event silently vanishes, and a
-subscriber accidentally carried across ``fork`` would fire callbacks
-against the parent's closed-over state from inside the child, the
-classic fork-safety bug.  Parent-side code therefore emits *around*
-dispatch (``ShardRebalanced``, ``WorkerRecycled``), never inside it.
+mirror with no subscribers, so the event silently vanishes.
+Parent-side code therefore emits *around* dispatch
+(``ShardRebalanced``, ``WorkerRecycled``), never inside it.
 
 RL003 finds child entry points structurally: any function passed as the
-``target=`` of a ``Process(...)`` construction, and any function passed
-by name into ``pool.map(...)`` / ``pool.submit(...)`` in a module that
-creates a multiprocessing context (the fork executor's
-``_replay_group_in_fork`` pattern).  From those roots it walks the
-lightweight call graph and flags every reachable call whose attribute
+``target=`` of a ``Process(...)`` construction (the only way the repo
+starts a child; the ``workers`` executor spawns ``_worker_main`` this
+way).  From those roots it walks the lightweight call graph and flags every reachable call whose attribute
 chain ends in ``.emit``, plus direct ``EventBus(...).emit`` forms.
 
 The graph does not chase dispatch through object graphs, so emissions
@@ -43,29 +39,15 @@ suppression comment for this rule; rename-or-return is always the fix.
 
         roots: list[FunctionRef] = []
         for module, facts in sorted(project.modules.items()):
-            creates_context = any(
-                call.callee is not None
-                and call.callee.endswith("get_context")
-                for function in facts.functions.values()
-                for call in function.calls
-            )
             for function in facts.functions.values():
                 for call in function.calls:
-                    callee = call.callee or ""
-                    candidates: list[str] = []
-                    if callee.endswith("Process"):
-                        candidates.extend(
-                            value
-                            for name, value in call.keywords
-                            if name == "target"
-                        )
-                    if creates_context and (
-                        callee.endswith(".map") or callee.endswith(".submit")
-                    ):
-                        candidates.extend(call.arg_names)
-                    for candidate in candidates:
+                    if not (call.callee or "").endswith("Process"):
+                        continue
+                    for name, value in call.keywords:
+                        if name != "target":
+                            continue
                         resolved = project._resolve_name(
-                            facts, function.class_name, candidate
+                            facts, function.class_name, value
                         )
                         if resolved is not None:
                             roots.append(resolved)
