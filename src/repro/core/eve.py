@@ -107,7 +107,15 @@ from repro.maintenance.simulator import ViewMaintainer
 
 @dataclass
 class SynchronizationResult:
-    """Outcome of synchronizing one view under one capability change."""
+    """Outcome of synchronizing one view under one capability change.
+
+    A coalesced follower's result
+    (:func:`~repro.sync.scheduler.rebind_results`) holds only its
+    chosen evaluation until ``evaluations`` is first read; that read
+    renders the list from its leader's and caches it.  Every other
+    reader — equality, ``repr``, :meth:`ranking`, pickling — sees the
+    same list a direct search would have produced.
+    """
 
     view_name: str
     change: SchemaChange
@@ -127,6 +135,32 @@ class SynchronizationResult:
     def ranking(self) -> list[str]:
         """Candidate names in QC-rank order (winner first)."""
         return [e.name for e in self.evaluations]
+
+    @classmethod
+    def on_read(
+        cls, view_name, change, render, chosen, counters, policy
+    ) -> "SynchronizationResult":
+        """A result whose ``evaluations`` are ``render(chosen)``, called
+        on the first read."""
+        result = cls(view_name, change, [], chosen, counters, policy)
+        del result.evaluations
+        result._render_evaluations = render
+        return result
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes the instance lacks: the unread
+        # ``evaluations`` of an :meth:`on_read` result.
+        state = self.__dict__
+        if name == "evaluations":
+            render = state.get("_render_evaluations")
+            if render is not None:
+                state.setdefault(name, render(self.chosen))
+                state.pop("_render_evaluations", None)
+            if name in state:
+                return state[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
 
 class _PendingMaintenance:
@@ -241,16 +275,19 @@ class EVESystem:
         #: executor exception cannot desynchronize VKB and sync log.
         self._batch_journal: list[SynchronizationResult] | None = None
         self.vkb = ViewKnowledgeBase()
-        # Shared memo for assessments and view resolution; invalidated on
-        # every capability change (registered before the synchronization
-        # handler so rewritings are never scored against stale knowledge).
+        #: The assessment memo of :meth:`rank_rewritings`, whose
+        #: re-ranking sweeps score one candidate set again and again.
+        #: The rewriting search does not consult it: each search
+        #: assesses candidates no earlier search produced, so a memo
+        #: there would never hit.  Invalidated on every capability
+        #: change and relation registration.
         self.assessment_cache = AssessmentCache()
         self.synchronizer = ViewSynchronizer(
             self.space.mkb,
-            cache=self.assessment_cache,
             generators=self.config.search.build_generators(),
         )
-        self.qc_model = QCModel(
+        self.qc_model = QCModel(self.space.mkb, self.params)
+        self._ranking_model = QCModel(
             self.space.mkb, self.params, cache=self.assessment_cache
         )
         self.pipeline = RewritingSearchPipeline(
@@ -271,9 +308,9 @@ class EVESystem:
             on_release=self._on_snapshot_released,
         )
         self._sync_log: list[SynchronizationResult] = []
-        #: Definition modulo name -> the view last materialized with it
+        #: Coalesce fingerprint -> the view last materialized with it
         #: (see :meth:`_share_twin_rows`).
-        self._twins: dict[tuple, str] = {}
+        self._twins: dict[str, str] = {}
         self.space.on_data_update(self._handle_data_update)
         self.space.on_capability_change(self._invalidate_cache)
         self.space.on_capability_change(self._handle_capability_change)
@@ -433,14 +470,15 @@ class EVESystem:
         """``extent``, over the row tuples of its twin's extent when the
         two are equal.
 
-        The twin is the view last materialized with the same definition
-        modulo name.  Such views evaluate to equal rows, so a class of
-        copies keeps one set of tuples instead of one per view.  The rows
-        are compared, not assumed, so a twin rewritten or maintained
-        since shares its tuples only while its rows still equal
-        ``extent``'s.
+        The twin is the view last materialized with the same
+        :func:`~repro.esql.ast.coalesce_fingerprint`, the key the
+        scheduler coalesces and the maintainer shares programs on.  Such
+        views evaluate to equal rows, so a class of copies keeps one set
+        of tuples instead of one per view.  The rows are compared, not
+        assumed, so a twin rewritten or maintained since shares its
+        tuples only while its rows still equal ``extent``'s.
         """
-        key = (view.select, view.from_, view.where, view.extent_parameter)
+        key = coalesce_fingerprint(view)
         twin_name = self._twins.get(key)
         self._twins[key] = view.name
         twin = self._extents.get(twin_name) if twin_name is not None else None
@@ -890,7 +928,7 @@ class EVESystem:
         # concurrent snapshot reader never sees a half-applied storm.
         with self._extents.batch():
             for sub_batch in self._split_identity_chains(batch):
-                plan = self._stage_batch(sub_batch, coalesce=active.coalesce)
+                plan = self._stage_batch(sub_batch)
                 # Committed results are journaled as they land so that an
                 # executor exception mid-batch cannot leave VKB commits the
                 # synchronization log never saw; on success the journal is
@@ -965,9 +1003,7 @@ class EVESystem:
         sub_batches.append(batch[start:])
         return sub_batches
 
-    def _stage_batch(
-        self, batch: list[SchemaChange], coalesce: bool = True
-    ) -> BatchWorkPlan:
+    def _stage_batch(self, batch: list[SchemaChange]) -> BatchWorkPlan:
         """Apply one chain-free batch to the space; emit the work plan.
 
         The whole batch is applied to the information space first (the
@@ -978,7 +1014,10 @@ class EVESystem:
         worklist, its salvage-cost lower bound
         (:meth:`~repro.qc.model.QCModel.salvage_lower_bound`, priced the
         moment the view enters the plan, while the touched relation's
-        statistics are still live), and its coalescing identity.  Views
+        statistics are still live, and once per coalesce class), and its
+        coalescing identity
+        (:func:`~repro.esql.ast.coalesce_fingerprint`, which only a
+        coalescing scheduler reads).  Views
         never referencing a changed relation are never examined at all,
         which is what makes thousand-view spaces cheap to evolve.
 
@@ -994,6 +1033,9 @@ class EVESystem:
         """
         #: view name -> (order, worklist, cost_bound, definition_key).
         staged: dict[str, list] = {}
+        #: (definition_key, position) -> the salvage bound: twins first
+        #: touched by one change price identically.
+        bounds: dict[tuple, float] = {}
         was_auto = self.auto_synchronize
         self.auto_synchronize = False
         try:
@@ -1007,26 +1049,22 @@ class EVESystem:
                     if entry is None:
                         # First touch: price the salvage bound against
                         # the statistics as they stand right now (the
-                        # changed relation still exists) and fingerprint
-                        # the definition modulo the view name.
-                        try:
-                            bound = self.qc_model.salvage_lower_bound(
-                                record.current, change.relation
-                            )
-                        except EvaluationError:
-                            # Unpriceable views (no statistics-backed
-                            # bound) schedule last, behind every priced
-                            # one, rather than blocking the batch.
-                            bound = math.inf
-                        # Fingerprinting renders printer forms — skip
-                        # it when no coalescing scheduler will read the
-                        # key (the view name is unique, so identity
-                        # keys make coalescing a safe no-op).
-                        key = (
-                            coalesce_fingerprint(record.current)
-                            if coalesce
-                            else record.name
-                        )
+                        # changed relation still exists), once per
+                        # class.
+                        key = coalesce_fingerprint(record.current)
+                        bound = bounds.get((key, position))
+                        if bound is None:
+                            try:
+                                bound = self.qc_model.salvage_lower_bound(
+                                    record.current, change.relation
+                                )
+                            except EvaluationError:
+                                # Unpriceable views (no statistics-backed
+                                # bound) schedule last, behind every
+                                # priced one, rather than blocking the
+                                # batch.
+                                bound = math.inf
+                            bounds[key, position] = bound
                         entry = staged[record.name] = [
                             len(staged), [], bound, key
                         ]
@@ -1212,8 +1250,17 @@ class EVESystem:
         workload: WorkloadSpec | None = None,
         updated_relation: str | None = None,
     ) -> list[Evaluation]:
-        """Rank externally produced candidates with the system's QC-Model."""
-        return self.qc_model.evaluate(rewritings, workload, updated_relation)
+        """Rank externally produced candidates with the system's QC-Model.
+
+        Assessments are memoized in :attr:`assessment_cache`: while the
+        knowledge and the tradeoff parameters stand, ranking a candidate
+        set again scores it from the memo, and a sweep over workloads
+        (Sec. 7.6) re-prices only cost, since quality does not read the
+        workload.
+        """
+        return self._ranking_model.evaluate(
+            rewritings, workload, updated_relation
+        )
 
     # ------------------------------------------------------------------
     # Introspection

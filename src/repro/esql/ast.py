@@ -14,6 +14,7 @@ definitions and keep the evolution flags of surviving components intact.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping
 
@@ -126,7 +127,7 @@ class ViewDefinition:
 
     __slots__ = (
         "name", "select", "from_", "where", "extent_parameter",
-        "relation_names",
+        "relation_names", "_coalesce_key",
     )
 
     def __init__(
@@ -147,6 +148,8 @@ class ViewDefinition:
         self.relation_names: tuple[str, ...] = tuple(
             [item.relation for item in self.from_]
         )
+        #: :func:`coalesce_fingerprint`'s memo (rendered on first use).
+        self._coalesce_key: str | None = None
         if not self.select:
             raise SchemaError(f"view {name!r} must select at least one attribute")
         if not self.from_:
@@ -242,14 +245,12 @@ class ViewDefinition:
     def renamed(self, new_name: str) -> "ViewDefinition":
         # A rename cannot make a valid definition invalid, so the copy
         # skips __init__'s emptiness and duplicate checks (coalesced
-        # rebinding renames every evaluation of every follower).
+        # rebinding renames a follower's chosen rewriting).  The name is
+        # not part of the coalesce fingerprint, so its memo carries over.
         clone = object.__new__(ViewDefinition)
+        for slot in ViewDefinition.__slots__:
+            setattr(clone, slot, getattr(self, slot))
         clone.name = new_name
-        clone.select = self.select
-        clone.from_ = self.from_
-        clone.where = self.where
-        clone.extent_parameter = self.extent_parameter
-        clone.relation_names = self.relation_names
         return clone
 
     def dropping_select_item(self, output_name: str) -> "ViewDefinition":
@@ -417,9 +418,20 @@ def coalesce_fingerprint(view: ViewDefinition) -> str:
     a follower must end up byte-identical to what its own search would
     have committed.  The view maintainer keys its shared compiled
     programs on the same string: equal fingerprints resolve, plan and
-    project identically.
+    project identically; :meth:`~repro.core.eve.EVESystem.define_view`
+    keys twin row sharing on it too.
+
+    Rendered once per definition and memoized on it (definitions are
+    immutable); :meth:`ViewDefinition.renamed` carries the memo over,
+    every other derivation starts without one.
     """
-    select = ",".join(str(item) for item in view.select)
-    from_ = ",".join(str(item) for item in view.from_)
-    where = ",".join(str(item) for item in view.where)
-    return f"{view.extent_parameter}|{select}|{from_}|{where}"
+    key = view._coalesce_key
+    if key is None:
+        select = ",".join(str(item) for item in view.select)
+        from_ = ",".join(str(item) for item in view.from_)
+        where = ",".join(str(item) for item in view.where)
+        # Interned: a class of twins keeps one copy of its key.
+        key = view._coalesce_key = sys.intern(
+            f"{view.extent_parameter}|{select}|{from_}|{where}"
+        )
+    return key

@@ -85,17 +85,15 @@ class AttributeCategory(enum.Enum):
 
     @classmethod
     def of(cls, dispensable: bool, replaceable: bool) -> "AttributeCategory":
-        for member in cls:
-            if (member.dispensable, member.replaceable) == (
-                dispensable,
-                replaceable,
-            ):
-                return member
-        raise AssertionError("unreachable")  # pragma: no cover
+        return _CATEGORIES[dispensable, replaceable]
 
     @property
     def must_be_preserved(self) -> bool:
         return not self.dispensable
+
+
+#: (dispensable, replaceable) -> its category (the members' values).
+_CATEGORIES = {member.value: member for member in AttributeCategory}
 
 
 @dataclass(frozen=True, slots=True)

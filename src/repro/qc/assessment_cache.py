@@ -21,9 +21,11 @@ syntactically different but canonically identical rewritings share one
 entry; any schema or statistics movement makes every old key unreachable.
 
 Wired through :class:`repro.qc.model.QCModel` (quality + cost memo),
-:class:`repro.sync.synchronizer.ViewSynchronizer` (resolved-view memo) and
-:class:`repro.core.eve.EVESystem` (ownership + invalidation on capability
-changes and relation registration).
+optionally.  :class:`repro.core.eve.EVESystem` owns one, invalidates it
+on capability changes and relation registration, and ranks
+:meth:`~repro.core.eve.EVESystem.rank_rewritings` through it; its
+rewriting search runs without it, because each search assesses
+candidates no earlier search produced.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def fingerprint_rewriting(rewriting: Rewriting) -> tuple[str, str, str, str]:
 
 
 class AssessmentCache:
-    """Bounded memo for quality/cost assessments and resolved views."""
+    """Bounded memo for quality/cost assessments."""
 
     def __init__(self, max_entries: int = 8192) -> None:
         if max_entries <= 0:
@@ -189,17 +191,6 @@ class AssessmentCache:
             statistics_fingerprint,
         )
         return self.memo(key, compute)
-
-    def resolved_view(
-        self,
-        view: ViewDefinition,
-        compute: Callable[[], T],
-        token: Hashable = None,
-    ) -> T:
-        # ViewDefinition is hashable and equality is structural, so the
-        # object itself is an exact key; ``token`` carries the version of
-        # whatever knowledge resolution reads (the MKB).
-        return self.memo(("resolve", token, view), compute)
 
     def __repr__(self) -> str:
         return (

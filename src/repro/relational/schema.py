@@ -161,8 +161,17 @@ class Schema:
         )
 
     def rename_relation(self, new_name: str) -> "Schema":
-        """Same attributes under a new relation name."""
-        return Schema(new_name, self._attributes)
+        """Same attributes under a new relation name.
+
+        Every derived field reads only the attributes, so the copy
+        shares them instead of re-running ``__init__`` (each coalesced
+        follower's extent is a copy of its leader's under a new name).
+        """
+        clone = object.__new__(Schema)
+        for slot in Schema.__slots__:
+            setattr(clone, slot, getattr(self, slot))
+        clone.name = new_name
+        return clone
 
     def rename_attribute(self, old: str, new: str) -> "Schema":
         """Schema with attribute ``old`` renamed to ``new``."""

@@ -51,6 +51,7 @@ out of the control plane proper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from collections.abc import Iterator, Mapping, Sequence
 from typing import TYPE_CHECKING, Protocol
@@ -602,78 +603,92 @@ def rebind_results(
     rewritings inside every evaluation reproduces, float for float, what
     a direct search for the follower would have committed.
 
+    Only the chosen evaluation is renamed here, because
+    :meth:`~repro.sync.scheduler.SchedulerRuntime.adopt_results` commits
+    it.  The follower's full evaluation list is rendered from the
+    leader's (captured as a tuple now) on its first read and cached on
+    the result; its element at the leader's chosen position *is* the
+    follower's ``chosen``.  A follower is a plain
+    :class:`~repro.core.eve.SynchronizationResult`: equality, ``repr``,
+    ranking and pickling read the list like any other result's.
+
     Follower counters are *not* copied from the leader: no search ran
     for the follower, and batch-merged accounting
     (:attr:`ScheduleReport.counters`) must report work actually
     performed.  Followers carry fresh counters with only the
     scheduler-level flags preserved.
     """
-    from repro.qc.model import Evaluation
-
     rebound = []
-    #: A search's candidates share the definition they rewrite, so the
-    #: follower's share one renamed copy of it (keyed by identity).
-    originals: dict[int, ViewDefinition] = {}
     for result in results:
-        evaluations = tuple(
-            Evaluation(
-                _rename_rewriting(evaluation.rewriting, view_name, originals),
-                evaluation.quality,
-                evaluation.cost,
-                evaluation.normalized_cost,
-                evaluation.qc,
-                evaluation.rank,
+        evaluations = tuple(result.evaluations)
+        chosen = result.chosen
+        position = leader_original = None
+        if chosen is not None:
+            position = next(
+                (i for i, e in enumerate(evaluations) if e is chosen), None
             )
-            for evaluation in result.evaluations
-        )
-        chosen = None
-        if result.chosen is not None:
-            for source, target in zip(result.evaluations, evaluations):
-                if source is result.chosen:
-                    chosen = target
-                    break
-            if chosen is None:  # chosen not aliased into the list
-                chosen = Evaluation(
-                    _rename_rewriting(
-                        result.chosen.rewriting, view_name, originals
-                    ),
-                    result.chosen.quality,
-                    result.chosen.cost,
-                    result.chosen.normalized_cost,
-                    result.chosen.qc,
-                    result.chosen.rank,
-                )
+            leader_original = chosen.rewriting.original
+            chosen = _rename_evaluation(chosen, view_name, {})
         counters = (
             StageCounters(degraded=result.counters.degraded)
             if result.counters is not None
             else None
         )
+        render = partial(
+            _render_follower, evaluations, view_name, position,
+            leader_original,
+        )
         rebound.append(
-            type(result)(
-                view_name,
-                result.change,
-                list(evaluations),
-                chosen,
-                counters,
+            type(result).on_read(
+                view_name, result.change, render, chosen, counters,
                 result.policy,
             )
         )
     return tuple(rebound)
 
 
-def _rename_rewriting(
-    rewriting, view_name: str, originals: dict[int, ViewDefinition]
+def _render_follower(leader, view_name, position, original, chosen):
+    """A follower's evaluation list: the ``leader``'s evaluations
+    renamed, with ``chosen`` (the follower's eagerly renamed chosen
+    evaluation, None when nothing was chosen) at ``position``, where the
+    leader's chosen stands.  ``original`` is the leader's chosen
+    original."""
+    # A search's candidates share the definition they rewrite, so the
+    # follower's share one renamed copy of it (keyed by identity): the
+    # one its chosen evaluation already holds.
+    originals: dict[int, ViewDefinition] = {}
+    if chosen is not None:
+        originals[id(original)] = chosen.rewriting.original
+    return [
+        chosen
+        if index == position
+        else _rename_evaluation(evaluation, view_name, originals)
+        for index, evaluation in enumerate(leader)
+    ]
+
+
+def _rename_evaluation(
+    evaluation, view_name: str, originals: dict[int, ViewDefinition]
 ):
+    from repro.qc.model import Evaluation
     from repro.sync.rewriting import Rewriting
 
+    rewriting = evaluation.rewriting
     original = originals.get(id(rewriting.original))
     if original is None:
         original = originals[id(rewriting.original)] = (
             rewriting.original.renamed(view_name)
         )
-    return Rewriting(
-        original,
-        rewriting.view.renamed(view_name),
-        rewriting.moves,
-        rewriting.extent_relationship,
+    return Evaluation(
+        Rewriting(
+            original,
+            rewriting.view.renamed(view_name),
+            rewriting.moves,
+            rewriting.extent_relationship,
+        ),
+        evaluation.quality,
+        evaluation.cost,
+        evaluation.normalized_cost,
+        evaluation.qc,
+        evaluation.rank,
     )

@@ -63,13 +63,6 @@ from repro.sync.rewriting import ExtentRelationship, Rewriting
 class ViewSynchronizer:
     """Generates legal rewritings from MKB knowledge (Sec. 3.3).
 
-    ``cache`` (optional, shared with the QC-Model via
-    :class:`~repro.qc.assessment_cache.AssessmentCache`) memoizes view
-    resolution against the historical MKB schemas — every capability
-    change re-synchronizes every affected view, and resolution is pure
-    given the MKB state, so the owner invalidates the cache whenever that
-    state moves.
-
     ``generators`` overrides (or, via
     :func:`~repro.sync.generators.default_generators` plus extras,
     extends) the move families consulted; they run in the given order,
@@ -80,11 +73,9 @@ class ViewSynchronizer:
     def __init__(
         self,
         mkb: MetaKnowledgeBase,
-        cache=None,
         generators: Iterable[CandidateGenerator] | None = None,
     ) -> None:
         self._mkb = mkb
-        self._cache = cache
         self.generators: tuple[CandidateGenerator, ...] = (
             tuple(generators) if generators is not None else default_generators()
         )
@@ -184,15 +175,6 @@ class ViewSynchronizer:
     # ------------------------------------------------------------------
     def resolve(self, view: ViewDefinition) -> ViewDefinition:
         """Fully qualify the view against (historical) MKB schemas."""
-        if self._cache is not None:
-            return self._cache.resolved_view(
-                view,
-                lambda: self._resolve_uncached(view),
-                token=self._mkb.version,
-            )
-        return self._resolve_uncached(view)
-
-    def _resolve_uncached(self, view: ViewDefinition) -> ViewDefinition:
         schemas = {}
         for name in view.relation_names:
             schemas[name] = self._mkb.historical_schema(name)

@@ -1,9 +1,17 @@
 """Unit tests for the view-definition AST and its derivation methods."""
 
+import pickle
+
 import pytest
 
 from repro.errors import SchemaError
-from repro.esql.ast import FromItem, SelectItem, ViewDefinition, WhereItem
+from repro.esql.ast import (
+    FromItem,
+    SelectItem,
+    ViewDefinition,
+    WhereItem,
+    coalesce_fingerprint,
+)
 from repro.esql.params import AttributeCategory, ViewExtent
 from repro.esql.parser import parse_view
 from repro.relational.expressions import (
@@ -176,3 +184,69 @@ class TestEqualityHash:
         a = parse_view("CREATE VIEW V AS SELECT R.A FROM R")
         b = parse_view("CREATE VIEW V AS SELECT R.A (AD = true) FROM R")
         assert a != b
+
+
+def fresh_key(view):
+    """The fingerprint rendered for an unmemoized copy of ``view``."""
+    return coalesce_fingerprint(
+        ViewDefinition(
+            view.name, view.select, view.from_, view.where,
+            view.extent_parameter,
+        )
+    )
+
+
+class TestCoalesceFingerprint:
+    """The memoized class key always equals a fresh rendering."""
+
+    def derivations(self, view):
+        clause = PrimitiveClause(
+            AttributeRef("A", "T"), Comparator.GT, Constant(0)
+        )
+        return {
+            "renamed": view.renamed("W"),
+            "dropping_select_item": view.dropping_select_item("B"),
+            "dropping_where_item": view.dropping_where_item(0),
+            "dropping_relation": view.dropping_relation("S"),
+            "replacing_relation": view.replacing_relation("R", "T"),
+            "replacing_attribute": view.replacing_attribute(
+                AttributeRef("C", "S"), AttributeRef("C", "R")
+            ),
+            "adding_from_item": view.adding_from_item(FromItem("T")),
+            "adding_where_items": view.adding_where_items([WhereItem(clause)]),
+            "with_extent_parameter": view.with_extent_parameter(
+                ViewExtent.EQUAL
+            ),
+        }
+
+    @pytest.mark.parametrize("memoized", [False, True])
+    def test_every_derivation_keys_its_own_definition(self, view, memoized):
+        if memoized:
+            coalesce_fingerprint(view)
+        for label, derived in self.derivations(view).items():
+            assert coalesce_fingerprint(derived) == fresh_key(derived), label
+
+    def test_renamed_carries_the_memo_and_the_others_start_without(
+        self, view
+    ):
+        key = coalesce_fingerprint(view)
+        derived = self.derivations(view)
+        assert derived.pop("renamed")._coalesce_key is key
+        for label, other in derived.items():
+            assert other._coalesce_key is None, label
+
+    def test_name_is_not_part_of_the_key(self, view):
+        assert coalesce_fingerprint(view.renamed("W")) == coalesce_fingerprint(
+            view
+        )
+        assert coalesce_fingerprint(
+            view.with_extent_parameter(ViewExtent.EQUAL)
+        ) != coalesce_fingerprint(view)
+
+    @pytest.mark.parametrize("memoized", [False, True])
+    def test_pickling_keeps_the_key(self, view, memoized):
+        if memoized:
+            coalesce_fingerprint(view)
+        copy = pickle.loads(pickle.dumps(view))
+        assert copy == view
+        assert coalesce_fingerprint(copy) == fresh_key(view)

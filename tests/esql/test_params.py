@@ -56,6 +56,17 @@ class TestAttributeCategory:
         assert AttributeCategory.of(False, True) is AttributeCategory.C3
         assert AttributeCategory.of(False, False) is AttributeCategory.C4
 
+    @pytest.mark.parametrize("dispensable", [True, False])
+    @pytest.mark.parametrize("replaceable", [True, False])
+    def test_of_matches_an_enum_scan(self, dispensable, replaceable):
+        scanned = [
+            member
+            for member in AttributeCategory
+            if (member.dispensable, member.replaceable)
+            == (dispensable, replaceable)
+        ]
+        assert [AttributeCategory.of(dispensable, replaceable)] == scanned
+
     def test_preservation_requirement(self):
         # Fig. 6: categories 3/4 must stay.
         assert AttributeCategory.C3.must_be_preserved

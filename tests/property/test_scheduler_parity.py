@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.config import ScheduleConfig
 from repro.core.eve import EVESystem
+from repro.space.changes import DeleteRelation
 from repro.sync.scheduler import SynchronizationScheduler
 from repro.workloadgen.scenarios import (
     build_evolution_storm_scenario,
@@ -53,27 +54,74 @@ def stress_system(views, relations, donors):
     return eve, scenario.changes
 
 
+def evaluation_fingerprint(evaluation):
+    rewriting = evaluation.rewriting
+    return (
+        rewriting.original,
+        rewriting.view,
+        rewriting.moves,
+        rewriting.extent_relationship,
+        evaluation.quality,
+        evaluation.cost,
+        evaluation.normalized_cost,
+        evaluation.qc,
+        evaluation.rank,
+    )
+
+
 def outcome_fingerprint(eve, results):
     # record.current compares structurally (ViewDefinition equality is
     # order-sensitive over SELECT/FROM/WHERE), so a committed rewriting
     # that differs anywhere — not just in the interface — breaks parity.
+    # Every result's full evaluation list is compared too: a coalesced
+    # follower renders its list on first read, and this is that read.
     return (
         [
             (record.name, record.alive, record.generations, record.current)
             for record in eve.vkb
         ],
         [
-            (result.view_name, result.chosen.qc if result.chosen else None)
+            (
+                result.view_name,
+                result.chosen.qc if result.chosen else None,
+                [evaluation_fingerprint(e) for e in result.evaluations],
+            )
             for result in results
         ],
     )
 
 
+def follow_up_batch(eve, results):
+    """Deletes of up to two relations the batch's winners moved onto, so
+    a later batch rewrites leaders whose followers' lists are unread."""
+    moved_onto = sorted(
+        {
+            name
+            for result in results
+            if result.chosen is not None
+            for name in result.chosen.rewriting.view.relation_names
+            if name not in result.chosen.rewriting.original.relation_names
+            and eve.space.has_relation(name)
+        }
+    )
+    return [
+        DeleteRelation(eve.mkb.owner(name), name) for name in moved_onto[:2]
+    ]
+
+
+def apply_and_follow_up(eve, batch, scheduler):
+    """Both batches' results; the first batch's evaluation lists are
+    first read after the follow-up batch has committed."""
+    results = eve.apply_changes(batch, scheduler=scheduler)
+    later = follow_up_batch(eve, results)
+    return results + eve.apply_changes(later, scheduler=scheduler)
+
+
 def reference_fingerprint(eve, batch):
-    """The batch applied by the serial, non-coalescing scheduler."""
+    """The batches applied by the serial, non-coalescing scheduler."""
     scheduler = SynchronizationScheduler(ScheduleConfig(coalesce=False))
     return outcome_fingerprint(
-        eve, eve.apply_changes(batch, scheduler=scheduler)
+        eve, apply_and_follow_up(eve, batch, scheduler)
     )
 
 
@@ -100,8 +148,8 @@ def test_executors_commit_identical_outcomes_on_storms(
     reference = reference_fingerprint(reference_eve, batch)
     for label, config in SCHEDULERS.items():
         eve, batch = storm_system(seed, views, changes)
-        results = eve.apply_changes(
-            batch, scheduler=SynchronizationScheduler(ScheduleConfig(**config))
+        results = apply_and_follow_up(
+            eve, batch, SynchronizationScheduler(ScheduleConfig(**config))
         )
         assert outcome_fingerprint(eve, results) == reference, label
 
@@ -119,8 +167,8 @@ def test_executors_commit_identical_outcomes_on_salvage_storms(
     reference = reference_fingerprint(reference_eve, batch)
     for label, config in SCHEDULERS.items():
         eve, batch = stress_system(views, relations, donors)
-        results = eve.apply_changes(
-            batch, scheduler=SynchronizationScheduler(ScheduleConfig(**config))
+        results = apply_and_follow_up(
+            eve, batch, SynchronizationScheduler(ScheduleConfig(**config))
         )
         assert outcome_fingerprint(eve, results) == reference, label
 
@@ -137,7 +185,7 @@ def test_worker_pool_commits_identical_outcomes(shards):
         ScheduleConfig(executor="workers", shards=shards)
     )
     try:
-        results = eve.apply_changes(batch, scheduler=scheduler)
+        results = apply_and_follow_up(eve, batch, scheduler)
     finally:
         scheduler.close()
     assert outcome_fingerprint(eve, results) == reference
@@ -154,7 +202,7 @@ def test_worker_pool_parity_on_mixed_storm():
         ScheduleConfig(executor="workers", shards=2)
     )
     try:
-        results = eve.apply_changes(batch, scheduler=scheduler)
+        results = apply_and_follow_up(eve, batch, scheduler)
     finally:
         scheduler.close()
     assert outcome_fingerprint(eve, results) == reference

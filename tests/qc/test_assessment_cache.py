@@ -112,7 +112,10 @@ class TestSystemWiring:
         eve.mkb.add_equivalence("R", "T", ["A", "B"])
         return eve
 
-    def test_synchronization_populates_cache(self):
+    def test_search_leaves_cache_empty_and_ranking_fills_it(self):
+        # The rewriting search assesses candidates no earlier search
+        # produced, so it runs without the memo; rank_rewritings, whose
+        # sweeps re-rank one candidate set, fills it.
         eve = self._system()
         eve.define_view(
             "CREATE VIEW V AS SELECT R.A (AR = true), R.B (AR = true) "
@@ -120,7 +123,10 @@ class TestSystemWiring:
         )
         eve.space.delete_relation("R")
         assert eve.is_alive("V")
-        # The capability change invalidated, then ranking repopulated.
+        assert len(eve.assessment_cache) == 0
+        assert eve.assessment_cache.hits == eve.assessment_cache.misses == 0
+        evaluations = eve.synchronization_log[0].evaluations
+        eve.rank_rewritings([e.rewriting for e in evaluations])
         assert len(eve.assessment_cache) > 0
 
     def test_repeated_ranking_hits_cache(self):
@@ -130,12 +136,15 @@ class TestSystemWiring:
             "FROM R (RR = true)"
         )
         eve.space.delete_relation("R")
-        evaluations = eve.synchronization_log[0].evaluations
-        eve.assessment_cache.clear_statistics()
-        again = eve.rank_rewritings([e.rewriting for e in evaluations])
+        rewritings = [
+            e.rewriting for e in eve.synchronization_log[0].evaluations
+        ]
+        first = eve.rank_rewritings(rewritings)
+        assert eve.assessment_cache.hits == 0
+        again = eve.rank_rewritings(rewritings)
         assert eve.assessment_cache.hits > 0
-        assert [e.name for e in again] == [e.name for e in evaluations]
-        assert [e.qc for e in again] == [e.qc for e in evaluations]
+        assert [e.name for e in again] == [e.name for e in first]
+        assert [e.qc for e in again] == [e.qc for e in first]
 
     def test_capability_change_invalidates_even_without_autosync(self):
         eve = self._system()

@@ -100,6 +100,26 @@ class TestSchemaDerivation:
     def test_rename_relation(self):
         assert Schema("R", ["A"]).rename_relation("S").name == "S"
 
+    def test_rename_relation_equals_a_fresh_schema(self):
+        attributes = [
+            Attribute("N", AttributeType.STRING, size=12),
+            Attribute("K"),
+            Attribute("X", AttributeType.FLOAT),
+        ]
+        source = Schema("R", attributes)
+        renamed = source.rename_relation("S")
+        fresh = Schema("S", attributes)
+        assert renamed == fresh
+        assert hash(renamed) == hash(fresh)
+        assert renamed.attribute_names == fresh.attribute_names
+        assert renamed.row_types == fresh.row_types
+        assert renamed.key_position == fresh.key_position == 1
+        assert renamed.tuple_byte_size() == fresh.tuple_byte_size()
+        assert renamed.position("X") == 2
+        # The source is untouched.
+        assert source.name == "R"
+        assert source == Schema("R", attributes)
+
     def test_rename_attribute(self):
         schema = Schema("R", ["A", "B"]).rename_attribute("A", "X")
         assert schema.attribute_names == ("X", "B")

@@ -1,6 +1,8 @@
 """Unit tests for the cost-aware synchronization scheduler."""
 
 
+import pickle
+
 import pytest
 
 from repro.config import ScheduleConfig, SystemConfig
@@ -10,12 +12,14 @@ from repro.errors import (
     EvaluationError,
     SynchronizationError,
 )
+from repro.esql.ast import ViewDefinition
 from repro.esql.parser import parse_view
 from repro.misd.statistics import RelationStatistics
-from repro.qc.model import QCModel
+from repro.qc.model import Evaluation, QCModel
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.space.changes import (
+    DeleteAttribute,
     DeleteRelation,
     RenameAttribute,
     RenameRelation,
@@ -26,11 +30,13 @@ from repro.sync.pipeline import (
     SearchPolicy,
     StageCounters,
 )
+from repro.sync.rewriting import Rewriting
 from repro.sync.scheduler import (
     BatchWorkPlan,
     SynchronizationScheduler,
     ViewWorkItem,
     build_work_plan,
+    rebind_results,
 )
 from repro.workloadgen.scenarios import build_scheduler_stress_scenario
 
@@ -583,7 +589,206 @@ class TestSystemIntegration:
 # ----------------------------------------------------------------------
 # Salvage bound + counters plumbing
 # ----------------------------------------------------------------------
+# ----------------------------------------------------------------------
+# Coalesced followers: results built on read
+# ----------------------------------------------------------------------
+def eager_rebind(results, view_name):
+    """The eager rebinding that renamed every evaluation up front: the
+    oracle a follower's on-read list must equal."""
+    rebound = []
+    originals = {}
+
+    def rename(evaluation):
+        rewriting = evaluation.rewriting
+        original = originals.get(id(rewriting.original))
+        if original is None:
+            original = originals[id(rewriting.original)] = (
+                rewriting.original.renamed(view_name)
+            )
+        return Evaluation(
+            Rewriting(
+                original,
+                rewriting.view.renamed(view_name),
+                rewriting.moves,
+                rewriting.extent_relationship,
+            ),
+            evaluation.quality,
+            evaluation.cost,
+            evaluation.normalized_cost,
+            evaluation.qc,
+            evaluation.rank,
+        )
+
+    for result in results:
+        evaluations = [rename(e) for e in result.evaluations]
+        chosen = None
+        if result.chosen is not None:
+            for source, target in zip(result.evaluations, evaluations):
+                if source is result.chosen:
+                    chosen = target
+                    break
+            if chosen is None:
+                chosen = rename(result.chosen)
+        counters = (
+            StageCounters(degraded=result.counters.degraded)
+            if result.counters is not None
+            else None
+        )
+        rebound.append(
+            type(result)(
+                view_name, result.change, evaluations, chosen, counters,
+                result.policy,
+            )
+        )
+    return tuple(rebound)
+
+
+class TestFollowerResults:
+    @pytest.fixture
+    def leader(self):
+        """A searched salvage result with several evaluations."""
+        scenario = build_scheduler_stress_scenario(
+            views=2, view_relations=1, donors_per_relation=3
+        )
+        eve = EVESystem(space=scenario.space)
+        for view in scenario.views:
+            eve.define_view(view, materialize=False)
+        results = eve.apply_changes(
+            scenario.changes, scheduler=plain_scheduler()
+        )
+        assert len(results[0].evaluations) > 1
+        return results[0]
+
+    def test_unread_follower_renames_only_the_chosen(
+        self, leader, monkeypatch
+    ):
+        renames = []
+        renamed = ViewDefinition.renamed
+
+        def counted(view, name):
+            renames.append(name)
+            return renamed(view, name)
+
+        monkeypatch.setattr(ViewDefinition, "renamed", counted)
+        (follower,) = rebind_results((leader,), "V1")
+        # The chosen rewriting's original and view: nothing else.
+        assert renames == ["V1", "V1"]
+        assert follower.chosen.name == "V1"
+        # The first read renames each other evaluation's view; they all
+        # share the chosen's renamed original.
+        follower.evaluations
+        assert len(renames) == len(leader.evaluations) + 1
+
+    def test_repeated_reads_return_the_same_list(self, leader):
+        (follower,) = rebind_results((leader,), "V1")
+        assert follower.evaluations is follower.evaluations
+        assert follower.ranking() == ["V1"] * len(leader.evaluations)
+
+    def test_chosen_is_the_list_element_at_the_leaders_position(self, leader):
+        position = next(
+            index
+            for index, evaluation in enumerate(leader.evaluations)
+            if evaluation is leader.chosen
+        )
+        (follower,) = rebind_results((leader,), "V1")
+        assert follower.chosen is follower.evaluations[position]
+        assert len(
+            {id(e.rewriting.original) for e in follower.evaluations}
+        ) == 1
+
+    def test_follower_equals_the_eager_rebinding(self, leader):
+        (oracle,) = eager_rebind((leader,), "V1")
+        (follower,) = rebind_results((leader,), "V1")
+        assert follower == oracle
+        assert repr(follower) == repr(oracle)
+        (follower,) = rebind_results((leader,), "V1")
+        assert oracle == follower
+
+    def test_unread_follower_pickles_to_the_eager_rebinding(self, leader):
+        (oracle,) = eager_rebind((leader,), "V1")
+        (follower,) = rebind_results((leader,), "V1")
+        copy = pickle.loads(pickle.dumps(follower))
+        assert copy == oracle
+        assert copy.chosen is copy.evaluations[
+            oracle.evaluations.index(oracle.chosen)
+        ]
+        assert pickle.loads(pickle.dumps(copy)) == oracle
+
+    def test_unsurvived_leader_rebinds_to_an_empty_list(self, leader):
+        dead = type(leader)(
+            "V0", leader.change, [], None, leader.counters, leader.policy
+        )
+        (follower,) = rebind_results((dead,), "V1")
+        assert follower.chosen is None
+        assert follower == eager_rebind((dead,), "V1")[0]
+
+
 class TestSalvageBound:
+    def test_staged_bounds_equal_per_view_pricing(self):
+        """Twins share one priced bound per (class, change position),
+        and every staged bound equals the view's own pricing."""
+        def build():
+            eve = EVESystem()
+            eve.add_source("IS0")
+            eve.register_relation(
+                "IS0",
+                Relation(Schema("R", ["A", "B", "C"])),
+                RelationStatistics(cardinality=400, tuple_size=100),
+            )
+            eve.register_relation(
+                "IS0",
+                Relation(Schema("S", ["A"])),
+                RelationStatistics(cardinality=50, tuple_size=10),
+            )
+            for name, body in (
+                ("X0", "SELECT R.A, R.B FROM R"),
+                ("X1", "SELECT R.A, R.B FROM R"),
+                ("Y0", "SELECT R.A, R.C FROM R, S WHERE R.A = S.A"),
+                ("Y1", "SELECT R.A, R.C FROM R, S WHERE R.A = S.A"),
+                ("Z", "SELECT R.A, R.C FROM R"),
+            ):
+                eve.define_view(
+                    f"CREATE VIEW {name} AS {body}", materialize=False
+                )
+            return eve
+
+        # Attribute changes to one relation stay in one chain-free plan.
+        batch = [
+            RenameAttribute("IS0", "R", "B", "B9"),
+            DeleteAttribute("IS0", "R", "C"),
+        ]
+
+        eve = build()
+        eve.apply_changes(
+            batch,
+            scheduler=SynchronizationScheduler(
+                ScheduleConfig(budget=0.0, degrade="defer")
+            ),
+        )
+        bounds = {
+            record.view_name: (
+                record.item.worklist[0][0], record.item.cost_bound
+            )
+            for report in eve.last_schedule
+            for record in report.deferred
+        }
+        assert {name: position for name, (position, _) in bounds.items()} == {
+            "X0": 0, "X1": 0, "Y0": 1, "Y1": 1, "Z": 1,
+        }
+        # Each view priced by itself, once the changes before its
+        # position have landed.
+        for name, (position, bound) in bounds.items():
+            alone = build()
+            alone.auto_synchronize = False
+            for change in batch[:position]:
+                alone.space.apply_change(change)
+            assert bound == alone.qc_model.salvage_lower_bound(
+                alone.vkb.current(name), "R"
+            ), name
+        # Classes touched by one change still price apart.
+        assert bounds["Y0"][1] != bounds["Z"][1]
+        assert bounds["X0"][1] != bounds["Y0"][1]
+
     def test_multi_relation_views_cost_more_to_salvage(self):
         space = InformationSpace()
         space.add_source("IS0")
