@@ -275,21 +275,18 @@ class EVESystem:
         #: executor exception cannot desynchronize VKB and sync log.
         self._batch_journal: list[SynchronizationResult] | None = None
         self.vkb = ViewKnowledgeBase()
-        #: The assessment memo of :meth:`rank_rewritings`, whose
-        #: re-ranking sweeps score one candidate set again and again.
-        #: The rewriting search does not consult it: each search
-        #: assesses candidates no earlier search produced, so a memo
-        #: there would never hit.  Invalidated on every capability
-        #: change and relation registration.
+        #: The system's assessment memo.  Neither the rewriting search
+        #: nor :meth:`rank_rewritings` consults it: each search assesses
+        #: candidates no earlier search produced, and no caller re-ranks
+        #: one candidate set on one system, so it would never hit.
+        #: Still invalidated (and ``CacheInvalidated`` still emitted) on
+        #: every capability change and relation registration.
         self.assessment_cache = AssessmentCache()
         self.synchronizer = ViewSynchronizer(
             self.space.mkb,
             generators=self.config.search.build_generators(),
         )
         self.qc_model = QCModel(self.space.mkb, self.params)
-        self._ranking_model = QCModel(
-            self.space.mkb, self.params, cache=self.assessment_cache
-        )
         self.pipeline = RewritingSearchPipeline(
             self.synchronizer, self.qc_model, config=self.config.search
         )
@@ -308,9 +305,10 @@ class EVESystem:
             on_release=self._on_snapshot_released,
         )
         self._sync_log: list[SynchronizationResult] = []
-        #: Coalesce fingerprint -> the view last materialized with it
-        #: (see :meth:`_share_twin_rows`).
-        self._twins: dict[str, str] = {}
+        #: Coalesce fingerprint -> (the class's one copy of that key,
+        #: the view last materialized with it); see
+        #: :meth:`_share_twin_rows`.
+        self._twins: dict[str, tuple[str, str]] = {}
         self.space.on_data_update(self._handle_data_update)
         self.space.on_capability_change(self._invalidate_cache)
         self.space.on_capability_change(self._handle_capability_change)
@@ -476,11 +474,14 @@ class EVESystem:
         views evaluate to equal rows, so a class of copies keeps one set
         of tuples instead of one per view.  The rows are compared, not
         assumed, so a twin rewritten or maintained since shares its
-        tuples only while its rows still equal ``extent``'s.
+        tuples only while its rows still equal ``extent``'s.  ``view``
+        adopts the class's first rendered key string, so twins hold one
+        copy of their key.
         """
         key = coalesce_fingerprint(view)
-        twin_name = self._twins.get(key)
-        self._twins[key] = view.name
+        key, twin_name = self._twins.get(key, (key, None))
+        view._coalesce_key = key
+        self._twins[key] = (key, view.name)
         twin = self._extents.get(twin_name) if twin_name is not None else None
         if twin is not None and twin.rows == extent.rows:
             return Relation.from_validated(extent.schema, twin.rows)
@@ -1250,17 +1251,8 @@ class EVESystem:
         workload: WorkloadSpec | None = None,
         updated_relation: str | None = None,
     ) -> list[Evaluation]:
-        """Rank externally produced candidates with the system's QC-Model.
-
-        Assessments are memoized in :attr:`assessment_cache`: while the
-        knowledge and the tradeoff parameters stand, ranking a candidate
-        set again scores it from the memo, and a sweep over workloads
-        (Sec. 7.6) re-prices only cost, since quality does not read the
-        workload.
-        """
-        return self._ranking_model.evaluate(
-            rewritings, workload, updated_relation
-        )
+        """Rank externally produced candidates with the system's QC-Model."""
+        return self.qc_model.evaluate(rewritings, workload, updated_relation)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -14,7 +14,6 @@ definitions and keep the evolution flags of surviving components intact.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping
 
@@ -419,7 +418,8 @@ def coalesce_fingerprint(view: ViewDefinition) -> str:
     have committed.  The view maintainer keys its shared compiled
     programs on the same string: equal fingerprints resolve, plan and
     project identically; :meth:`~repro.core.eve.EVESystem.define_view`
-    keys twin row sharing on it too.
+    keys twin row sharing on it too, and hands each class of twins one
+    copy of the string.
 
     Rendered once per definition and memoized on it (definitions are
     immutable); :meth:`ViewDefinition.renamed` carries the memo over,
@@ -430,8 +430,7 @@ def coalesce_fingerprint(view: ViewDefinition) -> str:
         select = ",".join(str(item) for item in view.select)
         from_ = ",".join(str(item) for item in view.from_)
         where = ",".join(str(item) for item in view.where)
-        # Interned: a class of twins keeps one copy of its key.
-        key = view._coalesce_key = sys.intern(
+        key = view._coalesce_key = (
             f"{view.extent_parameter}|{select}|{from_}|{where}"
         )
     return key

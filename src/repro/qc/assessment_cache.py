@@ -21,11 +21,11 @@ syntactically different but canonically identical rewritings share one
 entry; any schema or statistics movement makes every old key unreachable.
 
 Wired through :class:`repro.qc.model.QCModel` (quality + cost memo),
-optionally.  :class:`repro.core.eve.EVESystem` owns one, invalidates it
-on capability changes and relation registration, and ranks
-:meth:`~repro.core.eve.EVESystem.rank_rewritings` through it; its
-rewriting search runs without it, because each search assesses
-candidates no earlier search produced.
+optionally: sweep harnesses that re-rank one candidate set build a
+cached model.  :class:`repro.core.eve.EVESystem` owns one and
+invalidates it on capability changes and relation registration, but
+neither its rewriting search nor its ``rank_rewritings`` consults it,
+because each search assesses candidates no earlier search produced.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from repro.config import ScheduleConfig, SystemConfig
 from repro.core.eve import EVESystem
 from repro.errors import SynchronizationError
+from repro.esql.ast import coalesce_fingerprint
 from repro.esql.evaluator import evaluate_view
 from repro.misd.statistics import RelationStatistics
 from repro.relational.relation import Relation
@@ -209,6 +210,9 @@ def test_views_defined_alike_share_row_tuples(serve):
     first, second = eve.extent("C0V0"), eve.extent("C0V1")
     assert second.name == "C0V1" and second.rows is not first.rows
     assert all(a is b for a, b in zip(first.rows, second.rows))
+    # And one copy of their class key.
+    key = coalesce_fingerprint(eve.vkb.current("C0V0"))
+    assert coalesce_fingerprint(eve.vkb.current("C0V1")) is key
     # Each keeps its own bag: maintaining one never reaches the other.
     eve.apply_updates([("R0", "insert", (4, 4)), ("R0", "delete", (1, 2))])
     assert_extents_fresh(eve, materialized)
@@ -217,6 +221,7 @@ def test_views_defined_alike_share_row_tuples(serve):
     assert_extents_fresh(eve, materialized | {"C0V2"})
     third = eve.extent("C0V2")
     assert all(a is b for a, b in zip(eve.extent("C0V1").rows, third.rows))
+    assert coalesce_fingerprint(eve.vkb.current("C0V2")) is key
 
 
 @pytest.mark.parametrize("serve", [False, True], ids=["direct", "serving"])

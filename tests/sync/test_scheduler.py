@@ -587,9 +587,6 @@ class TestSystemIntegration:
 
 
 # ----------------------------------------------------------------------
-# Salvage bound + counters plumbing
-# ----------------------------------------------------------------------
-# ----------------------------------------------------------------------
 # Coalesced followers: results built on read
 # ----------------------------------------------------------------------
 def eager_rebind(results, view_name):
@@ -723,6 +720,9 @@ class TestFollowerResults:
         assert follower == eager_rebind((dead,), "V1")[0]
 
 
+# ----------------------------------------------------------------------
+# Salvage bound + counters plumbing
+# ----------------------------------------------------------------------
 class TestSalvageBound:
     def test_staged_bounds_equal_per_view_pricing(self):
         """Twins share one priced bound per (class, change position),
