@@ -1,5 +1,4 @@
-"""Scheduler benchmarks: serial reference vs the default and sharded
-schedulers.
+"""Scheduler benchmarks: the serial reference vs the default scheduler.
 
 Three timed scenarios over replacement-heavy salvage storms (every view
 needs a replacement search over a donor spectrum — the workload the
@@ -14,15 +13,11 @@ cross-view scheduler exists for):
    identical.  The ``parallel_seconds``/``speedup`` keys time the
    default scheduler: the win is coalescing, which is
    CPU-count-independent, and is never credited to parallelism.
-2. **Sharded storm** — the 100k-view storm replayed as a sequential
-   batch stream through the serial reference (coalescing off), the
-   default serial + coalesce scheduler, and the persistent worker pool
-   (``workers``) over a sharded VKB.  The serial + coalesce row is the
-   previous best the workers lane must beat to keep its place.  The
-   workers lane separates the cold first batch (pool spawn + per-shard
-   snapshot shipping) from the warm remainder, where only deltas and
-   committed rewritings cross the wire — warm batches must ship zero
-   snapshot bytes, and all lanes must commit byte-identical outcomes.
+2. **Sharded storm** (the lane keeps its historical name) — the
+   100k-view storm replayed as a sequential batch stream through the
+   serial reference (coalescing off) and the default serial + coalesce
+   scheduler.  The default lane separates the cold first batch from
+   the warm remainder; both lanes must commit byte-identical outcomes.
 3. **Deadline sweep** — the same storm on the default serial scheduler
    under shrinking wall-clock
    budgets with ``degrade="first_legal"``: views scheduled past the
@@ -40,8 +35,8 @@ the repo root (via :func:`conftest.emit_json`).  Run directly::
 
 ``--smoke`` shrinks every scale so CI can assert the harness stays
 healthy in seconds.  Full runs enforce >=2x speedup of the default
-scheduler and >=3x of the workers lane over the serial reference, with
-identical outcomes.
+scheduler over the serial reference on the 1k-view storm and >=3x on
+the 100k-view sharded storm, with identical outcomes.
 """
 
 from __future__ import annotations
@@ -132,23 +127,22 @@ def bench_parallel_storm(**stress_args) -> tuple[dict, dict]:
         ),
         "outcomes_equal": outcomes_equal and qc_equal,
         "coalesced_searches": batch["coalesced"],
-        "workers": batch["workers"],
-        "executor": batch["executor"],
         "cpu_count": os.cpu_count() or 1,
     }
     return storm, system_report
 
 
 # ----------------------------------------------------------------------
-# Scenario 2: persistent workers over a sharded VKB (batch stream)
+# Scenario 2: the 100k-view storm as a batch stream
 # ----------------------------------------------------------------------
 def _replay_sharded(scheduler, **storm_args):
     """Replay the sharded storm's batch stream on a fresh system.
 
     Returns the per-batch wall clocks, the committed (view, QC) pairs,
-    the per-batch :class:`~repro.report.SystemReport` payloads, and the
-    final VKB fingerprint — everything the lane comparison needs, with
-    the system itself released so the lanes never coexist in memory.
+    the last batch's :class:`~repro.report.SystemReport` payload, and
+    the final VKB fingerprint — everything the lane comparison needs,
+    with the system itself released so the lanes never coexist in
+    memory.
     """
     scenario = build_sharded_storm_scenario(**storm_args)
     eve = EVESystem(space=scenario.space)
@@ -156,7 +150,6 @@ def _replay_sharded(scheduler, **storm_args):
         eve.define_view(view, materialize=False)
     qc = []
     seconds = []
-    reports = []
     for batch in scenario.change_batches:
         start = perf_counter()
         results = eve.apply_changes(batch, scheduler=scheduler)
@@ -165,109 +158,44 @@ def _replay_sharded(scheduler, **storm_args):
             (r.view_name, r.chosen.qc if r.chosen else None)
             for r in results
         )
-        reports.append(eve.last_report.to_dict())
-    return seconds, qc, reports, _fingerprint(eve)
+    return seconds, qc, eve.last_report.to_dict(), _fingerprint(eve)
 
 
-def _shard_totals(report: dict) -> dict:
-    """Sum the per-shard dispatch accounting of one report payload."""
-    totals = {
-        "snapshot_bytes": 0,
-        "bytes_shipped": 0,
-        "bytes_received": 0,
-        "worker_seconds": 0.0,
-    }
-    for row in report["schedule"]["shards"]:
-        for field in totals:
-            totals[field] += row[field]
-    return totals
+def bench_sharded_storm(**storm_args) -> tuple[dict, dict]:
+    """Serial reference vs serial + coalesce over one batch stream.
 
-
-def bench_sharded_storm(shards: int, **storm_args) -> tuple[dict, dict]:
-    """Serial reference vs serial + coalesce vs persistent workers.
-
-    All lanes replay the identical batch stream; committed winners,
+    Both lanes replay the identical batch stream; committed winners,
     QC-Values, and VKB fingerprints must be byte-identical.  The
-    workers lane separates the cold first batch (pool spawn + snapshot
-    shipping) from the warm remainder (delta shipping only), and
-    asserts the warm batches ship no snapshot bytes at all.
+    default lane's first batch (cold: first searches, empty
+    per-definition caches) is reported apart from the warm remainder.
     """
     serial_seconds, serial_qc, _, serial_fp = _replay_sharded(
         _serial_reference(), **storm_args
     )
-
-    coalesce_seconds, coalesce_qc, _, coalesce_fp = _replay_sharded(
-        SynchronizationScheduler(ScheduleConfig()), **storm_args
-    )
-    coalesce_equal = coalesce_fp == serial_fp and coalesce_qc == serial_qc
-    del coalesce_fp
-
-    pool = SynchronizationScheduler(
-        ScheduleConfig(
-            executor="workers", shards=shards, coalesce=True
+    coalesce_seconds, coalesce_qc, coalesce_report, coalesce_fp = (
+        _replay_sharded(
+            SynchronizationScheduler(ScheduleConfig()), **storm_args
         )
     )
-    try:
-        workers_seconds, workers_qc, workers_reports, workers_fp = (
-            _replay_sharded(pool, **storm_args)
-        )
-    finally:
-        pool.close()
-    workers_equal = workers_fp == serial_fp and workers_qc == serial_qc
-
-    cold_totals = _shard_totals(workers_reports[0])
-    warm_totals = {
-        "snapshot_bytes": 0,
-        "bytes_shipped": 0,
-        "bytes_received": 0,
-        "worker_seconds": 0.0,
-    }
-    for report in workers_reports[1:]:
-        for field, value in _shard_totals(report).items():
-            warm_totals[field] += value
-
     serial_total = sum(serial_seconds)
     coalesce_total = sum(coalesce_seconds)
-    workers_total = sum(workers_seconds)
-    workers_warm = sum(workers_seconds[1:])
-    serial_warm = sum(serial_seconds[1:])
     storm = {
         "views": storm_args.get("views", 100_000),
         "relations": storm_args.get("view_relations", 200),
-        "shards": shards,
         "batches": len(serial_seconds),
         "serial_seconds": serial_total,
         "serial_coalesce_seconds": coalesce_total,
+        "serial_coalesce_cold_seconds": coalesce_seconds[0],
         "serial_coalesce_warm_seconds": sum(coalesce_seconds[1:]),
         "serial_coalesce_speedup": (
             serial_total / coalesce_total if coalesce_total else 0.0
         ),
-        "workers_seconds": workers_total,
-        "workers_cold_seconds": workers_seconds[0],
-        "workers_warm_seconds": workers_warm,
-        "workers_speedup": (
-            serial_total / workers_total if workers_total else 0.0
+        "outcomes_equal": (
+            coalesce_fp == serial_fp and coalesce_qc == serial_qc
         ),
-        "workers_warm_speedup": (
-            serial_warm / workers_warm if workers_warm else 0.0
-        ),
-        "cold_snapshot_bytes": cold_totals["snapshot_bytes"],
-        "warm_snapshot_bytes": warm_totals["snapshot_bytes"],
-        "bytes_shipped": (
-            cold_totals["bytes_shipped"] + warm_totals["bytes_shipped"]
-        ),
-        "bytes_received": (
-            cold_totals["bytes_received"] + warm_totals["bytes_received"]
-        ),
-        "worker_wall_seconds": round(
-            cold_totals["worker_seconds"] + warm_totals["worker_seconds"], 6
-        ),
-        "outcomes_equal": workers_equal and coalesce_equal,
         "cpu_count": os.cpu_count() or 1,
     }
-    # The last warm batch's report carries the per-shard dispatch rows
-    # the schema-v2 validator pins.
-    return storm, workers_reports[-1]
+    return storm, coalesce_report
 
 
 # ----------------------------------------------------------------------
@@ -337,7 +265,6 @@ def main(argv=None) -> None:
             views=2000, view_relations=40, donors_per_relation=3,
             view_attributes=2, batches=2, tail_changes=1,
         )
-        shards = 2
     else:
         stress_args = dict(
             views=1000, view_relations=100, donors_per_relation=6,
@@ -347,7 +274,6 @@ def main(argv=None) -> None:
             views=100_000, view_relations=200, donors_per_relation=3,
             view_attributes=2, batches=4, tail_changes=1,
         )
-        shards = 4
 
     storm, system_report = bench_parallel_storm(**stress_args)
     emit(
@@ -367,13 +293,13 @@ def main(argv=None) -> None:
         )
     )
 
-    sharded, sharded_report = bench_sharded_storm(shards, **storm_args)
+    sharded, sharded_report = bench_sharded_storm(**storm_args)
     emit(
         format_table(
             ["metric", "value"],
             [
                 ["views / relations", f"{sharded['views']} / {sharded['relations']}"],
-                ["shards / batches", f"{sharded['shards']} / {sharded['batches']}"],
+                ["batches", sharded["batches"]],
                 ["serial reference (s)", f"{sharded['serial_seconds']:.4f}"],
                 [
                     "serial + coalesce (s)",
@@ -381,29 +307,17 @@ def main(argv=None) -> None:
                     f"({sharded['serial_coalesce_speedup']:.1f}x)",
                 ],
                 [
+                    "serial + coalesce cold batch (s)",
+                    f"{sharded['serial_coalesce_cold_seconds']:.4f}",
+                ],
+                [
                     "serial + coalesce warm batches (s)",
                     f"{sharded['serial_coalesce_warm_seconds']:.4f}",
                 ],
-                [
-                    "workers total (s)",
-                    f"{sharded['workers_seconds']:.4f} "
-                    f"({sharded['workers_speedup']:.1f}x)",
-                ],
-                ["workers cold batch (s)", f"{sharded['workers_cold_seconds']:.4f}"],
-                [
-                    "workers warm batches (s)",
-                    f"{sharded['workers_warm_seconds']:.4f} "
-                    f"({sharded['workers_warm_speedup']:.1f}x)",
-                ],
-                ["cold snapshot (bytes)", sharded["cold_snapshot_bytes"]],
-                ["warm snapshot (bytes)", sharded["warm_snapshot_bytes"]],
-                ["deltas + results (bytes)", sharded["bytes_shipped"] + sharded["bytes_received"]],
                 ["cpus", sharded["cpu_count"]],
                 ["outcomes identical", sharded["outcomes_equal"]],
             ],
-            title=(
-                f"Persistent workers ({sharded['views']}-view sharded storm)"
-            ),
+            title=f"Sharded storm ({sharded['views']}-view batch stream)",
         )
     )
 
@@ -449,11 +363,6 @@ def main(argv=None) -> None:
         raise SystemExit(
             "sharded storm lanes diverged from serial outcomes"
         )
-    if sharded["warm_snapshot_bytes"] != 0:
-        raise SystemExit(
-            f"warm dispatch shipped {sharded['warm_snapshot_bytes']} "
-            f"snapshot bytes (expected 0)"
-        )
     if not defer_row["resume_matches_serial"]:
         raise SystemExit("deferral resume diverged from serial outcomes")
     if not args.smoke:
@@ -461,9 +370,10 @@ def main(argv=None) -> None:
             raise SystemExit(
                 f"default scheduler speedup {storm['speedup']:.1f}x < 2x"
             )
-        if sharded["workers_speedup"] < 3.0:
+        if sharded["serial_coalesce_speedup"] < 3.0:
             raise SystemExit(
-                f"workers speedup {sharded['workers_speedup']:.1f}x < 3x"
+                f"sharded storm serial + coalesce speedup "
+                f"{sharded['serial_coalesce_speedup']:.1f}x < 3x"
             )
         unbounded = sweep["unbounded"]["qc_achieved"]
         zero = sweep["zero"]["qc_achieved"]
@@ -482,7 +392,7 @@ def main(argv=None) -> None:
             "config": {
                 "smoke": args.smoke,
                 **stress_args,
-                "sharded": {"shards": shards, **storm_args},
+                "sharded": storm_args,
             },
         },
     )

@@ -13,27 +13,26 @@ Three measured lanes over one populated evolution-storm space:
 2. **Storm reads** — the identical paced read loop runs concurrently
    with the full capability-change storm, which the writer replays as
    a sequential batch stream (one atomic version publish per batch) on
-   the persistent worker pool — the production executor, whose
-   GIL-releasing IPC waits leave the serving core to the readers.
-   Readers are paced with ~Poisson think time rather than busy-looped:
-   a saturating closed loop on a small host measures CPU fair-share
-   scheduling, not serving latency — pacing is how YCSB-style latency
-   benchmarks isolate per-request cost.  Reported: p50/p99 during the
+   the default system.  Readers are paced with ~Poisson think time
+   rather than busy-looped: a saturating closed loop on a small host
+   measures CPU fair-share scheduling, not serving latency — pacing is
+   how YCSB-style latency benchmarks isolate per-request cost.  Reported: p50/p99 during the
    storm, the p99 ratio against idle, the versions each reader
    observed, and the torn-read count — every read is checked against
    the serial per-version extent digest, so a read that mixed two
    batches cannot hide.
-3. **Executor parity** — the same storm plus a tail update stream
-   replayed under the ``serial`` and ``workers`` executors: committed
-   winners, QC-Values, extent
-   digests, and modeled CF_M/CF_T/CF_IO counters must be
-   byte-identical in every lane.
+3. **Executor parity** (the lane keeps its historical name) — the same
+   storm plus a tail update stream replayed on the default
+   (coalescing) system and on ``SystemConfig.reference()``: committed
+   winners, QC-Values, extent digests, and modeled CF_M/CF_T/CF_IO
+   counters must be byte-identical in every lane.
 
 Correctness gates (all modes): zero torn reads, monotone versions per
 reader, zero copy-on-write copies (the storm rematerializes extents —
 views a batch does not touch must share their Relation object across
-versions), executor parity.  Full runs additionally gate the headline
-latency target: storm-time read p99 within 2x of idle p99.
+versions), default-vs-reference parity.  Full runs additionally gate
+the headline latency target: storm-time read p99 within 2x of idle
+p99.
 
 Results are persisted as machine-readable ``BENCH_serving.json`` at
 the repo root (via :func:`conftest.emit_json`).  Run directly::
@@ -164,14 +163,7 @@ def _read_once(eve, rng, views_per_read):
 # Lane 1+2: idle baseline, then reads during the storm
 # ----------------------------------------------------------------------
 def bench_reads(readers, views_per_read, idle_reads, think_s, storm_args):
-    # The latency lane runs the storm on the persistent worker pool —
-    # the production executor (PR 7) and the configuration a real
-    # single-core serving host needs: synchronization compute runs in
-    # the worker processes while the parent waits on IPC with the GIL
-    # released, so the serving threads keep the core during the storm.
-    eve, batches = _build_system(
-        storm_args, SystemConfig.sharded(storm_args["shards"])
-    )
+    eve, batches = _build_system(storm_args, SystemConfig())
     eve.snapshot().release()  # arm serving before any concurrent writer
 
     # Serial per-version extent digests: replay the identical batch
@@ -187,12 +179,8 @@ def bench_reads(readers, views_per_read, idle_reads, think_s, storm_args):
     reference_fp = _fingerprint(reference)
     del reference
 
-    # Warm the writer before measurement: the first batch pays the
-    # worker pool's cold bootstrap (one big snapshot pickle — an
-    # uninterruptible GIL hold that is PR 7's amortized-cold-start
-    # story, measured in bench_scheduler.py, not a read-latency
-    # story).  The measured storm below runs against a warm pool, the
-    # steady state a serving deployment lives in.
+    # The first batch is not measured: the storm keeps its historical
+    # shape of one warm-up batch plus the measured remainder.
     warmup, *batches = batches
     eve.apply_changes(warmup)
 
@@ -237,7 +225,6 @@ def bench_reads(readers, views_per_read, idle_reads, think_s, storm_args):
         for thread in threads:
             thread.join(timeout=60)
     storm_seconds = perf_counter() - storm_start
-    eve.close()
     if errors:
         raise SystemExit(f"reader thread failed: {errors[0]!r}")
 
@@ -301,13 +288,14 @@ def bench_reads(readers, views_per_read, idle_reads, think_s, storm_args):
 # Lane 3: executor parity (winners/QC/extents/CF counters)
 # ----------------------------------------------------------------------
 def bench_executor_parity(updates_per_relation, storm_args):
-    """Replay storm + tail updates under every executor; compare all."""
+    """Replay storm + tail updates on the default and the reference
+    systems; compare all."""
     # Parity is about outcomes, not latency: small extents keep the
     # full-system replays affordable without weakening the check.
     storm_args = {**storm_args, "rows": min(storm_args["rows"], 80)}
     lanes = {
-        "serial": None,
-        "workers": SystemConfig.sharded(storm_args["shards"]),
+        "default": SystemConfig(),
+        "reference": SystemConfig.reference(),
     }
     outcomes = {}
     for label, config in lanes.items():
@@ -320,7 +308,7 @@ def bench_executor_parity(updates_per_relation, storm_args):
                 (r.view_name, r.chosen.qc if r.chosen else None)
                 for r in results
             )
-        # Tail update stream: CF_M/CF_T/CF_IO parity across executors.
+        # Tail update stream: CF_M/CF_T/CF_IO parity across lanes.
         survivors = [
             name
             for name in eve.space.relations()
@@ -342,9 +330,8 @@ def bench_executor_parity(updates_per_relation, storm_args):
                 counters.io_operations,
             ),
         }
-        eve.close()
         del eve
-    reference = outcomes["serial"]
+    reference = outcomes["reference"]
     rows = {}
     equal = True
     for label, lane in outcomes.items():
@@ -399,7 +386,6 @@ def main(argv=None) -> None:
             rows=40,
             seed=11,
             batches=3,  # 1 warm-up + 2 measured
-            shards=2,
         )
         readers = 2
         views_per_read = 4
@@ -412,7 +398,6 @@ def main(argv=None) -> None:
             rows=1000,
             seed=11,
             batches=6,  # 1 warm-up + 5 measured
-            shards=4,
         )
         readers = 2
         views_per_read = 16

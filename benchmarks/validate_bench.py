@@ -53,7 +53,7 @@ GATED_SPEEDUPS = {
     "sync": (("batched_dispatch", "speedup"),),
     "scheduler": (
         ("parallel_storm", "speedup"),
-        ("sharded_storm", "workers_speedup"),
+        ("sharded_storm", "serial_coalesce_speedup"),
     ),
     "maintenance": (
         ("update_storm", "speedup"),
@@ -70,9 +70,11 @@ GATED_SPEEDUPS = {
 #: baseline payload.
 COLUMNAR_SPEEDUP_FLOOR = 3.0
 
-#: Absolute floor of the persistent-worker-vs-serial speedup in the
-#: sharded storm on full (non-smoke) runs — the PR-7 acceptance gate.
-WORKERS_SPEEDUP_FLOOR = 3.0
+#: Absolute floor of the default (serial + coalesce) scheduler's speedup
+#: over the serial reference in the 100k-view sharded storm on full
+#: (non-smoke) runs.  Coalescing is CPU-count-independent; full runs
+#: on 2-CPU hosts read 5.3x, 5.6x and 7.7x.
+SERIAL_COALESCE_SPEEDUP_FLOOR = 3.0
 
 #: Absolute floor of the ``Relation.delete``-vs-``list.remove`` speedup
 #: in the delete-churn lane on full (non-smoke) runs: random-position
@@ -370,15 +372,12 @@ def validate_scheduler(payload: dict) -> None:
                 "coalesced_searches",
             ),
             "sharded_storm": (
-                "workers_speedup",
+                "serial_coalesce_speedup",
                 "outcomes_equal",
                 "serial_seconds",
-                "workers_seconds",
-                "workers_cold_seconds",
-                "workers_warm_seconds",
-                "cold_snapshot_bytes",
-                "warm_snapshot_bytes",
-                "shards",
+                "serial_coalesce_seconds",
+                "serial_coalesce_cold_seconds",
+                "serial_coalesce_warm_seconds",
             ),
             "deadline_sweep": ("unbounded", "zero", "zero_defer"),
         },
@@ -388,36 +387,23 @@ def validate_scheduler(payload: dict) -> None:
         "parallel scheduler outcomes diverged",
     )
     sharded = payload["sharded_storm"]
-    # The sharded storm's serial + coalesce lane (the default scheduler,
-    # the previous best the workers lane is judged against) is newer
-    # than the committed full-scale payload, so it may be absent; a
-    # payload that carries it must have timed it.
-    if "serial_coalesce_seconds" in sharded:
-        _invariant(
-            sharded["serial_coalesce_seconds"] > 0
-            and "serial_coalesce_speedup" in sharded,
-            "sharded_storm: serial + coalesce lane not timed",
-        )
+    _invariant(
+        sharded["serial_coalesce_seconds"] > 0,
+        "sharded_storm: serial + coalesce lane not timed",
+    )
     _invariant(
         sharded["outcomes_equal"],
-        "sharded worker outcomes diverged",
+        "sharded storm serial + coalesce outcomes diverged",
     )
-    _invariant(
-        sharded["warm_snapshot_bytes"] == 0,
-        "warm worker dispatch shipped snapshot bytes",
-    )
-    _invariant(
-        sharded["cold_snapshot_bytes"] > 0,
-        "cold bootstrap shipped no snapshot",
-    )
-    # The PR-7 acceptance gate: ≥3x workers-vs-serial on full runs.
-    # Smoke payloads run the lane at toy scale where pool overhead
-    # dominates, so only the parity/shipping invariants apply there.
+    # Smoke payloads run the lane at toy scale, where few views share a
+    # class, so only the parity invariant applies there.
     if not is_smoke(payload):
         _invariant(
-            sharded["workers_speedup"] >= WORKERS_SPEEDUP_FLOOR,
-            f"workers speedup {sharded['workers_speedup']}x below the "
-            f"{WORKERS_SPEEDUP_FLOOR}x floor",
+            sharded["serial_coalesce_speedup"]
+            >= SERIAL_COALESCE_SPEEDUP_FLOOR,
+            f"serial + coalesce speedup "
+            f"{sharded['serial_coalesce_speedup']}x below the "
+            f"{SERIAL_COALESCE_SPEEDUP_FLOOR}x floor",
         )
     if "system_report" in sharded:
         validate_system_report(

@@ -40,12 +40,10 @@ from repro.events import (
     CacheInvalidated,
     DegradedToFirstLegal,
     EventBus,
-    ShardRebalanced,
     SynchronizationDeferred,
     SystemEvent,
     ViewMaintained,
     ViewSynchronized,
-    WorkerRecycled,
 )
 from repro.qc.model import Evaluation, QCModel
 from repro.qc.params import TradeoffParameters
@@ -71,7 +69,6 @@ __all__ = [
     "QCModel",
     "ScheduleConfig",
     "SearchConfig",
-    "ShardRebalanced",
     "SynchronizationDeferred",
     "SynchronizationRecord",
     "SynchronizationResult",
@@ -81,6 +78,5 @@ __all__ = [
     "TradeoffParameters",
     "ViewMaintained",
     "ViewSynchronized",
-    "WorkerRecycled",
     "__version__",
 ]

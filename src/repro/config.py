@@ -14,15 +14,15 @@ declarative surface:
   (``sync.pipeline`` / ``sync.generators``): search policy, generator
   chain, top-k width.
 * :class:`ScheduleConfig` — how batch synchronization is *dispatched*
-  (``sync.scheduler``): executor, shards, wall-clock / modeled-unit
-  budgets, degradation mode, ordering, coalescing.
+  (``sync.scheduler``): wall-clock / modeled-unit budgets, degradation
+  mode, ordering, coalescing.
 * :class:`MaintenanceConfig` — how deltas are *propagated*
   (``maintenance.simulator``): tuple vs dict delta plane, index probes.
 
 :class:`SystemConfig` composes the four slices and is the one object
 :class:`~repro.core.eve.EVESystem` is configured with.  Named presets
 (:meth:`SystemConfig.reference`, :meth:`SystemConfig.columnar`,
-:meth:`SystemConfig.sharded`, :meth:`SystemConfig.bounded`) capture the parity planes the property
+:meth:`SystemConfig.bounded`) capture the parity planes the property
 tests pin against each other, and :meth:`SystemConfig.to_dict` /
 :meth:`SystemConfig.from_dict` round-trip losslessly through JSON so
 benchmarks, CI, and scenario sweeps declare configurations as data.
@@ -57,7 +57,6 @@ __all__ = [
 _ENGINES = ("indexed", "naive")
 _ENGINE_REPRESENTATIONS = ("tuple", "columnar")
 _REPRESENTATIONS = ("tuple", "dict", "columnar")
-_EXECUTORS = ("serial", "workers")
 _DEGRADE_MODES = ("first_legal", "defer")
 _ORDERS = ("cost", "plan")
 
@@ -209,29 +208,23 @@ class ScheduleConfig:
     """How batch synchronization is dispatched
     (:class:`~repro.sync.scheduler.SynchronizationScheduler`).
 
-    Field semantics are the scheduler's: ``executor`` in ``serial`` (the
-    reference) | ``workers`` (the one parallel path); ``budget`` in wall-clock
+    Field semantics are the scheduler's: ``budget`` in wall-clock
     seconds and ``budget_units`` in modeled Eq. 24 cost units (either
     exhausts the other); ``degrade`` in ``first_legal`` | ``defer``;
     ``order`` in ``cost`` | ``plan``; ``coalesce`` (default on) runs one
     search and one rematerialization per class of views that differ
     only in name, and rebinds the results to the others — off only in
-    :meth:`SystemConfig.reference`; ``shards`` partitions the VKB for the
-    persistent-worker pool (``executor="workers"`` only; one long-lived
-    spawn-safe process per shard holds its extents and caches across
-    batches).
+    :meth:`SystemConfig.reference`.  Dispatch is always serial, in this
+    process.
     """
 
-    executor: str = "serial"
     budget: float | None = None
     budget_units: float | None = None
     degrade: str = "first_legal"
     order: str = "cost"
     coalesce: bool = True
-    shards: int | None = None
 
     def __post_init__(self) -> None:
-        _require_choice(self.executor, _EXECUTORS, "executor")
         _require_choice(self.degrade, _DEGRADE_MODES, "degrade mode")
         _require_choice(self.order, _ORDERS, "order")
         _require(
@@ -241,14 +234,6 @@ class ScheduleConfig:
         _require(
             self.budget_units is None or self.budget_units >= 0,
             "budget_units must be >= 0",
-        )
-        _require(
-            self.shards is None or self.shards >= 1,
-            "shards must be >= 1",
-        )
-        _require(
-            self.shards is None or self.executor == "workers",
-            "shards is only meaningful with executor='workers'",
         )
 
 
@@ -295,8 +280,6 @@ class SystemConfig:
       compared to, and the only preset that searches every view.
     * :meth:`columnar` — the default with evaluation and delta
       propagation on the column-at-a-time kernel plane.
-    * :meth:`sharded` — the default dispatched through the
-      persistent-worker pool.
     * :meth:`bounded` — the default under a budget (modeled cost units
       and/or wall-clock seconds) with a degradation mode.
 
@@ -349,12 +332,6 @@ class SystemConfig:
             engine=EngineConfig(representation="columnar"),
             maintenance=MaintenanceConfig(representation="columnar"),
         )
-
-    @classmethod
-    def sharded(cls, shards: int) -> "SystemConfig":
-        """The default with the persistent-worker pool over ``shards``
-        VKB shards (long-lived spawn-safe processes, delta shipping)."""
-        return cls(schedule=ScheduleConfig(executor="workers", shards=shards))
 
     @classmethod
     def bounded(

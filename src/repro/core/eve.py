@@ -253,9 +253,9 @@ class EVESystem:
         self.auto_synchronize = auto_synchronize
         #: Typed event bus; see :meth:`subscribe`.
         self.events = EventBus()
-        #: Batch executor built from ``config.schedule``: the default
-        #: (serial, cost-ordered, no budget) reproduces the sequential
-        #: reference exactly.
+        #: Batch scheduler built from ``config.schedule``: the default
+        #: (cost-ordered, coalescing, no budget) reproduces the
+        #: sequential reference exactly.
         self.scheduler = SynchronizationScheduler(self.config.schedule)
         #: ScheduleReports of the most recent :meth:`apply_changes`
         #: call, one per chain-free sub-batch.
@@ -271,8 +271,8 @@ class EVESystem:
         # frontend's writer thread commits beside the caller's thread.
         self._commit_lock = threading.Lock()
         #: Crash-consistency journal: inside apply_changes, every
-        #: committed result is appended here the moment it lands so an
-        #: executor exception cannot desynchronize VKB and sync log.
+        #: committed result is appended here the moment it lands so a
+        #: mid-batch exception cannot desynchronize VKB and sync log.
         self._batch_journal: list[SynchronizationResult] | None = None
         self.vkb = ViewKnowledgeBase()
         #: The system's assessment memo.  Neither the rewriting search
@@ -425,18 +425,6 @@ class EVESystem:
     def unsubscribe(self, event_type, handler) -> None:
         """Remove one prior :meth:`subscribe` registration."""
         self.events.unsubscribe(event_type, handler)
-
-    def close(self) -> None:
-        """Release external resources — currently the scheduler's
-        persistent worker pool, when one is running.
-
-        The system stays fully usable afterwards: a later
-        ``executor="workers"`` batch simply bootstraps a fresh fleet.
-        Only systems configured with the workers executor hold any
-        out-of-process state, so for every other profile this is a
-        no-op.
-        """
-        self.scheduler.close()
 
     # ------------------------------------------------------------------
     # View definition
@@ -902,11 +890,11 @@ class EVESystem:
         Each sub-batch is staged into an immutable
         :class:`~repro.sync.scheduler.BatchWorkPlan` and handed to the
         ``scheduler`` (argument, else :attr:`scheduler`) for cost-aware,
-        possibly parallel/budgeted dispatch; per-sub-batch
+        possibly budgeted dispatch; per-sub-batch
         :class:`~repro.sync.scheduler.ScheduleReport`\\ s land in
-        :attr:`last_schedule`.  Whatever the executor, results and the
-        synchronization log arrive in plan (view definition) order, and
-        committed winners/extents are identical to the serial reference.
+        :attr:`last_schedule`.  Whatever the dispatch order, results and
+        the synchronization log arrive in plan (view definition) order,
+        and committed winners/extents are identical to the reference.
         """
         from time import perf_counter
 
@@ -931,7 +919,7 @@ class EVESystem:
             for sub_batch in self._split_identity_chains(batch):
                 plan = self._stage_batch(sub_batch)
                 # Committed results are journaled as they land so that an
-                # executor exception mid-batch cannot leave VKB commits the
+                # exception mid-batch cannot leave VKB commits the
                 # synchronization log never saw; on success the journal is
                 # discarded in favour of the report's plan-ordered results.
                 # Reports of completed sub-batches are preserved either way
@@ -1130,11 +1118,10 @@ class EVESystem:
     def adopt_results(
         self, results: Sequence[SynchronizationResult]
     ) -> None:
-        """Commit replay results produced outside the live VKB.
+        """Commit replay results no search produced for these views.
 
-        Used by the workers executor (results searched in a worker
-        process) and by coalesced followers (results rebound from a
-        structurally identical leader): replays exactly the commits
+        Used by coalesced followers (results rebound from a structurally
+        identical leader): replays exactly the commits
         :meth:`_synchronize_record` would have made.
         """
         with self._commit_lock:
@@ -1327,7 +1314,7 @@ class EVESystem:
         views read; the report builds them on first read.
 
         Capped at :data:`~repro.report.PLAN_CAPTURE_LIMIT` plans chosen
-        by sorted view name (deterministic under any executor); the
+        by sorted view name (deterministic under any dispatch order); the
         returned total still counts every candidate.  Final actual
         cardinalities come from the just-rematerialized extents; a view
         whose relations cannot all be looked up is skipped rather than

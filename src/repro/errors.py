@@ -82,8 +82,8 @@ class ConfigurationError(ReproError):
     """A system configuration value is invalid or inconsistent.
 
     Raised by every :mod:`repro.config` profile constructor (unknown
-    engine/policy/executor/representation names, negative budgets,
-    ``shards < 1``, conflicting legacy-kwarg/config spellings) so
+    engine/policy/representation names, negative budgets, unknown or
+    removed fields in a serialized profile) so
     callers validate declarative configurations against one exception
     type regardless of which subsystem the offending field configures.
     """

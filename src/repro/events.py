@@ -28,15 +28,7 @@ Six event types cover the operator-visible lifecycle:
 * :class:`CacheInvalidated` — the shared assessment cache was flushed
   (capability change or relation registration).
 
-Two more cover the persistent-worker pool's lifecycle:
-
-* :class:`ShardRebalanced` — the sharded worker pool (re)built its VKB
-  partition (first dispatch, or drift detected in the parent VKB/MKB).
-* :class:`WorkerRecycled` — a shard's worker process was torn down
-  (crash mid-group, or pool shutdown) and will be respawned on the next
-  dispatch.
-
-And two cover the online serving plane's version/pin accounting:
+Two more cover the online serving plane's version/pin accounting:
 
 * :class:`SnapshotPublished` — a batch commit swapped in a new extent
   version (MVCC publish; see :mod:`repro.relational.versioning`).
@@ -44,8 +36,7 @@ And two cover the online serving plane's version/pin accounting:
 
 Delivery contract: handlers run synchronously on the thread that
 produced the event — under a serving frontend that may be its writer
-thread.  Worker processes of the ``workers`` executor never emit: the
-parent emits once when it adopts their results.
+thread.
 Handlers must not raise; an exception propagates to the emitting call.
 """
 
@@ -69,14 +60,12 @@ __all__ = [
     "CacheInvalidated",
     "DegradedToFirstLegal",
     "EventBus",
-    "ShardRebalanced",
     "SnapshotPublished",
     "SnapshotReleased",
     "SynchronizationDeferred",
     "SystemEvent",
     "ViewMaintained",
     "ViewSynchronized",
-    "WorkerRecycled",
 ]
 
 
@@ -158,21 +147,6 @@ class CacheInvalidated(SystemEvent):
 
 
 @dataclass(frozen=True)
-class ShardRebalanced(SystemEvent):
-    """The persistent-worker pool (re)built its VKB partition."""
-
-    #: Number of shards in the new partition.
-    shards: int
-    #: Alive views distributed across the partition.
-    views: int
-    #: Why the partition was (re)built: "bootstrap" on first dispatch,
-    #: "drift" when the parent VKB changed out-of-band, "mkb-drift"
-    #: when constraints were added to the parent MKB out-of-band,
-    #: "recycle" after a worker crash forced a pool teardown.
-    reason: str
-
-
-@dataclass(frozen=True)
 class SnapshotPublished(SystemEvent):
     """A batch commit published a new extent version (MVCC swap)."""
 
@@ -197,17 +171,6 @@ class SnapshotReleased(SystemEvent):
     remaining: int
 
 
-@dataclass(frozen=True)
-class WorkerRecycled(SystemEvent):
-    """One shard's worker process was torn down for respawning."""
-
-    shard: int
-    #: OS pid of the recycled worker process (None if it never spawned).
-    pid: int | None
-    #: Why the worker was recycled ("crash", "shutdown", ...).
-    reason: str
-
-
 _EVENT_TYPES = {
     cls.__name__: cls
     for cls in (
@@ -218,10 +181,8 @@ _EVENT_TYPES = {
         DegradedToFirstLegal,
         SynchronizationDeferred,
         CacheInvalidated,
-        ShardRebalanced,
         SnapshotPublished,
         SnapshotReleased,
-        WorkerRecycled,
     )
 }
 

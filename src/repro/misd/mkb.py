@@ -91,13 +91,6 @@ class MetaKnowledgeBase:
         #: :mod:`repro.qc.assessment_cache`) never outlive the knowledge
         #: they were computed from.
         self.version = 0
-        #: Bumped only by the *public* constraint-add methods
-        #: (:meth:`add_join_constraint` / :meth:`add_pc_constraint` and
-        #: their convenience wrappers), never by capability-change
-        #: evolution — so it fingerprints exactly the out-of-band
-        #: constraint additions a sharded worker mirror cannot have
-        #: seen (see :meth:`constraint_fingerprint`).
-        self._constraint_epoch = 0
         self._schemas: dict[str, Schema] = {}
         self._owners: dict[str, str] = {}
         self._join_constraints: list[JoinConstraint] = []
@@ -263,21 +256,6 @@ class MetaKnowledgeBase:
         except KeyError:
             raise UnknownRelationError(relation, "MKB") from None
 
-    def constraint_fingerprint(self) -> int:
-        """Monotone counter of *additions* to the constraint set.
-
-        Deliberately insensitive to capability-change evolution: batch
-        staging applies the changes to this MKB before dispatch (and
-        renames rewrite live constraints in place), so any
-        content-based fingerprint would report false drift on every
-        batch.  Only the public add methods bump it — which is exactly
-        the out-of-band mutation a sharded worker's MKB mirror cannot
-        have replayed, so a changed fingerprint means the mirror's
-        constraint knowledge is stale and the pool must re-bootstrap
-        (``ShardRebalanced(reason="mkb-drift")``).
-        """
-        return self._constraint_epoch
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
@@ -317,7 +295,6 @@ class MetaKnowledgeBase:
     # ------------------------------------------------------------------
     def add_join_constraint(self, constraint: JoinConstraint) -> None:
         patch = self._advance()
-        self._constraint_epoch += 1
         left = self._require(constraint.left_relation)
         right = self._require(constraint.right_relation)
         for ref in constraint.condition.attribute_refs():
@@ -367,7 +344,6 @@ class MetaKnowledgeBase:
     # ------------------------------------------------------------------
     def add_pc_constraint(self, constraint: PCConstraint) -> None:
         patch = self._advance()
-        self._constraint_epoch += 1
         left = self._require(constraint.left.relation)
         right = self._require(constraint.right.relation)
         constraint.check_against(left, right)

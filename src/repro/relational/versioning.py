@@ -28,14 +28,11 @@ acquisition to increment a refcount, and every subsequent
 :meth:`ExtentSnapshot.extent` call is a plain dict lookup against an
 immutable mapping.
 
-Thread safety: all store mutations take the internal lock.  Nothing
-forks the store: the ``workers`` executor spawns its processes and ships
-them plain extents, never the store itself.
+Thread safety: all store mutations take the internal lock.
 
 The store keeps the mutating half of the mapping API (``get`` /
-``pop`` / ``update`` / item access) so the synchronization machinery —
-including worker-pool bootstrap, which reads extents per shard — works
-unchanged against it.
+``pop`` / ``update`` / item access) so the synchronization machinery
+works unchanged against it.
 """
 
 from __future__ import annotations
@@ -241,7 +238,7 @@ class ExtentStore:
         return removed
 
     def update(self, mapping: "Mapping[str, Relation]") -> None:
-        """Bulk-adopt extents (worker-child bootstrap path)."""
+        """Bulk-adopt extents."""
         if not self._serving:
             self._current.update(mapping)
             return

@@ -28,22 +28,17 @@ consumed by the benchmark drivers in place of their hand-rolled dicts.
       },
       "schedule": {
         "batches": [
-          {"executor": str, "workers": int, "views": int,
+          {"executor": "serial", "workers": 1, "views": int,
            "coalesced": int, "wall_seconds": float,
            "budget": float | null, "budget_units": float | null,
            "units_spent": float,
            "executor_fallback": null,
            "degraded": [view, ...], "deferred": [view, ...],
-           "shards": [{<ShardDispatch fields>}, ...]},
+           "shards": []},
           ...
         ],
         "degraded": [view, ...], "deferred": [view, ...],
-        "shards": [
-          {"shard": int, "views": int, "groups": int,
-           "bytes_shipped": int, "bytes_received": int,
-           "snapshot_bytes": int, "worker_seconds": float},
-          ...
-        ]
+        "shards": []
       },
       "maintenance": {
         "flushes": [
@@ -132,8 +127,9 @@ __all__ = [
 ]
 
 #: Bump when the to_dict layout changes shape (validators pin this).
-#: v2: per-batch ``executor_fallback`` + ``shards`` (persistent-worker
-#: dispatch accounting), and the call-aggregated ``schedule.shards``.
+#: v2: per-batch ``executor_fallback`` and per-batch + call-aggregated
+#: dispatch accounting lists (always empty since the one dispatch path
+#: became serial).
 #: v3: the ``plans`` section — EXPLAIN renderings of the call's view
 #: evaluations (``apply_changes``) or maintenance itineraries
 #: (``apply_updates``), capped at :data:`PLAN_CAPTURE_LIMIT` entries.
@@ -424,38 +420,6 @@ class SystemReport:
         """Total data updates absorbed across every flush."""
         return sum(flush.updates for flush in self.flushes)
 
-    @property
-    def shard_dispatches(self) -> list[dict[str, Any]]:
-        """Call-aggregated persistent-worker accounting, one row per
-        shard the call's batches dispatched to (empty unless the
-        ``workers`` executor ran): views and chain groups replayed,
-        bytes shipped/received, bootstrap snapshot bytes, and worker
-        wall clock, summed across the call's sub-batches."""
-        merged: dict[int, dict[str, Any]] = {}
-        for schedule in self.schedules:
-            for dispatch in schedule.shards:
-                row = merged.setdefault(
-                    dispatch.shard,
-                    {
-                        "shard": dispatch.shard,
-                        "views": 0,
-                        "groups": 0,
-                        "bytes_shipped": 0,
-                        "bytes_received": 0,
-                        "snapshot_bytes": 0,
-                        "worker_seconds": 0.0,
-                    },
-                )
-                row["views"] += dispatch.views
-                row["groups"] += dispatch.groups
-                row["bytes_shipped"] += dispatch.bytes_shipped
-                row["bytes_received"] += dispatch.bytes_received
-                row["snapshot_bytes"] += dispatch.snapshot_bytes
-                row["worker_seconds"] += dispatch.worker_seconds
-        for row in merged.values():
-            row["worker_seconds"] = round(row["worker_seconds"], 6)
-        return [merged[shard] for shard in sorted(merged)]
-
     # -- serialization --------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         """The versioned, JSON-serializable report payload (schema v4)."""
@@ -484,8 +448,12 @@ class SystemReport:
             "schedule": {
                 "batches": [
                     {
-                        "executor": schedule.executor,
-                        "workers": schedule.workers,
+                        # Constants: one in-process dispatch path; the
+                        # v4 layout keeps the executor/workers/shards
+                        # keys (and ``executor_fallback``) until the
+                        # next schema bump.
+                        "executor": "serial",
+                        "workers": 1,
                         "views": len(schedule.results)
                         + len(schedule.deferred),
                         "coalesced": schedule.coalesced,
@@ -493,25 +461,19 @@ class SystemReport:
                         "budget": schedule.budget,
                         "budget_units": schedule.budget_units,
                         "units_spent": round(schedule.units_spent, 6),
-                        # Always null: no executor falls back to another
-                        # any more; the key stays in the v4 layout until
-                        # the next schema bump.
                         "executor_fallback": None,
                         "degraded": list(schedule.degraded_views),
                         "deferred": [
                             record.view_name
                             for record in schedule.deferred
                         ],
-                        "shards": [
-                            dispatch.as_dict()
-                            for dispatch in schedule.shards
-                        ],
+                        "shards": [],
                     }
                     for schedule in self.schedules
                 ],
                 "degraded": list(self.degraded_views),
                 "deferred": list(self.deferred_views),
-                "shards": self.shard_dispatches,
+                "shards": [],
             },
             "maintenance": {
                 "flushes": [flush.to_dict() for flush in self.flushes],

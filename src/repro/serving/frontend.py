@@ -11,8 +11,8 @@ The serving contract, end to end:
 * **Writes serialize on one writer thread.**  :meth:`apply_changes`
   and :meth:`apply_updates` run on a dedicated single-thread executor;
   awaiting them yields the event loop to concurrent reads.  The
-  underlying scheduler executor (``serial`` / ``workers``) is whatever
-  the system's config says — the frontend adds no constraint.
+  scheduler dispatches as the system's config says — the frontend adds
+  no constraint.
 * **Reads are torn-proof.**  A :class:`ServedRead` carries the version
   it was served from; its rows equal that version's committed extent
   byte for byte, never a mixture of two batches.
@@ -79,7 +79,7 @@ class ServingFrontend:
         # immutable extent version.
         system.snapshot().release()
         self._writer = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="eve-serving-writer"
+            1, thread_name_prefix="eve-serving-writer"
         )
         self._closed = False
 

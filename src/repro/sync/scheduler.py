@@ -19,17 +19,14 @@ replay into an explicit, immutable *work plan* and schedules it:
   *modeled* Eq. 24 cost, debited per dispatched view from its salvage
   bound — same degrade/defer semantics, fully deterministic (no wall
   clock), so budgets can be planned offline and asserted in tests.
-* **Two executors** — ``serial`` (the default and the reference) and
-  ``workers`` (the one parallel path: the persistent sharded pool of
-  :mod:`repro.sync.workers`, spawn-safe long-lived processes that keep
-  their VKB shard and extents warm across batches, shipping only
-  deltas).  Whatever the executor, committed winners, QC-Values, and
-  extents are identical to the serial reference — enforced by
-  ``tests/property/test_scheduler_parity.py``.
+* **One dispatch path** — chain groups replay one after the other in
+  this process.  With coalescing on (the default), committed winners,
+  QC-Values, and extents are identical to the one-search-per-view
+  reference — enforced by ``tests/property/test_scheduler_parity.py``.
 * **Chain grouping** — views whose worklists share a changed relation are
-  linked into one :class:`ChainGroup` and never split across workers, so
-  relation-identity interactions can never race (and coalescing below
-  always finds its leader in the same group).
+  linked into one :class:`ChainGroup` and replayed together in plan
+  order, so relation-identity interactions keep sequential semantics
+  (and coalescing below always finds its leader in the same group).
 * **Search coalescing** (``coalesce``, on by default; off only in
   :meth:`~repro.config.SystemConfig.reference`) — the storm workloads
   define many structurally identical views over the same relation; their
@@ -44,7 +41,7 @@ replay into an explicit, immutable *work plan* and schedules it:
 
 The scheduler talks to the system through the small
 :class:`SchedulerRuntime` protocol (implemented by
-:class:`~repro.core.eve.EVESystem`), keeping executor/ordering concerns
+:class:`~repro.core.eve.EVESystem`), keeping dispatch/ordering concerns
 out of the control plane proper.
 """
 
@@ -99,7 +96,7 @@ class ViewWorkItem:
 class ChainGroup:
     """Work items linked by shared changed relations.
 
-    Items in one group always execute on one worker, in plan order —
+    Items in one group always execute together, in plan order —
     the scheduling unit that preserves PR 2's sequential-parity
     semantics for relation-identity interactions.
     """
@@ -213,7 +210,7 @@ class DeferredSynchronization:
 
 @dataclass
 class ItemOutcome:
-    """What replaying one work item produced, wherever it ran."""
+    """What replaying one work item produced."""
 
     item: ViewWorkItem
     results: "tuple[SynchronizationResult, ...]"
@@ -244,19 +241,12 @@ class ScheduleReport:
     degraded_views: tuple[str, ...]
     per_view_seconds: dict[str, float]
     wall_seconds: float
-    executor: str
-    workers: int
     coalesced: int
     budget: float | None
     #: Modeled-cost token bucket in force (None when unbudgeted) and
     #: the Eq. 24 units debited by this execution's dispatches.
     budget_units: float | None = None
     units_spent: float = 0.0
-    #: Per-shard accounting of the ``workers`` executor — one
-    #: :class:`~repro.sync.workers.ShardDispatch` per shard the batch
-    #: touched (views, chain groups, bytes shipped/received, bootstrap
-    #: snapshot bytes, worker wall clock); empty for other executors.
-    shards: tuple = ()
 
     @property
     def counters(self) -> StageCounters:
@@ -287,7 +277,7 @@ class SchedulerRuntime(Protocol):
     def adopt_results(
         self, results: "Sequence[SynchronizationResult]"
     ) -> None:
-        """Commit results produced elsewhere (worker / coalesced rebind)."""
+        """Commit results no search produced here (coalesced rebind)."""
         ...
 
     def finalize_view(self, view_name: str, like: str | None = None) -> None:
@@ -312,11 +302,7 @@ class SynchronizationScheduler:
         first (ties broken by plan order); ``"plan"`` keeps definition
         order.  Results and the synchronization log are always reported
         in plan order, so ordering only moves *scheduling* priority —
-        which views make it under a deadline, and latency under the
-        ``workers`` executor.
-    ``executor``
-        ``"serial"`` (the reference) | ``"workers"`` (the persistent
-        sharded pool over ``shards`` VKB shards).
+        which views make it under a deadline.
     ``budget`` / ``budget_units`` / ``degrade``
         Wall-clock seconds (``budget``) or a token bucket of modeled
         Eq. 24 cost units (``budget_units``, debited per dispatched
@@ -337,10 +323,6 @@ class SynchronizationScheduler:
 
     def __init__(self, config: ScheduleConfig | None = None) -> None:
         self.config = config if config is not None else ScheduleConfig()
-        #: Lazily created :class:`~repro.sync.workers.ShardedWorkerPool`
-        #: (``executor="workers"`` only); survives across executions.
-        self._worker_pool = None
-        self.executor = self.config.executor
         self.budget = self.config.budget
         self.budget_units = self.config.budget_units
         self.degrade = self.config.degrade
@@ -380,34 +362,16 @@ class SynchronizationScheduler:
 
         outcomes: list[ItemOutcome] = []
         deferred: list[DeferredSynchronization] = []
-        admitted = self._admit(plan, groups, started, unit_meter, deferred)
-        shard_dispatches: tuple = ()
-        workers = 1
-        if self.executor == "workers":
-            # Budget decisions happen up front: the batch ships as one
-            # message per shard, so there is no mid-flight dispatch
-            # point to re-check the clock at.  Every batch flows through
-            # the pool, even a single chain group: the shard mirrors
-            # must see every commit or they re-bootstrap on the next
-            # dispatch.
-            dispatchable = list(admitted)
-            if dispatchable:
-                committed, dispatches = self._ensure_pool().run_batch(
-                    plan, runtime, dispatchable
-                )
-                outcomes.extend(committed)
-                shard_dispatches = tuple(dispatches)
-            workers = self.config.shards or 1
-        else:
-            for group, policy, degraded in admitted:
-                outcomes.extend(
-                    self._run_group(plan, runtime, group, policy, degraded)
-                )
+        for group, policy, degraded in self._admit(
+            plan, groups, started, unit_meter, deferred
+        ):
+            outcomes.extend(
+                self._run_group(plan, runtime, group, policy, degraded)
+            )
 
-        # Every outcome is committed by now (serial replays commit on
-        # the spot; the pool adopts its replies in plan order).  Results
-        # are reported in plan order whatever the dispatch order, so the
-        # synchronization log is deterministic.
+        # Every replay committed on the spot.  Results are reported in
+        # plan order whatever the dispatch order, so the synchronization
+        # log is deterministic.
         outcomes.sort(key=lambda outcome: outcome.item.order)
         deferred.sort(key=lambda record: record.item.order)
         deferred_names = {record.view_name for record in deferred}
@@ -438,8 +402,6 @@ class SynchronizationScheduler:
                 for outcome in outcomes
             },
             wall_seconds=perf_counter() - wall_started,
-            executor=self.executor,
-            workers=workers,
             coalesced=sum(1 for outcome in outcomes if outcome.coalesced),
             budget=self.budget,
             budget_units=self.budget_units,
@@ -451,7 +413,6 @@ class SynchronizationScheduler:
                 if unit_meter is not None
                 else 0.0
             ),
-            shards=shard_dispatches,
         )
 
     # ------------------------------------------------------------------
@@ -509,7 +470,7 @@ class SynchronizationScheduler:
             deferred.append(DeferredSynchronization(item, plan, reason))
 
     # ------------------------------------------------------------------
-    # Executors
+    # Dispatch
     # ------------------------------------------------------------------
     def _admit(
         self, plan, groups, started, meter, deferred
@@ -517,8 +478,8 @@ class SynchronizationScheduler:
         """Yield ``(group, policy, degraded)`` for each group to dispatch,
         in dispatch order; park past-budget groups under ``defer``.
 
-        Lazy: the serial executor runs each group before the next
-        budget check, so the clock is read at every dispatch point.
+        Lazy: each group runs before the next budget check, so the
+        clock is read at every dispatch point.
         """
         for group in groups:
             if self._over_budget(started, meter):
@@ -530,27 +491,6 @@ class SynchronizationScheduler:
                 self._debit(meter, group)
                 yield group, None, False
 
-    def _ensure_pool(self):
-        if self._worker_pool is None:
-            from repro.sync.workers import ShardedWorkerPool
-
-            self._worker_pool = ShardedWorkerPool(self.config)
-        return self._worker_pool
-
-    def close(self) -> None:
-        """Stop the persistent worker pool, if one was ever started.
-
-        Safe to call on any scheduler (no-op without a pool) and safe
-        to keep scheduling afterwards — the next ``workers`` dispatch
-        re-bootstraps a fresh fleet.
-        """
-        if self._worker_pool is not None:
-            self._worker_pool.close()
-
-    # ------------------------------------------------------------------
-    # Group replay (shared by both executors; runs in the worker
-    # process for the workers executor)
-    # ------------------------------------------------------------------
     def _run_group(
         self,
         plan: BatchWorkPlan,

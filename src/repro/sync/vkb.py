@@ -53,22 +53,13 @@ class ViewKnowledgeBase:
         #: view name -> definition sequence number (dispatch ordering).
         self._order: dict[str, int] = {}
         self._next_order = 0
+        #: Bumped by every definition-changing operation (define, drop,
+        #: rewriting commit, mark-undefined).
         self._version = 0
         #: relation name -> ``views_referencing`` result, valid while
         #: ``_version`` equals ``_memo_version``.
         self._referencing_memo: dict[str, tuple[ViewRecord, ...]] = {}
         self._memo_version = 0
-
-    @property
-    def version(self) -> int:
-        """Monotonic mutation counter.
-
-        Bumped by every definition-changing operation (define, drop,
-        rewriting commit, mark-undefined), so long-lived mirrors of the
-        VKB — the sharded worker pool — can detect out-of-band drift
-        with one integer compare instead of a deep diff.
-        """
-        return self._version
 
     # ------------------------------------------------------------------
     # Inverted index maintenance
@@ -97,24 +88,6 @@ class ViewKnowledgeBase:
         self._order[view.name] = self._next_order
         self._next_order += 1
         self._index_add(record)
-        self._version += 1
-        return record
-
-    def adopt_record(self, record: ViewRecord, order: int) -> ViewRecord:
-        """Install an existing record under an explicit dispatch order.
-
-        Bootstrap path for VKB mirrors (worker shards): reproduces the
-        parent registry's ordering exactly, so ``views_referencing`` —
-        and with it dispatch and the synchronization log — sort
-        identically on both sides.
-        """
-        if record.name in self._records:
-            raise WorkspaceError(f"view {record.name!r} is already defined")
-        self._records[record.name] = record
-        self._order[record.name] = order
-        self._next_order = max(self._next_order, order + 1)
-        if record.alive:
-            self._index_add(record)
         self._version += 1
         return record
 

@@ -481,9 +481,8 @@ class SchedulerStressScenario:
     affected view runs a full replacement search over the donor
     spectrum.  That is the workload the batch scheduler exists for: the
     per-view searches are expensive, independent, and (views sharing a
-    relation) structurally identical, exercising cost ordering, the
-    parallel executors, coalescing, and deadline degradation all at
-    once.  Generation is deterministic: two builds with equal arguments
+    relation) structurally identical, exercising cost ordering,
+    coalescing, and deadline degradation all at once.  Generation is deterministic: two builds with equal arguments
     yield byte-identical spaces.
     """
 
@@ -574,20 +573,19 @@ def build_scheduler_stress_scenario(
 
 
 # ----------------------------------------------------------------------
-# Sharded storm: a 100k-view salvage storm as a sequential batch stream
+# Batched storm: a 100k-view salvage storm as a sequential batch stream
 # ----------------------------------------------------------------------
 @dataclass
 class ShardedStormScenario:
     """A scheduler-stress storm replayed as sequential change batches.
 
-    The persistent-worker executor's workload shape: the same
-    replacement-heavy salvage storm as
+    The same replacement-heavy salvage storm as
     :class:`SchedulerStressScenario`, but with the change stream split
     into ``len(change_batches)`` sequential ``apply_changes`` calls.
-    The first batch pays the pool's cold start (spawn + snapshot
-    shipping); every later batch dispatches against warm workers that
-    already hold their shard, so the amortized per-batch cost is
-    measurable separately from bootstrap.  Generation is deterministic:
+    The first batch pays the cold start (first searches, empty
+    per-definition caches); every later batch runs warm, so the
+    amortized per-batch cost is measurable separately from the first.
+    Generation is deterministic:
     equal arguments yield byte-identical spaces and batch streams.
     """
 
@@ -615,7 +613,7 @@ def build_sharded_storm_scenario(
     tail_changes: int = 0,
     **stress_overrides,
 ) -> ShardedStormScenario:
-    """The 100k-view sharded storm (ROADMAP scaling scenario).
+    """The 100k-view batched salvage storm (ROADMAP scaling scenario).
 
     Delegates space/view/change generation to
     :func:`build_scheduler_stress_scenario` (every view relation is
@@ -627,12 +625,11 @@ def build_sharded_storm_scenario(
 
     ``tail_changes`` carves the final batch down to exactly that many
     changes (the preceding batches absorb the rest).  A small tail
-    batch measures warm small-batch dispatch latency — the pool is hot,
-    the batch is tiny — and keeps the per-view report of the last batch
+    batch measures warm small-batch dispatch latency and keeps the per-view report of the last batch
     bounded regardless of storm scale.
     """
     if batches < 1:
-        raise ValueError("sharded storm needs at least one batch")
+        raise ValueError("the storm needs at least one batch")
     if tail_changes < 0:
         raise ValueError("tail_changes must be non-negative")
     scenario = build_scheduler_stress_scenario(

@@ -84,8 +84,13 @@ class TestApplyChangesReport:
         }
         assert "DeleteRelation" in view_row["change"]
         (batch,) = payload["schedule"]["batches"]
-        assert batch["executor"] == "serial"
         assert batch["views"] == 1
+        # v4 keeps the dispatch keys as constants: one in-process path.
+        assert batch["executor"] == "serial"
+        assert batch["workers"] == 1
+        assert batch["shards"] == []
+        assert batch["executor_fallback"] is None
+        assert payload["schedule"]["shards"] == []
         # The empty half is present, not absent.
         assert payload["maintenance"]["flushes"] == []
         assert payload["maintenance"]["updates"] == 0

@@ -14,7 +14,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def test_violations_exit_nonzero_per_rule(capsys):
     """Each seeded fixture violation drives a non-zero exit."""
     cases = {
-        "RL001": "rl001_bad.py",
         "RL002": "rl002_bad.py",
         "RL003": "rl003_bad.py",
         "RL004": "rl004_bad.py",
@@ -26,16 +25,15 @@ def test_violations_exit_nonzero_per_rule(capsys):
     assert sorted(cases) == sorted(RULES), "cover every registered rule"
     for code, name in cases.items():
         argv = [str(FIXTURES / name)]
-        if code in ("RL001", "RL002"):
-            # Repo defaults point these rules at repro.*; target the
+        if code == "RL002":
+            # Repo defaults point this rule at repro.*; target the
             # fixture module explicitly, exactly as the tests do.
             argv = ["--select", code, str(FIXTURES / name)]
             rule = RULES[code]()
-            rule_attr = "roots" if code == "RL001" else "entry_modules"
-            assert getattr(rule, rule_attr)  # defaults exist
-            # CLI runs defaults, so RL001/RL002 need their module-scoped
-            # twins exercised through the API tests; here assert the
-            # *clean* CLI behavior instead: no crash, deterministic exit.
+            assert rule.entry_modules  # defaults exist
+            # CLI runs defaults, so RL002 needs its module-scoped twin
+            # exercised through the API tests; here assert the *clean*
+            # CLI behavior instead: no crash, deterministic exit.
             exit_code = main(argv)
             out = capsys.readouterr().out
             assert exit_code in (0, 1)

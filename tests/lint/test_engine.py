@@ -1,4 +1,4 @@
-"""Unit tests for the shared AST walk and the project graphs."""
+"""Unit tests for the shared AST walk and the project call graph."""
 
 import textwrap
 
@@ -132,15 +132,6 @@ def test_call_graph_resolves_self_methods_and_imports(tmp_path):
         "mod:Thing.inner",
         "helper:leaf",
     ]
-
-
-def test_import_closure_is_transitive(tmp_path):
-    write_module(tmp_path, "a", "import b\n")
-    write_module(tmp_path, "b", "import c\n")
-    write_module(tmp_path, "c", "X = 1\n")
-    write_module(tmp_path, "d", "X = 2\n")
-    project = Project.load([tmp_path])
-    assert project.import_closure("a") == {"a", "b", "c"}
 
 
 def test_module_scope_statements_are_collected(tmp_path):

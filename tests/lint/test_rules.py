@@ -15,7 +15,6 @@ import pytest
 from tools.repro_lint import Project, run
 from tools.repro_lint.rules import (
     RULES,
-    rl001_salted_hash,
     rl002_nondeterminism,
     rl003_silent_children,
     rl004_extent_staging,
@@ -38,34 +37,6 @@ def fixture(name: str) -> Path:
 def check(rule, *names: str):
     project = Project.load([fixture(name) for name in names])
     return list(rule.check(project))
-
-
-# ----------------------------------------------------------------------
-# RL001
-# ----------------------------------------------------------------------
-def test_rl001_flags_builtin_hash_in_root_and_import_closure():
-    rule = rl001_salted_hash.SaltedHashRule(roots=("rl001_bad",))
-    violations = check(rule, "rl001_bad.py", "rl001_bad_helper.py")
-    assert len(violations) == 2
-    assert {Path(v.path).name for v in violations} == {
-        "rl001_bad.py",
-        "rl001_bad_helper.py",
-    }
-    assert all(v.rule == "RL001" for v in violations)
-    assert all("crc32" in v.message for v in violations)
-
-
-def test_rl001_clean_fixture_passes():
-    rule = rl001_salted_hash.SaltedHashRule(roots=("rl001_clean",))
-    assert check(rule, "rl001_clean.py") == []
-
-
-def test_rl001_dunder_hash_is_exempt():
-    # The clean fixture's __hash__ calls builtin hash(); covered above,
-    # asserted separately so the exemption can never regress silently.
-    rule = rl001_salted_hash.SaltedHashRule(roots=("rl001_clean",))
-    violations = check(rule, "rl001_clean.py")
-    assert violations == []
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,14 @@
-"""Serial/parallel parity: executors must never change committed outcomes.
+"""Scheduler parity: dispatch choices must never change committed outcomes.
 
-The acceptance property of the scheduler: whatever the executor
-(``serial`` / ``workers``), with or without search coalescing, a scheduled batch commits the identical winners with the
-identical QC-Values and materializes the identical extents as the serial
-reference.  Hypothesis drives the storm generators over seeds and
+The acceptance property of the scheduler: whatever the dispatch order,
+with or without search coalescing, a scheduled batch commits the
+identical winners with the identical QC-Values and materializes the
+identical extents as the serial reference.  Hypothesis drives the storm generators over seeds and
 shapes; every configuration is compared against the fingerprint of the
 serial scheduler *without* coalescing — the reference's, which searches
 every view itself (the default coalesces).
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -171,41 +170,6 @@ def test_executors_commit_identical_outcomes_on_salvage_storms(
             eve, batch, SynchronizationScheduler(ScheduleConfig(**config))
         )
         assert outcome_fingerprint(eve, results) == reference, label
-
-
-@pytest.mark.parametrize("shards", [1, 2, 3])
-def test_worker_pool_commits_identical_outcomes(shards):
-    """The persistent-worker executor is plan-order byte-identical to
-    serial for every shard count — including ``shards=1``, where the
-    whole VKB lives in a single worker."""
-    reference_eve, batch = stress_system(views=12, relations=4, donors=2)
-    reference = reference_fingerprint(reference_eve, batch)
-    eve, batch = stress_system(views=12, relations=4, donors=2)
-    scheduler = SynchronizationScheduler(
-        ScheduleConfig(executor="workers", shards=shards)
-    )
-    try:
-        results = apply_and_follow_up(eve, batch, scheduler)
-    finally:
-        scheduler.close()
-    assert outcome_fingerprint(eve, results) == reference
-    assert eve.last_schedule[0].executor == "workers"
-
-
-def test_worker_pool_parity_on_mixed_storm():
-    """Renames, deletes, and spare churn — the delta-broadcast path —
-    commit the serial outcome through the sharded pool."""
-    reference_eve, batch = storm_system(seed=5, views=12, changes=10)
-    reference = reference_fingerprint(reference_eve, batch)
-    eve, batch = storm_system(seed=5, views=12, changes=10)
-    scheduler = SynchronizationScheduler(
-        ScheduleConfig(executor="workers", shards=2)
-    )
-    try:
-        results = apply_and_follow_up(eve, batch, scheduler)
-    finally:
-        scheduler.close()
-    assert outcome_fingerprint(eve, results) == reference
 
 
 def test_degraded_runs_still_salvage_every_view():

@@ -10,7 +10,6 @@ import asyncio
 
 import pytest
 
-from repro.config import SystemConfig
 from repro.core.eve import EVESystem
 from repro.errors import SynchronizationError
 from repro.events import SnapshotPublished, SnapshotReleased
@@ -199,28 +198,3 @@ class TestServingFrontend:
         assert serving["enabled"] is True
         assert serving["published"] == 1
         assert serving["copied"] == 0
-
-    def test_workers_executor_serves_reads_too(self):
-        eve = build_system(SystemConfig.sharded(2))
-
-        async def scenario():
-            async with ServingFrontend(eve) as frontend:
-                storm = asyncio.create_task(
-                    frontend.apply_changes([DeleteRelation("IS1", "R")])
-                )
-                reads = []
-                while not storm.done():
-                    reads.append(await frontend.read("V"))
-                    await asyncio.sleep(0)
-                await storm
-                reads.append(await frontend.read("V"))
-                return reads
-
-        try:
-            reads = asyncio.run(scenario())
-        finally:
-            eve.close()
-        final = reads[-1]
-        assert sorted(final.rows) == sorted(eve.extent("V").rows)
-        versions = [read.version for read in reads]
-        assert versions == sorted(versions)  # monotone per client

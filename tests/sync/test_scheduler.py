@@ -233,27 +233,22 @@ class TestDispatch:
         assert report.degraded_views == ("V0", "V1")
         assert report.deferred == ()
 
-    @pytest.mark.parametrize("executor", ["serial"])
-    def test_replay_exceptions_surface(self, executor):
+    def test_replay_exceptions_surface(self):
         plan = make_plan(
             [("V0", (0,), 1.0, "a"), ("V1", (1,), 2.0, "b")], CHANGES
         )
         runtime = RecordingRuntime(fail_for={"V1"})
-        scheduler = SynchronizationScheduler(ScheduleConfig(executor=executor))
+        scheduler = SynchronizationScheduler()
         with pytest.raises(ValueError, match="injected failure"):
             scheduler.execute(plan, runtime)
 
     def test_invalid_configuration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ScheduleConfig(executor="rayon")
         with pytest.raises(ConfigurationError):
             ScheduleConfig(degrade="drop")
         with pytest.raises(ConfigurationError):
             ScheduleConfig(order="random")
         with pytest.raises(ConfigurationError):
             ScheduleConfig(budget=-1.0)
-        with pytest.raises(ConfigurationError):
-            ScheduleConfig(executor="threads")
 
 
 # ----------------------------------------------------------------------

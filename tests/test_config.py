@@ -41,7 +41,6 @@ ALL_PRESETS = {
     "default": SystemConfig(),
     "reference": SystemConfig.reference(),
     "columnar": SystemConfig.columnar(),
-    "sharded": SystemConfig.sharded(2),
     "bounded-units": SystemConfig.bounded(budget_units=25.0),
     "bounded-wall": SystemConfig.bounded(budget=1.5, degrade="defer"),
 }
@@ -62,9 +61,6 @@ class TestValidation:
             lambda: SearchConfig(policy="top_k(x)"),
             lambda: SearchConfig(policy="top_k(2)", top_k=3),
             lambda: SearchConfig(generators=("rename", "teleport")),
-            lambda: ScheduleConfig(executor="rayon"),
-            lambda: ScheduleConfig(executor="threads"),  # removed
-            lambda: ScheduleConfig(executor="processes"),  # removed
             lambda: ScheduleConfig(degrade="drop"),
             lambda: ScheduleConfig(order="random"),
             lambda: ScheduleConfig(budget=-1.0),
@@ -72,8 +68,9 @@ class TestValidation:
             # A payload written while the schedule slice had a
             # ``max_workers`` knob fails loudly, whatever its value.
             lambda: SystemConfig.from_dict({"schedule": {"max_workers": 0}}),
-            lambda: ScheduleConfig(executor="workers", shards=0),
-            lambda: ScheduleConfig(shards=2),  # needs executor="workers"
+            # Likewise for the removed ``executor`` and ``shards`` fields.
+            lambda: SystemConfig.from_dict({"schedule": {"executor": "serial"}}),
+            lambda: SystemConfig.from_dict({"schedule": {"shards": 2}}),
             lambda: MaintenanceConfig(representation="quantum"),
             lambda: EngineConfig(representation="rowwise"),
             lambda: EngineConfig(engine="naive", representation="columnar"),
@@ -89,16 +86,13 @@ class TestValidation:
             "top_k-malformed",
             "top_k-conflict",
             "generator-name",
-            "executor-name",
-            "executor-threads",
-            "executor-processes",
             "degrade-name",
             "order-name",
             "budget-negative",
             "budget_units-negative",
             "max_workers-zero",
-            "shards-zero",
-            "shards-without-workers",
+            "executor-key",
+            "shards-key",
             "representation-name",
             "engine-representation-name",
             "columnar-on-naive",
@@ -111,12 +105,12 @@ class TestValidation:
             build()
 
     def test_error_messages_name_the_offender(self):
-        with pytest.raises(ConfigurationError, match="rayon"):
-            ScheduleConfig(executor="rayon")
-        with pytest.raises(ConfigurationError, match="threads"):
-            ScheduleConfig(executor="threads")
         with pytest.raises(ConfigurationError, match="max_workers"):
             SystemConfig.from_dict({"schedule": {"max_workers": 4}})
+        with pytest.raises(ConfigurationError, match="executor"):
+            SystemConfig.from_dict({"schedule": {"executor": "workers"}})
+        with pytest.raises(ConfigurationError, match="shards"):
+            SystemConfig.from_dict({"schedule": {"shards": 2}})
         with pytest.raises(ConfigurationError, match="teleport"):
             SearchConfig(generators=("teleport",))
 
@@ -138,16 +132,22 @@ class TestValidation:
         assert SystemConfig() != SystemConfig.reference()
 
     def test_removed_executor_knobs_are_gone(self):
-        # Two executors remain (serial, workers); the threads/fork pool
-        # width and the threads preset went with the other two.
-        with pytest.raises(TypeError):
-            ScheduleConfig(max_workers=2)
-        with pytest.raises(TypeError):
-            SystemConfig.sharded(2, max_workers=2)
-        with pytest.raises(TypeError):
-            SystemConfig().with_schedule(max_workers=2)
+        # One dispatch path remains (serial, coalescing by default): the
+        # executor choice, the pool width and shard count, and the
+        # presets that picked a pool went with the pools.
+        for removed in (
+            {"max_workers": 2},
+            {"executor": "serial"},
+            {"executor": "workers"},
+            {"shards": 2},
+        ):
+            with pytest.raises(TypeError):
+                ScheduleConfig(**removed)
+            with pytest.raises(TypeError):
+                SystemConfig().with_schedule(**removed)
+            assert not set(removed) & set(SystemConfig().to_dict()["schedule"])
         assert not hasattr(SystemConfig, "fast")
-        assert "max_workers" not in SystemConfig().to_dict()["schedule"]
+        assert not hasattr(SystemConfig, "sharded")
 
     def test_reference_is_the_only_non_coalescing_preset(self):
         # A coalescing reference would make every parity replay against
@@ -243,9 +243,7 @@ class TestConfigSpellings:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             EVESystem(config=SystemConfig())
-            SynchronizationScheduler(
-                ScheduleConfig(executor="workers", shards=2)
-            )
+            SynchronizationScheduler(ScheduleConfig(order="plan"))
             ViewMaintainer(
                 tiny_space(),
                 config=MaintenanceConfig(representation="dict"),

@@ -72,7 +72,6 @@ DOCUMENTED_EXPORTS = [
     "QCModel",
     "ScheduleConfig",
     "SearchConfig",
-    "ShardRebalanced",
     "SynchronizationDeferred",
     "SynchronizationRecord",
     "SynchronizationResult",
@@ -82,7 +81,6 @@ DOCUMENTED_EXPORTS = [
     "TradeoffParameters",
     "ViewMaintained",
     "ViewSynchronized",
-    "WorkerRecycled",
     "__version__",
 ]
 
@@ -116,8 +114,9 @@ class TestPublicSurface:
         assert undocumented == []
 
     def test_presets_reachable_from_exported_config(self):
-        for preset in ("reference", "columnar", "sharded", "bounded"):
+        for preset in ("reference", "columnar", "bounded"):
             assert callable(getattr(repro.SystemConfig, preset))
+        assert not hasattr(repro.SystemConfig, "sharded")
 
     def test_subpackage_all_lists_resolve(self):
         import repro.esql

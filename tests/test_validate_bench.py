@@ -99,32 +99,35 @@ class TestStructuralValidation:
         with pytest.raises(BenchValidationError, match="diverged"):
             validate_payload("scheduler", payload)
 
-    def test_warm_snapshot_shipping_rejected(self):
-        payload = committed("scheduler")
-        payload["sharded_storm"]["warm_snapshot_bytes"] = 4096
-        with pytest.raises(BenchValidationError, match="snapshot"):
-            validate_payload("scheduler", payload)
-
-    def test_workers_floor_gates_full_runs_only(self):
+    def test_serial_coalesce_floor_gates_full_runs_only(self):
         payload = committed("scheduler")
         payload["config"]["smoke"] = False
-        payload["sharded_storm"]["workers_speedup"] = 1.1
-        with pytest.raises(BenchValidationError, match="floor"):
+        payload["sharded_storm"]["serial_coalesce_speedup"] = (
+            validate_bench.SERIAL_COALESCE_SPEEDUP_FLOOR - 0.1
+        )
+        with pytest.raises(BenchValidationError, match="2.9x below the 3.0x"):
             validate_payload("scheduler", payload)
-        # Smoke runs the lane at toy scale where pool spawn dominates:
-        # parity and shipping invariants gate, the floor is waived.
+        payload["sharded_storm"]["serial_coalesce_speedup"] = (
+            validate_bench.SERIAL_COALESCE_SPEEDUP_FLOOR
+        )
+        validate_payload("scheduler", payload)
+        # Smoke runs the lane at toy scale: parity gates, the floor is
+        # waived.
         payload["config"]["smoke"] = True
+        payload["sharded_storm"]["serial_coalesce_speedup"] = 1.1
         validate_payload("scheduler", payload)
 
-    def test_serial_coalesce_lane_checked_when_present(self):
+    def test_serial_coalesce_lane_required_and_timed(self):
         payload = committed("scheduler")
         validate_payload("scheduler", payload)
         payload["sharded_storm"]["serial_coalesce_seconds"] = 0.0
-        payload["sharded_storm"]["serial_coalesce_speedup"] = 0.0
         with pytest.raises(BenchValidationError, match="serial \\+ coalesce"):
             validate_payload("scheduler", payload)
-        payload["sharded_storm"]["serial_coalesce_seconds"] = 0.2
-        validate_payload("scheduler", payload)
+        del payload["sharded_storm"]["serial_coalesce_seconds"]
+        with pytest.raises(
+            BenchValidationError, match="serial_coalesce_seconds"
+        ):
+            validate_payload("scheduler", payload)
 
     def test_torn_reads_rejected(self):
         payload = committed("serving")
@@ -324,14 +327,14 @@ class TestRegressionGate:
         return {
             "config": {"smoke": False},
             "parallel_storm": {"speedup": 6.0},
-            "sharded_storm": {"workers_speedup": 4.0},
+            "sharded_storm": {"serial_coalesce_speedup": 4.0},
         }
 
     def test_within_tolerance_passes(self):
         current = {
             "config": {"smoke": False},
             "parallel_storm": {"speedup": 4.5},
-            "sharded_storm": {"workers_speedup": 3.5},
+            "sharded_storm": {"serial_coalesce_speedup": 3.5},
         }
         status, messages = check_regression(
             "scheduler", current, self.baseline()
@@ -343,7 +346,7 @@ class TestRegressionGate:
         current = {
             "config": {"smoke": False},
             "parallel_storm": {"speedup": 2.0},
-            "sharded_storm": {"workers_speedup": 4.0},
+            "sharded_storm": {"serial_coalesce_speedup": 4.0},
         }
         status, messages = check_regression(
             "scheduler", current, self.baseline()
@@ -374,7 +377,7 @@ class TestRegressionGate:
             "scheduler",
             {
                 "parallel_storm": {"speedup": 5.9},
-                "sharded_storm": {"workers_speedup": 4.1},
+                "sharded_storm": {"serial_coalesce_speedup": 4.1},
             },
             self.baseline(),
         )

@@ -1,15 +1,12 @@
 """repro-lint: invariant-aware static analysis for this repository.
 
-Nine PRs of parallelism, MVCC, and sharded workers left the codebase
-with hand-maintained invariants that only prose and property tests
+Nine PRs of parallelism and MVCC left the codebase with
+hand-maintained invariants that only prose and property tests
 defended.  This package turns them into machine-checked rules that run
 over one shared AST walk (:mod:`tools.repro_lint.facts`) plus a
-lightweight import/call graph (:mod:`tools.repro_lint.project`):
+lightweight call graph (:mod:`tools.repro_lint.project`):
 
 ========  ==============================================================
-RL001     No builtin ``hash()`` in cross-process / shard-routing modules
-          (``repro.sync.workers`` and everything it imports) — the
-          builtin is salted per process; use ``zlib.crc32``.
 RL002     No nondeterminism source (wall clock, RNG, set-order
           iteration) reachable from the modeled-cost entry points in
           ``repro.qc``, ``repro.maintenance.counters``, and

@@ -123,7 +123,6 @@ class FunctionFacts:
     name: str
     lineno: int
     class_name: str | None
-    is_dunder_hash: bool
     calls: list[CallSite] = field(default_factory=list)
     assignments: list[AssignmentFact] = field(default_factory=list)
     stores: list[StoreFact] = field(default_factory=list)
@@ -141,8 +140,6 @@ class ModuleFacts:
     #: local name -> dotted origin ("perf_counter" -> "time.perf_counter",
     #: "np" -> "numpy").  ``from X import *`` contributes "X.*" under "*".
     imports: dict[str, str]
-    #: Every module named in an import statement, top-level or nested.
-    imported_modules: set[str]
     functions: dict[str, FunctionFacts]
     excepts: list[ExceptFact]
     source_lines: list[str]
@@ -179,7 +176,6 @@ class _Walker(ast.NodeVisitor):
             name=name,
             lineno=lineno,
             class_name=class_name,
-            is_dunder_hash=(name == "__hash__" and class_name is not None),
         )
         self.facts.functions[qualname] = scope
         return scope
@@ -217,12 +213,10 @@ class _Walker(ast.NodeVisitor):
                 # ``import os.path`` binds ``os``; the head names itself.
                 head = alias.name.partition(".")[0]
                 self.facts.imports[head] = head
-            self.facts.imported_modules.add(alias.name)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module is None or node.level:
             return  # relative imports: out of scope for this repo (absolute only)
-        self.facts.imported_modules.add(node.module)
         for alias in node.names:
             if alias.name == "*":
                 self.facts.imports["*"] = f"{node.module}.*"
@@ -382,7 +376,6 @@ def parse_module(path: Path, module: str | None = None) -> ModuleFacts:
         module=module or path.stem,
         path=path,
         imports={},
-        imported_modules=set(),
         functions={},
         excepts=[],
         source_lines=source.splitlines(),

@@ -1,4 +1,4 @@
-"""Project model: modules, import graph, and a lightweight call graph.
+"""Project model: modules and a lightweight call graph.
 
 The call graph is deliberately *lightweight*: it resolves
 
@@ -10,7 +10,7 @@ The call graph is deliberately *lightweight*: it resolves
 and treats everything else (methods on arbitrary objects, call
 results, dynamic dispatch) as opaque.  That boundary is a feature:
 rules stay fast and their findings stay explainable as concrete
-chains (``_worker_main -> _worker_run_batch -> events.emit``), at the
+chains (``child_main -> run_batch -> events.emit``), at the
 cost of not chasing dispatch through object graphs.  The invariants
 the rules defend live in exactly the code shapes the graph resolves.
 """
@@ -67,26 +67,6 @@ class Project:
             facts = parse_module(file, _module_name(file))
             modules[facts.module] = facts
         return cls(modules)
-
-    # -- import graph ---------------------------------------------------
-    def imports_of(self, module: str) -> set[str]:
-        """Analyzed modules imported by ``module`` (direct edges)."""
-        facts = self.modules.get(module)
-        if facts is None:
-            return set()
-        return {name for name in facts.imported_modules if name in self.modules}
-
-    def import_closure(self, *roots: str) -> set[str]:
-        """Roots plus every analyzed module transitively imported."""
-        seen: set[str] = set()
-        frontier = [root for root in roots if root in self.modules]
-        while frontier:
-            module = frontier.pop()
-            if module in seen:
-                continue
-            seen.add(module)
-            frontier.extend(self.imports_of(module) - seen)
-        return seen
 
     # -- call graph -----------------------------------------------------
     def _resolve_call(

@@ -140,7 +140,6 @@ def default_rules() -> list[Rule]:
 
 # Importing the rule modules is what populates the registry.
 from tools.repro_lint.rules import (  # noqa: E402 - registry population
-    rl001_salted_hash,
     rl002_nondeterminism,
     rl003_silent_children,
     rl004_extent_staging,
@@ -151,7 +150,6 @@ from tools.repro_lint.rules import (  # noqa: E402 - registry population
 )
 
 __all__ += [
-    "rl001_salted_hash",
     "rl002_nondeterminism",
     "rl003_silent_children",
     "rl004_extent_staging",

@@ -47,8 +47,8 @@ CF_M, CF_T, and CF_IO are *modeled* counters: the paper's cost formulas
 computed from cardinalities and schema widths, not measured from the
 host (PAPER.md section 5; ROADMAP "model vs simulation").  The repo's
 whole verification story leans on that — ``bench_sim_vs_model``,
-the engine-equivalence property tests, and the sharded workers all
-assert byte-identical counters across runs, processes, and executors.
+the engine-equivalence property tests, and the scheduler parity tests
+all assert byte-identical counters across runs and configurations.
 One ``time.time()`` or ``random.choice`` on a modeled path breaks every
 one of those oracles at once, and usually only under load.
 

@@ -11,26 +11,24 @@ class SilentChildrenRule(Rule):
     code = "RL003"
     summary = "no EventBus emission reachable from child-process code"
     explain = """\
-The observability contract since PR 7: every ``SystemEvent`` is emitted
-*in the parent process* (``repro.events`` module docstring; the
-workers' module docstring restates it for the fleet).  A child emitting
-would be worse than useless — the child's ``EventBus`` is a fresh
-mirror with no subscribers, so the event silently vanishes.
-Parent-side code therefore emits *around* dispatch
-(``ShardRebalanced``, ``WorkerRecycled``), never inside it.
+The observability contract: every ``SystemEvent`` is emitted *in the
+process that owns the subscribers*.  A child process emitting would be
+worse than useless — the child's ``EventBus`` is a fresh copy with no
+subscribers, so the event silently vanishes.  Parent-side code
+therefore emits *around* dispatch to a child, never inside it.
 
 RL003 finds child entry points structurally: any function passed as the
-``target=`` of a ``Process(...)`` construction (the only way the repo
-starts a child; the ``workers`` executor spawns ``_worker_main`` this
-way).  From those roots it walks the lightweight call graph and flags every reachable call whose attribute
-chain ends in ``.emit``, plus direct ``EventBus(...).emit`` forms.
+``target=`` of a ``Process(...)`` construction (the only way a child
+would be started; the repository starts none today, and the rule
+guards the next one).  From those roots it walks the lightweight call
+graph and flags every reachable call whose attribute chain ends in
+``.emit``, plus direct ``EventBus(...).emit`` forms.
 
 The graph does not chase dispatch through object graphs, so emissions
 buried behind an injected callable would escape it — which is exactly
-why worker code keeps its runtime surface explicit (``_TracingRuntime``
-delegates replay, never events).  If a child-side function legitimately
-needs to *report* something, return it in the reply message and let the
-parent emit, as ``ShardDispatch`` accounting does.  There is no
+why child code should keep its runtime surface explicit.  If a
+child-side function legitimately needs to *report* something, return
+it in the reply message and let the parent emit.  There is no
 suppression comment for this rule; rename-or-return is always the fix.
 """
 

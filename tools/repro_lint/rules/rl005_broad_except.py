@@ -36,10 +36,10 @@ a bare ``except:`` to do one of three things:
   (``except UnknownRelationError:``);
 * **justify** — keep the broad catch but say why, in a trailing
   comment on the ``except`` line itself (the ``# noqa: BLE001 -
-  <reason>`` convention from ``misd/mkb.py:368``; any trailing comment
+  <reason>`` convention from ``misd/mkb.py``; any trailing comment
   satisfies the rule, the convention keeps it greppable);
 * **re-raise** — a handler containing a bare ``raise`` is cleanup, not
-  swallowing (the workers' teardown-then-reraise pattern), and passes.
+  swallowing (a teardown-then-reraise pattern), and passes.
 
 The comment must be on the ``except`` line, not above it — that is
 what keeps the justification attached when code moves.  Handlers for
