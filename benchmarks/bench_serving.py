@@ -16,11 +16,11 @@ Three measured lanes over one populated evolution-storm space:
    the default system.  Readers are paced with ~Poisson think time
    rather than busy-looped: a saturating closed loop on a small host
    measures CPU fair-share scheduling, not serving latency — pacing is
-   how YCSB-style latency benchmarks isolate per-request cost.  Reported: p50/p99 during the
-   storm, the p99 ratio against idle, the versions each reader
-   observed, and the torn-read count — every read is checked against
-   the serial per-version extent digest, so a read that mixed two
-   batches cannot hide.
+   how YCSB-style latency benchmarks isolate per-request cost.
+   Reported: p50/p99 during the storm, the p99 ratio against idle, the
+   versions each reader observed, and the torn-read count — every read
+   is checked against the serial per-version extent digest, so a read
+   that mixed two batches cannot hide.
 3. **Executor parity** (the lane keeps its historical name) — the same
    storm plus a tail update stream replayed on the default
    (coalescing) system and on ``SystemConfig.reference()``: committed
@@ -179,8 +179,8 @@ def bench_reads(readers, views_per_read, idle_reads, think_s, storm_args):
     reference_fp = _fingerprint(reference)
     del reference
 
-    # The first batch is not measured: the storm keeps its historical
-    # shape of one warm-up batch plus the measured remainder.
+    # The first batch is a warm-up, not measured: it pays the cold
+    # start (first searches), which bench_scheduler.py times.
     warmup, *batches = batches
     eve.apply_changes(warmup)
 

@@ -482,8 +482,9 @@ class SchedulerStressScenario:
     spectrum.  That is the workload the batch scheduler exists for: the
     per-view searches are expensive, independent, and (views sharing a
     relation) structurally identical, exercising cost ordering,
-    coalescing, and deadline degradation all at once.  Generation is deterministic: two builds with equal arguments
-    yield byte-identical spaces.
+    coalescing, and deadline degradation all at once.  Generation is
+    deterministic: two builds with equal arguments yield byte-identical
+    spaces.
     """
 
     space: InformationSpace
@@ -585,8 +586,8 @@ class ShardedStormScenario:
     The first batch pays the cold start (first searches, empty
     per-definition caches); every later batch runs warm, so the
     amortized per-batch cost is measurable separately from the first.
-    Generation is deterministic:
-    equal arguments yield byte-identical spaces and batch streams.
+    Generation is deterministic: equal arguments yield byte-identical
+    spaces and batch streams.
     """
 
     space: InformationSpace
@@ -625,8 +626,9 @@ def build_sharded_storm_scenario(
 
     ``tail_changes`` carves the final batch down to exactly that many
     changes (the preceding batches absorb the rest).  A small tail
-    batch measures warm small-batch dispatch latency and keeps the per-view report of the last batch
-    bounded regardless of storm scale.
+    batch measures warm small-batch dispatch latency and keeps the
+    per-view report of the last batch bounded regardless of storm
+    scale.
     """
     if batches < 1:
         raise ValueError("the storm needs at least one batch")

@@ -3,10 +3,11 @@
 The acceptance property of the scheduler: whatever the dispatch order,
 with or without search coalescing, a scheduled batch commits the
 identical winners with the identical QC-Values and materializes the
-identical extents as the serial reference.  Hypothesis drives the storm generators over seeds and
-shapes; every configuration is compared against the fingerprint of the
-serial scheduler *without* coalescing — the reference's, which searches
-every view itself (the default coalesces).
+identical extents as the serial reference.  Hypothesis drives the
+storm generators over seeds and shapes; every configuration is compared
+against the fingerprint of the serial scheduler *without* coalescing —
+the reference's, which searches every view itself (the default
+coalesces).
 """
 
 from hypothesis import HealthCheck, given, settings
