@@ -2,13 +2,15 @@
 
 import json
 
+import pytest
+
 from repro.config import ScheduleConfig, SystemConfig
 from repro.core.eve import EVESystem
 from repro.misd.statistics import RelationStatistics
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.report import REPORT_SCHEMA_VERSION, SystemReport
-from repro.space.changes import DeleteRelation
+from repro.space.changes import DeleteRelation, RenameRelation
 
 
 def build_system(**kwargs):
@@ -103,6 +105,66 @@ class TestApplyChangesReport:
             "copied": 0,
             "pins": 0,
         }
+
+    @pytest.mark.parametrize(
+        ("config", "changes", "expected"),
+        [
+            pytest.param(
+                SystemConfig(),
+                [DeleteRelation("IS1", "R")],
+                [{"views": 2, "coalesced": 1}],
+                id="coalesced",
+            ),
+            pytest.param(
+                SystemConfig.reference(),
+                [DeleteRelation("IS1", "R")],
+                [{"views": 2, "coalesced": 0}],
+                id="reference",
+            ),
+            pytest.param(
+                SystemConfig.bounded(budget=0.0, degrade="defer"),
+                [DeleteRelation("IS1", "R")],
+                [{"views": 2, "deferred": ["V", "W"]}],
+                id="deferred",
+            ),
+            pytest.param(
+                SystemConfig.bounded(budget=0.0),
+                [DeleteRelation("IS1", "R")],
+                [{"views": 2, "degraded": ["V", "W"]}],
+                id="degraded",
+            ),
+            pytest.param(
+                SystemConfig(),
+                # An identity chain: two scheduler executions, one call.
+                [
+                    RenameRelation("IS1", "R", "RX"),
+                    DeleteRelation("IS1", "RX"),
+                ],
+                [{"views": 2}, {"views": 2}],
+                id="two-executions",
+            ),
+        ],
+    )
+    def test_every_batch_writes_the_v4_dispatch_constants(
+        self, config, changes, expected
+    ):
+        eve = build_system(config=config)
+        eve.define_view(  # V's twin, so the default coalesces the pair
+            "CREATE VIEW W (VE = '~') AS "
+            "SELECT R.A (AR = true), R.B (AD = true, AR = true) "
+            "FROM R (RR = true)"
+        )
+        eve.apply_changes(changes)
+        schedule = eve.last_report.to_dict()["schedule"]
+        assert len(schedule["batches"]) == len(expected)
+        for batch, facts in zip(schedule["batches"], expected):
+            assert {key: batch[key] for key in facts} == facts
+            assert batch["executor"] == "serial"
+            assert batch["workers"] == 1
+            assert batch["shards"] == []
+            assert batch["executor_fallback"] is None
+        assert schedule["shards"] == []
+        json.loads(eve.last_report.to_json())
 
     def test_serving_section_reflects_snapshot_activity(self):
         eve = build_system()

@@ -10,6 +10,7 @@ the reference's, which searches every view itself (the default
 coalesces).
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from repro.sync.scheduler import SynchronizationScheduler
 from repro.workloadgen.scenarios import (
     build_evolution_storm_scenario,
     build_scheduler_stress_scenario,
+    build_sharded_storm_scenario,
 )
 
 
@@ -171,6 +173,105 @@ def test_executors_commit_identical_outcomes_on_salvage_storms(
             eve, batch, SynchronizationScheduler(ScheduleConfig(**config))
         )
         assert outcome_fingerprint(eve, results) == reference, label
+
+
+@pytest.mark.parametrize(
+    ("views", "relations", "donors"),
+    [(12, 4, 1), (12, 4, 2), (10, 5, 2), (16, 4, 3)],
+)
+def test_default_commits_reference_outcomes_on_pinned_salvage_storms(
+    views, relations, donors
+):
+    """Fixed salvage shapes, so a parity break replays without a
+    Hypothesis database: twin classes of one to three donors each."""
+    reference_eve, batch = stress_system(views, relations, donors)
+    reference = reference_fingerprint(reference_eve, batch)
+    eve, batch = stress_system(views, relations, donors)
+    results = apply_and_follow_up(eve, batch, SynchronizationScheduler())
+    assert outcome_fingerprint(eve, results) == reference
+    assert eve.last_schedule[0].coalesced > 0
+
+
+@pytest.mark.parametrize("seed", [0, 5, 17])
+def test_default_commits_reference_outcomes_on_pinned_mixed_storms(seed):
+    """Renames, deletes and spare churn in one batch, at fixed seeds."""
+    reference_eve, batch = storm_system(seed=seed, views=12, changes=10)
+    reference = reference_fingerprint(reference_eve, batch)
+    eve, batch = storm_system(seed=seed, views=12, changes=10)
+    results = apply_and_follow_up(eve, batch, SynchronizationScheduler())
+    assert outcome_fingerprint(eve, results) == reference
+
+
+def replay_sharded(scheduler, batches, tail_changes=0, one_shot=False):
+    """The sharded storm's batch stream (or its flattened change list,
+    with ``one_shot``) on a fresh system, as ``bench_scheduler.py``'s
+    ``sharded_storm`` lane replays it at scale."""
+    scenario = build_sharded_storm_scenario(
+        views=40,
+        view_relations=10,
+        donors_per_relation=2,
+        batches=batches,
+        tail_changes=tail_changes,
+    )
+    eve = EVESystem(space=scenario.space)
+    for view in scenario.views:
+        eve.define_view(view, materialize=False)
+    stream = [scenario.changes] if one_shot else scenario.change_batches
+    results = []
+    for batch in stream:
+        results.extend(eve.apply_changes(batch, scheduler=scheduler))
+    return eve, results
+
+
+@pytest.mark.parametrize(
+    ("batches", "tail_changes"), [(1, 0), (2, 0), (4, 0), (4, 1)]
+)
+def test_sharded_storm_lanes_commit_identical_outcomes(batches, tail_changes):
+    """The ``sharded_storm`` lanes' ``outcomes_equal`` gate at toy scale:
+    serial + coalesce over the batch stream commits the reference's
+    winners, QC-Values and evaluation lists."""
+    reference_eve, reference_results = replay_sharded(
+        SynchronizationScheduler(ScheduleConfig(coalesce=False)),
+        batches,
+        tail_changes,
+    )
+    eve, results = replay_sharded(
+        SynchronizationScheduler(), batches, tail_changes
+    )
+    assert outcome_fingerprint(eve, results) == outcome_fingerprint(
+        reference_eve, reference_results
+    )
+    assert all(result.survived for result in results)
+
+
+@pytest.mark.parametrize("coalesce", [True, False], ids=["default", "reference"])
+def test_sharded_storm_batches_replay_like_one_shot(coalesce):
+    """Each batch touches a disjoint relation slice, so the chunked
+    replay commits what one batch of every change commits."""
+    config = ScheduleConfig(coalesce=coalesce)
+    chunked_eve, chunked = replay_sharded(
+        SynchronizationScheduler(config), batches=4
+    )
+    one_shot_eve, one_shot = replay_sharded(
+        SynchronizationScheduler(config), batches=4, one_shot=True
+    )
+    assert len(chunked_eve.last_schedule) == 1
+    assert outcome_fingerprint(chunked_eve, chunked) == outcome_fingerprint(
+        one_shot_eve, one_shot
+    )
+
+
+def test_sharded_storm_searches_once_per_twin_class():
+    """Coalescing is why the default lane beats the reference: per
+    batch, every view beyond one per twin class rides on a leader."""
+    reference_eve, _ = replay_sharded(
+        SynchronizationScheduler(ScheduleConfig(coalesce=False)), batches=4
+    )
+    eve, _ = replay_sharded(SynchronizationScheduler(), batches=4)
+    assert reference_eve.last_schedule[0].coalesced == 0
+    (report,) = eve.last_schedule
+    assert report.coalesced > 0
+    assert report.coalesced < len(report.results)
 
 
 def test_degraded_runs_still_salvage_every_view():

@@ -2,10 +2,10 @@
 
 The acceptance property of the serving plane: reader threads that
 continuously query views while ``apply_changes`` / ``apply_updates``
-storms run on the default and the reference planes must only ever
-observe a committed version — the rows of every read equal the serial
-reference extent at that read's version, never a mixture of two
-batches.
+storms run on the default, reference, columnar and (unbinding)
+bounded planes must only ever observe a committed version — the rows
+of every read equal the serial reference extent at that read's
+version, never a mixture of two batches.
 
 The serial reference replays the identical batch sequence and records
 the extent of every view after each publish; because both systems
@@ -145,6 +145,8 @@ def storm_with_readers(config, reader_count=3):
 EXECUTORS = [
     pytest.param(None, id="serial"),
     pytest.param(SystemConfig.reference(), id="reference"),
+    pytest.param(SystemConfig.columnar(), id="columnar"),
+    pytest.param(SystemConfig.bounded(budget_units=1e12), id="bounded"),
 ]
 
 

@@ -10,6 +10,7 @@ import asyncio
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.core.eve import EVESystem
 from repro.errors import SynchronizationError
 from repro.events import SnapshotPublished, SnapshotReleased
@@ -198,3 +199,36 @@ class TestServingFrontend:
         assert serving["enabled"] is True
         assert serving["published"] == 1
         assert serving["copied"] == 0
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(SystemConfig.reference(), id="reference"),
+            pytest.param(SystemConfig.columnar(), id="columnar"),
+            pytest.param(
+                SystemConfig.bounded(budget_units=1e12), id="bounded"
+            ),
+        ],
+    )
+    def test_other_planes_serve_reads_too(self, config):
+        eve = build_system(config)
+
+        async def scenario():
+            async with ServingFrontend(eve) as frontend:
+                storm = asyncio.create_task(
+                    frontend.apply_changes([DeleteRelation("IS1", "R")])
+                )
+                reads = []
+                while not storm.done():
+                    reads.append(await frontend.read("V"))
+                    await asyncio.sleep(0)
+                await storm
+                reads.append(await frontend.read("V"))
+                return reads
+
+        reads = asyncio.run(scenario())
+        final = reads[-1]
+        assert sorted(final.rows) == sorted(eve.extent("V").rows)
+        assert eve.vkb.current("V").relation_names == ("RM",)
+        versions = [read.version for read in reads]
+        assert versions == sorted(versions)  # monotone per client

@@ -149,6 +149,29 @@ class TestValidation:
         assert not hasattr(SystemConfig, "fast")
         assert not hasattr(SystemConfig, "sharded")
 
+    @pytest.mark.parametrize(
+        ("config", "executor", "shards"),
+        [
+            *(
+                pytest.param(config, "serial", None, id=name)
+                for name, config in ALL_PRESETS.items()
+            ),
+            pytest.param(SystemConfig(), "workers", 2, id="sharded"),
+        ],
+    )
+    def test_payloads_saved_with_an_executor_fail_loudly(
+        self, config, executor, shards
+    ):
+        # Every payload saved while the schedule slice had an executor
+        # carried both keys, also on the serial presets: it must not
+        # load as the serial path without saying so.
+        payload = config.to_dict()
+        saved = json.loads(json.dumps(payload))
+        saved["schedule"].update(executor=executor, shards=shards)
+        with pytest.raises(ConfigurationError, match="executor, shards"):
+            SystemConfig.from_dict(saved)
+        assert SystemConfig.from_dict(payload) == config
+
     def test_reference_is_the_only_non_coalescing_preset(self):
         # A coalescing reference would make every parity replay against
         # it (perfbench's salvage check included) compare coalescing

@@ -118,6 +118,41 @@ class TestPublicSurface:
             assert callable(getattr(repro.SystemConfig, preset))
         assert not hasattr(repro.SystemConfig, "sharded")
 
+    @pytest.mark.parametrize(
+        ("owner", "name"),
+        [
+            ("repro", "ShardRebalanced"),
+            ("repro", "WorkerRecycled"),
+            ("repro.events", "ShardRebalanced"),
+            ("repro.events", "WorkerRecycled"),
+            ("repro.core.eve:EVESystem", "close"),
+            ("repro.sync.scheduler:SynchronizationScheduler", "close"),
+            ("repro.sync.vkb:ViewKnowledgeBase", "adopt_record"),
+            ("repro.misd.mkb:MetaKnowledgeBase", "constraint_fingerprint"),
+            ("repro.report:SystemReport", "shard_dispatches"),
+        ],
+    )
+    def test_pool_only_surface_is_gone(self, owner, name):
+        # The worker pool's events, lifecycle and mirror-drift hooks went
+        # with it; a caller still using one fails at once, not silently.
+        import importlib
+
+        module, _, attribute = owner.partition(":")
+        target = importlib.import_module(module)
+        if attribute:
+            target = getattr(target, attribute)
+        assert not hasattr(target, name)
+
+    def test_worker_module_and_schedule_fields_are_gone(self):
+        import dataclasses
+
+        from repro.sync.scheduler import ScheduleReport
+
+        with pytest.raises(ModuleNotFoundError):
+            __import__("repro.sync.workers")
+        fields = {field.name for field in dataclasses.fields(ScheduleReport)}
+        assert not fields & {"executor", "workers", "shards"}
+
     def test_subpackage_all_lists_resolve(self):
         import repro.esql
         import repro.maintenance
