@@ -16,19 +16,18 @@ Three timed scenarios, at 10k-row scale by default:
 Results are persisted as machine-readable ``BENCH_engine.json`` at the
 repo root (via :func:`conftest.emit_json`).  Run directly::
 
-    PYTHONPATH=src python benchmarks/bench_engine.py [--smoke] [--no-large]
+    PYTHONPATH=src python benchmarks/bench_engine.py [--smoke]
 
 ``--smoke`` shrinks every scale so CI can assert the harness stays
-healthy in seconds (the tuple-vs-columnar lane drops to 2k rows but keeps
-running its parity check); ``--no-large`` skips that lane entirely.
+healthy in seconds.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -99,57 +98,6 @@ def bench_view_evaluation(rows: int, t_rows: int = 400) -> dict:
         "indexed_seconds": round(indexed_seconds, 6),
         "speedup": round(naive_seconds / max(indexed_seconds, 1e-9), 2),
         "extents_equal": indexed == naive,
-    }
-
-
-def _timed_large_lane(
-    representation: str, rows: int, t_rows: int
-) -> tuple[float, int, Relation]:
-    """Best-of-3 full evaluations, each on fresh relations (index builds
-    and column-store construction are part of every run, as in real
-    use); ``min`` is the standard noise-robust estimator for a
-    deterministic workload."""
-    view = parse_view(_EVALUATION_VIEW)
-    config = EngineConfig(representation=representation)
-    seconds = float("inf")
-    for _ in range(3):
-        relations = _evaluation_relations(rows, t_rows)
-        start = time.perf_counter()
-        extent = evaluate_view(view, relations, config=config)
-        seconds = min(seconds, time.perf_counter() - start)
-
-    # Peak-memory pass: separate untimed run so tracemalloc's bookkeeping
-    # overhead never pollutes the timing above.
-    relations = _evaluation_relations(rows, t_rows)
-    tracemalloc.start()
-    evaluate_view(view, relations, config=config)
-    _, peak_bytes = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return seconds, peak_bytes, extent
-
-
-def bench_view_evaluation_large(rows: int, t_rows: int = 400) -> dict:
-    """Row plane (positional tuples) vs columnar plane at scale.
-
-    Identical cardinalities, identical result rows; the columnar lane is
-    the PR-6 tentpole and ``validate_bench.py`` gates ``speedup >= 3``
-    on full (non-smoke) runs.
-    """
-    tuple_seconds, tuple_peak, tuple_extent = _timed_large_lane(
-        "tuple", rows, t_rows
-    )
-    columnar_seconds, columnar_peak, columnar_extent = _timed_large_lane(
-        "columnar", rows, t_rows
-    )
-    return {
-        "rows": rows,
-        "result_cardinality": columnar_extent.cardinality,
-        "tuple_seconds": round(tuple_seconds, 6),
-        "columnar_seconds": round(columnar_seconds, 6),
-        "speedup": round(tuple_seconds / max(columnar_seconds, 1e-9), 2),
-        "results_equal": columnar_extent.rows == tuple_extent.rows,
-        "tuple_peak_bytes": tuple_peak,
-        "columnar_peak_bytes": columnar_peak,
     }
 
 
@@ -350,7 +298,6 @@ def run(
     updates: int = 1_000,
     t_rows: int = 400,
     rounds: int = 10,
-    large_rows: int | None = 100_000,
 ) -> dict:
     payload: dict = {
         "benchmark": "engine",
@@ -363,10 +310,6 @@ def run(
     payload["system_surface"], payload["system_report"] = (
         bench_system_surface(rows)
     )
-    if large_rows:
-        payload["view_evaluation_large"] = bench_view_evaluation_large(
-            large_rows, t_rows
-        )
     return payload
 
 
@@ -397,17 +340,6 @@ def report(payload: dict) -> None:
             f"{sr['speedup']:.1f}x",
         ),
     ]
-    vl = payload.get("view_evaluation_large")
-    if vl:
-        rows.append(
-            (
-                "view evaluation (columnar)",
-                f"{vl['rows']} rows",
-                f"{vl['tuple_seconds']:.3f}s",
-                f"{vl['columnar_seconds']:.3f}s",
-                f"{vl['speedup']:.1f}x",
-            )
-        )
     emit(
         format_table(
             ["Scenario", "Scale", "Baseline", "Optimized", "Speedup"],
@@ -429,34 +361,18 @@ def main(argv: list[str] | None = None) -> int:
         help="tiny scales for CI health checks",
     )
     parser.add_argument(
-        "--no-large",
-        action="store_true",
-        help="skip the 100k-row tuple-vs-columnar timing",
-    )
-    parser.add_argument(
-        "--large-rows",
-        type=int,
-        default=100_000,
-        help="scale of the tuple-vs-columnar lane",
-    )
-    parser.add_argument(
         "--no-json", action="store_true", help="print only, do not persist"
     )
     args = parser.parse_args(argv)
 
     if args.smoke:
         args.rows, args.updates, args.t_rows, args.rounds = 600, 50, 40, 3
-        # Keep the tuple-vs-columnar lane alive at toy scale: the parity
-        # check still runs, only the speedup gate is waived (validate_bench
-        # SKIPs gated speedups on smoke payloads).
-        args.large_rows = 2_000
 
     payload = run(
         rows=args.rows,
         updates=args.updates,
         t_rows=args.t_rows,
         rounds=args.rounds,
-        large_rows=None if args.no_large else args.large_rows,
     )
     report(payload)
     checks = [
@@ -465,14 +381,12 @@ def main(argv: list[str] | None = None) -> int:
         payload["maintenance_propagation"]["counters_equal"],
         payload["synchronize_and_rank"]["rankings_identical"],
     ]
-    if "view_evaluation_large" in payload:
-        checks.append(payload["view_evaluation_large"]["results_equal"])
     if not all(checks):
         print("EQUIVALENCE FAILURE", checks)
         return 1
     # Mode marker for the CI regression gate: smoke-scale timings are
     # not comparable with committed full-run baselines.
-    payload["config"] = {"smoke": args.smoke}
+    payload["config"] = {"smoke": args.smoke, "cpus": os.cpu_count() or 1}
     if not args.no_json:
         path = emit_json("engine", payload)
         print(f"wrote {path}")

@@ -13,9 +13,7 @@ insert/delete stream.  The lanes all run the identical stream:
 3. **tuple batch** — the whole stream through
    :meth:`ViewMaintainer.maintain_batch`: one resolution, one plan, one
    compiled pipeline, per-update accounting recovered from provenance.
-4. **columnar batch** — the same batched stream on the columnar plane:
-   deltas travel as per-attribute columns, joins run as vectorized hash
-   probes with selection vectors.
+4. **system** — the same stream through ``EVESystem.apply_updates``.
 
 The modeled CF_M/CF_T/CF_IO counters and the final extents must be
 identical across every lane — that is the equivalence contract of the
@@ -121,9 +119,6 @@ def bench_update_storm(updates: int, rows: int) -> tuple[dict, dict]:
         "dict": lambda: _run_lane(updates, rows, "dict", batched=False),
         "tuple": lambda: _run_lane(updates, rows, "tuple", batched=False),
         "batch": lambda: _run_lane(updates, rows, "tuple", batched=True),
-        "columnar": lambda: _run_lane(
-            updates, rows, "columnar", batched=True
-        ),
         "system": lambda: _run_system_lane(updates, rows),
     }
 
@@ -166,8 +161,6 @@ def bench_update_storm(updates: int, rows: int) -> tuple[dict, dict]:
         # reference (the acceptance floor is 3x on full runs).
         "speedup": speedup("batch"),
         "tuple_speedup": speedup("tuple"),
-        "columnar_seconds": round(best["columnar"], 6),
-        "columnar_speedup": speedup("columnar"),
         "system_seconds": round(best["system"], 6),
         "system_speedup": speedup("system"),
         "system_flushes": len(system_report.flushes),
@@ -258,12 +251,6 @@ def report(payload: dict) -> None:
             "same stream",
             f"{storm['batch_seconds']:.3f}s",
             f"{storm['speedup']:.1f}x",
-        ),
-        (
-            "columnar maintain_batch",
-            "same stream",
-            f"{storm['columnar_seconds']:.3f}s",
-            f"{storm['columnar_speedup']:.1f}x",
         ),
         (
             "EVESystem.apply_updates",

@@ -48,27 +48,18 @@ GATED_SPEEDUPS = {
         ("view_evaluation", "speedup"),
         ("maintenance_propagation", "speedup"),
         ("synchronize_and_rank", "speedup"),
-        ("view_evaluation_large", "speedup"),
     ),
     "sync": (("batched_dispatch", "speedup"),),
     "scheduler": (
         ("parallel_storm", "speedup"),
         ("sharded_storm", "serial_coalesce_speedup"),
     ),
-    "maintenance": (
-        ("update_storm", "speedup"),
-        ("update_storm", "columnar_speedup"),
-    ),
+    "maintenance": (("update_storm", "speedup"),),
     # Latency is lower-is-better, so the serving lane gates the inverted
     # ratio idle_p99/storm_p99 ("headroom") — higher is better, and a
     # >30% drop means storm reads got >30% slower relative to idle.
     "serving": (("storm_reads", "latency_headroom"),),
 }
-
-#: Absolute floor of the columnar-vs-tuple evaluation speedup on full
-#: (non-smoke) runs — the PR-6 acceptance gate, independent of any
-#: baseline payload.
-COLUMNAR_SPEEDUP_FLOOR = 3.0
 
 #: Absolute floor of the default (serial + coalesce) scheduler's speedup
 #: over the serial reference in the 100k-view sharded storm on full
@@ -288,15 +279,6 @@ def validate_engine(payload: dict) -> None:
             "view_evaluation": ("speedup", "extents_equal"),
             "maintenance_propagation": ("speedup", "counters_equal"),
             "synchronize_and_rank": ("speedup", "rankings_identical"),
-            "view_evaluation_large": (
-                "rows",
-                "tuple_seconds",
-                "columnar_seconds",
-                "speedup",
-                "results_equal",
-                "tuple_peak_bytes",
-                "columnar_peak_bytes",
-            ),
         },
     )
     _invariant(
@@ -311,20 +293,6 @@ def validate_engine(payload: dict) -> None:
         payload["synchronize_and_rank"]["rankings_identical"],
         "cached ranking diverged",
     )
-    large = payload["view_evaluation_large"]
-    _invariant(
-        large["results_equal"],
-        "columnar evaluation rows diverged from the tuple plane",
-    )
-    # The tentpole acceptance gate: ≥3x columnar-vs-tuple on full runs.
-    # Smoke payloads run the lane at toy scale where the speedup is
-    # noise, so only the parity invariant above applies there.
-    if not is_smoke(payload):
-        _invariant(
-            large["speedup"] >= COLUMNAR_SPEEDUP_FLOOR,
-            f"columnar speedup {large['speedup']}x below the "
-            f"{COLUMNAR_SPEEDUP_FLOOR}x floor",
-        )
     _require_system_report(payload, "BENCH_engine")
 
 
@@ -434,13 +402,11 @@ def validate_maintenance(payload: dict) -> None:
             "update_storm": (
                 "speedup",
                 "tuple_speedup",
-                "columnar_speedup",
                 "counters_equal",
                 "extents_equal",
                 "dict_seconds",
                 "tuple_seconds",
                 "batch_seconds",
-                "columnar_seconds",
             ),
             "delete_churn": (
                 "rows",

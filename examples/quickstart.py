@@ -26,8 +26,7 @@ from repro.space import DeleteRelation
 # 0. One declarative profile configures every subsystem.  Presets:
 #    SystemConfig() (the default: indexed / pruned / serial, coalesced),
 #    SystemConfig.reference() (the naive everything-eager parity
-#    plane), SystemConfig.columnar(), and
-#    SystemConfig.bounded(budget_units=...).
+#    plane), and SystemConfig.bounded(budget_units=...).
 #    Profiles round-trip losslessly through JSON:
 config = SystemConfig()
 assert SystemConfig.from_dict(config.to_dict()) == config

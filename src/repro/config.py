@@ -9,7 +9,7 @@ declarative surface:
 
 * :class:`EngineConfig` — how view extents are *computed*
   (``esql.evaluator``): compiled-tuple indexed engine vs the naive
-  dict-binding reference, and whether equijoins may probe hash indexes.
+  dict-binding reference.
 * :class:`SearchConfig` — how rewritings are *searched*
   (``sync.pipeline`` / ``sync.generators``): search policy, generator
   chain, top-k width.
@@ -21,11 +21,11 @@ declarative surface:
 
 :class:`SystemConfig` composes the four slices and is the one object
 :class:`~repro.core.eve.EVESystem` is configured with.  Named presets
-(:meth:`SystemConfig.reference`, :meth:`SystemConfig.columnar`,
-:meth:`SystemConfig.bounded`) capture the parity planes the property
-tests pin against each other, and :meth:`SystemConfig.to_dict` /
-:meth:`SystemConfig.from_dict` round-trip losslessly through JSON so
-benchmarks, CI, and scenario sweeps declare configurations as data.
+(:meth:`SystemConfig.reference`, :meth:`SystemConfig.bounded`) capture
+the parity planes the property tests pin against each other, and
+:meth:`SystemConfig.to_dict` / :meth:`SystemConfig.from_dict`
+round-trip losslessly through JSON so benchmarks, CI, and scenario
+sweeps declare configurations as data.
 
 Every field is validated at construction; invalid values raise
 :class:`~repro.errors.ConfigurationError` regardless of which subsystem
@@ -55,8 +55,7 @@ __all__ = [
 
 
 _ENGINES = ("indexed", "naive")
-_ENGINE_REPRESENTATIONS = ("tuple", "columnar")
-_REPRESENTATIONS = ("tuple", "dict", "columnar")
+_REPRESENTATIONS = ("tuple", "dict")
 _DEGRADE_MODES = ("first_legal", "defer")
 _ORDERS = ("cost", "plan")
 
@@ -73,6 +72,14 @@ def _require_choice(value: str, choices: tuple[str, ...], what: str) -> None:
     )
 
 
+def _require_bool(value: Any, what: str) -> None:
+    # ``"false"`` is truthy: a string that reached a boolean field
+    # would silently run the opposite of what it says.
+    _require(
+        isinstance(value, bool), f"{what} must be a bool, got {value!r}"
+    )
+
+
 # ----------------------------------------------------------------------
 # The four slices
 # ----------------------------------------------------------------------
@@ -82,34 +89,15 @@ class EngineConfig:
 
     ``engine``
         ``"indexed"`` (default) — compiled positional-tuple predicates,
-        greedy cardinality join order; ``"naive"`` — the literal-order
-        dict-binding reference engine.
-    ``representation``
-        ``"tuple"`` (default) — the compiled positional-tuple plane;
-        ``"columnar"`` — column-at-a-time kernels with selection vectors
-        and vectorized hash probes (requires ``engine="indexed"``; the
-        naive engine is the dict reference by definition).
-    ``use_index``
-        Whether the indexed engine's equijoin steps may probe hash
-        indexes; ``False`` keeps the compiled plane but joins by
-        nested loops (ignored by the naive engine, which never probes).
+        hash-index probes for equijoins, greedy cardinality join order;
+        ``"naive"`` — the literal-order dict-binding reference engine,
+        which never probes an index.
     """
 
     engine: str = "indexed"
-    representation: str = "tuple"
-    use_index: bool = True
 
     def __post_init__(self) -> None:
         _require_choice(self.engine, _ENGINES, "evaluation engine")
-        _require_choice(
-            self.representation,
-            _ENGINE_REPRESENTATIONS,
-            "extent representation",
-        )
-        _require(
-            not (self.representation == "columnar" and self.engine == "naive"),
-            "representation='columnar' requires engine='indexed'",
-        )
 
 
 @dataclass(frozen=True)
@@ -235,6 +223,7 @@ class ScheduleConfig:
             self.budget_units is None or self.budget_units >= 0,
             "budget_units must be >= 0",
         )
+        _require_bool(self.coalesce, "ScheduleConfig.coalesce")
 
 
 @dataclass(frozen=True)
@@ -243,9 +232,7 @@ class MaintenanceConfig:
 
     ``representation``
         ``"tuple"`` (default) — the compiled positional-tuple delta
-        plane; ``"dict"`` — the per-row binding reference plane;
-        ``"columnar"`` — delta batches as per-attribute columns with
-        kernel filters and vectorized probes.
+        plane; ``"dict"`` — the per-row binding reference plane.
     ``use_index``
         Whether single-site queries may probe the local relation's hash
         index (``False`` forces nested loops).  Modeled CF_M/CF_T/CF_IO
@@ -259,6 +246,7 @@ class MaintenanceConfig:
         _require_choice(
             self.representation, _REPRESENTATIONS, "delta representation"
         )
+        _require_bool(self.use_index, "MaintenanceConfig.use_index")
 
 
 # ----------------------------------------------------------------------
@@ -278,8 +266,6 @@ class SystemConfig:
       probes, serial plan-order dispatch without coalescing, exhaustive
       search: the everything-eager parity plane every fast path is
       compared to, and the only preset that searches every view.
-    * :meth:`columnar` — the default with evaluation and delta
-      propagation on the column-at-a-time kernel plane.
     * :meth:`bounded` — the default under a budget (modeled cost units
       and/or wall-clock seconds) with a degradation mode.
 
@@ -296,15 +282,10 @@ class SystemConfig:
     maintenance: MaintenanceConfig = field(default_factory=MaintenanceConfig)
 
     def __post_init__(self) -> None:
-        for name, type_ in (
-            ("engine", EngineConfig),
-            ("search", SearchConfig),
-            ("schedule", ScheduleConfig),
-            ("maintenance", MaintenanceConfig),
-        ):
+        for name, type_ in _SECTIONS.items():
             value = getattr(self, name)
             if isinstance(value, Mapping):
-                object.__setattr__(self, name, type_(**value))
+                object.__setattr__(self, name, _slice(type_, value))
             elif not isinstance(value, type_):
                 raise ConfigurationError(
                     f"SystemConfig.{name} must be a {type_.__name__} "
@@ -317,20 +298,12 @@ class SystemConfig:
         """The naive / dict / serial parity plane (everything eager,
         one search per view: the one preset that does not coalesce)."""
         return cls(
-            engine=EngineConfig(engine="naive", use_index=False),
+            engine=EngineConfig(engine="naive"),
             search=SearchConfig(policy="exhaustive"),
             schedule=ScheduleConfig(order="plan", coalesce=False),
             maintenance=MaintenanceConfig(
                 representation="dict", use_index=False
             ),
-        )
-
-    @classmethod
-    def columnar(cls) -> "SystemConfig":
-        """The default with both planes on the columnar representation."""
-        return cls(
-            engine=EngineConfig(representation="columnar"),
-            maintenance=MaintenanceConfig(representation="columnar"),
         )
 
     @classmethod
@@ -372,19 +345,13 @@ class SystemConfig:
             raise ConfigurationError(
                 f"SystemConfig payload must be a mapping, got {payload!r}"
             )
-        sections = {
-            "engine": EngineConfig,
-            "search": SearchConfig,
-            "schedule": ScheduleConfig,
-            "maintenance": MaintenanceConfig,
-        }
-        unknown = set(payload) - set(sections)
+        unknown = set(payload) - set(_SECTIONS)
         _require(
             not unknown,
             f"unknown SystemConfig section(s): {', '.join(sorted(unknown))}",
         )
         kwargs = {}
-        for name, type_ in sections.items():
+        for name in _SECTIONS:
             if name not in payload:
                 continue
             section = payload[name]
@@ -393,14 +360,7 @@ class SystemConfig:
                     f"SystemConfig.{name} payload must be a mapping, "
                     f"got {section!r}"
                 )
-            known = {f.name for f in fields(type_)}
-            bad = set(section) - known
-            _require(
-                not bad,
-                f"unknown {type_.__name__} field(s): "
-                f"{', '.join(sorted(bad))}",
-            )
-            kwargs[name] = type_(**section)
+            kwargs[name] = section
         return cls(**kwargs)
 
     def with_schedule(self, **changes: Any) -> "SystemConfig":
@@ -410,3 +370,24 @@ class SystemConfig:
     def with_search(self, **changes: Any) -> "SystemConfig":
         """A copy with search fields replaced (sweep convenience)."""
         return replace(self, search=replace(self.search, **changes))
+
+
+#: Section name -> slice class, in ``to_dict`` order.
+_SECTIONS: dict[str, Any] = {
+    "engine": EngineConfig,
+    "search": SearchConfig,
+    "schedule": ScheduleConfig,
+    "maintenance": MaintenanceConfig,
+}
+
+
+def _slice(type_: Any, fields_: Mapping[str, Any]) -> Any:
+    """Build one config slice from a mapping of its fields; an unknown
+    field raises :class:`~repro.errors.ConfigurationError` naming it
+    (a removed field included), not ``TypeError``."""
+    bad = set(fields_) - {f.name for f in fields(type_)}
+    _require(
+        not bad,
+        f"unknown {type_.__name__} field(s): {', '.join(sorted(bad))}",
+    )
+    return type_(**fields_)

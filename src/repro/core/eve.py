@@ -63,7 +63,6 @@ from repro.qc.assessment_cache import AssessmentCache
 from repro.qc.model import Evaluation, QCModel
 from repro.qc.params import TradeoffParameters
 from repro.qc.workload import WorkloadSpec
-from repro.relational.columnar import KernelCounters
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.versioning import ExtentSnapshot, ExtentStore
@@ -263,10 +262,6 @@ class EVESystem:
         #: SystemReport of the most recent :meth:`apply_changes` or
         #: :meth:`apply_updates` call (None before the first call).
         self.last_report: SystemReport | None = None
-        #: Column-kernel rows scanned vs selected across evaluation call
-        #: sites (define/refresh/rematerialize); non-zero only when the
-        #: engine runs the columnar plane.
-        self.kernel_counters = KernelCounters()
         # Guards VKB commits and extent bookkeeping: a serving
         # frontend's writer thread commits beside the caller's thread.
         self._commit_lock = threading.Lock()
@@ -443,7 +438,6 @@ class EVESystem:
                 self.space.relation,
                 self.space.mkb.statistics,
                 config=self.config.engine,
-                kernel_counters=self.kernel_counters,
             )
             self._extents[resolved.name] = self._share_twin_rows(
                 resolved, extent
@@ -492,7 +486,6 @@ class EVESystem:
             self.space.relation,
             self.space.mkb.statistics,
             config=self.config.engine,
-            kernel_counters=self.kernel_counters,
         )
         return self._extents[view_name]
 
@@ -577,7 +570,6 @@ class EVESystem:
         :class:`~repro.events.ViewMaintained` events.
         """
         before = self.maintainer.counters.snapshot()
-        kernels_before = self.maintainer.kernel_counters.snapshot()
         serving_marks = self._serving_marks()
         pending: dict[str, _PendingMaintenance] = {}
         flushes: list[MaintenanceFlush] = []
@@ -710,9 +702,6 @@ class EVESystem:
                 self.last_report = SystemReport.for_updates(
                     flushes,
                     charged,
-                    kernels=self.maintainer.kernel_counters.diff(
-                        kernels_before
-                    ),
                     plans=plans,
                     plans_total=plans_total,
                     serving=self._serving_section(serving_marks),
@@ -813,18 +802,12 @@ class EVESystem:
         with self._extents.batch():
             result = self._synchronize_record(record, change, workload, policy)
             if result.survived and record.name in self._extents:
-                before = self.kernel_counters.snapshot()
                 self._extents[record.name] = evaluate_view(
                     record.current,
                     self.space.relation,
                     self.space.mkb.statistics,
                     config=self.config.engine,
-                    kernel_counters=self.kernel_counters,
                 )
-                if result.counters is not None:
-                    scanned = self.kernel_counters.diff(before)
-                    result.counters.rows_scanned += scanned.rows_scanned
-                    result.counters.rows_selected += scanned.rows_selected
         return result
 
     def _synchronize_record(
@@ -1162,7 +1145,6 @@ class EVESystem:
             self.space.relation,
             self.space.mkb.statistics,
             config=self.config.engine,
-            kernel_counters=self.kernel_counters,
         )
 
     def resume_deferred(
@@ -1253,9 +1235,8 @@ class EVESystem:
         pushdown.
 
         ``analyze=True`` additionally executes the view with a step
-        trace and reconciles estimated vs actual cardinalities (plus
-        column-kernel rows scanned/selected on the columnar plane); the
-        run is side-effect free — the cached extent is not touched.
+        trace and reconciles estimated vs actual cardinalities; the run
+        is side-effect free — the cached extent is not touched.
 
         Returns an :class:`~repro.esql.explain.EvaluationPlan`; render
         with ``to_text()`` or serialize with ``to_dict()``.

@@ -5,7 +5,7 @@ current information space.  It is the ground truth the quality model's
 *exact* path compares against (vs. the statistics-only estimation path the
 paper uses, Sec. 5.4.3).
 
-Three execution planes share the entry point:
+Two execution planes share the entry point:
 
 * ``engine="indexed"`` (default) — bindings are positional tuples, WHERE
   conjuncts are compiled once into tuple closures
@@ -16,17 +16,11 @@ Three execution planes share the entry point:
   FROM list.  Only view-referenced columns (SELECT list + WHERE operands)
   are projected through the join, so wide relations never materialize
   unreferenced attributes into intermediate bindings.
-* ``representation="columnar"`` (on the indexed engine) — the same join
-  order and probe split, executed column at a time: relations expose
-  per-attribute column stores, WHERE conjuncts run as selection-vector
-  kernels, and equijoins are vectorized hash probes over key columns
-  producing position vectors.  Candidate order, NULL semantics, and
-  lazy failure match the tuple plane row for row.
 * ``engine="naive"`` — the original left-to-right nested-loop engine over
   dict bindings with qualified-name keys; kept as the reference the
   equivalence property tests and the engine benchmarks compare against.
 
-All planes apply each WHERE conjunct as soon as every relation it
+Both planes apply each WHERE conjunct as soon as every relation it
 references has been bound, so selections prune before later joins
 multiply.  Bag semantics throughout; callers wanting set semantics call
 ``.distinct()`` on the result.
@@ -42,12 +36,7 @@ from repro.errors import EvaluationError
 from repro.esql.ast import ViewDefinition
 from repro.esql.validate import ViewValidator
 from repro.misd.statistics import DEFAULT_SELECTIVITY, SpaceStatistics
-from repro.relational.columnar import probe_positions
-from repro.relational.compile import (
-    compile_clauses,
-    compile_clauses_kernel,
-    schema_slots,
-)
+from repro.relational.compile import compile_clauses
 from repro.relational.expressions import AttributeRef, Comparator, PrimitiveClause
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -73,7 +62,6 @@ def evaluate_view(
     relations: Mapping[str, Relation] | RelationLookup,
     statistics: SpaceStatistics | None = None,
     config: "EngineConfig | None" = None,
-    kernel_counters=None,
     trace: list | None = None,
 ) -> Relation:
     """Compute the extent of ``view`` against the given relations.
@@ -86,15 +74,8 @@ def evaluate_view(
 
     The engine is selected by ``config`` (an
     :class:`~repro.config.EngineConfig` slice): ``engine="indexed"``
-    with ``use_index=True`` probes hash indexes, ``use_index=False``
-    keeps the compiled plane but joins by nested loops,
-    ``representation="columnar"`` runs the column-kernel plane, and
+    runs the compiled plane and probes hash indexes for equijoins, and
     ``engine="naive"`` runs the dict-binding reference.
-
-    ``kernel_counters`` (a
-    :class:`~repro.relational.columnar.KernelCounters`) accumulates rows
-    scanned vs rows selected per column kernel; only the columnar plane
-    records into it.
 
     ``trace`` (a list, optional) receives one ``(relation_name,
     candidate_count)`` pair per executed FROM step, in join order —
@@ -111,17 +92,6 @@ def evaluate_view(
     lookup = _lookup_from(relations)
     schemas = {name: lookup(name).schema for name in view.relation_names}
     resolved = ViewValidator(schemas).resolve_view(view)
-    if config.representation == "columnar":
-        return _evaluate_view_columnar(
-            resolved,
-            lookup,
-            schemas,
-            statistics,
-            config.use_index,
-            kernel_counters,
-            trace,
-        )
-
     order = _join_order(resolved, lookup, statistics)
     needed = _referenced_columns(resolved)
 
@@ -153,14 +123,9 @@ def evaluate_view(
 
         decidable = [c for c in remaining if c.relations() <= placed]
         remaining = [c for c in remaining if c.relations() - placed]
-        if config.use_index:
-            probe_pairs, residual = _split_probes(
-                decidable, relation_name, slots, base
-            )
-        else:
-            # Index probes disabled: every decidable clause stays a
-            # compiled filter and the join runs as nested loops below.
-            probe_pairs, residual = [], decidable
+        probe_pairs, residual = _split_probes(
+            decidable, relation_name, slots, base
+        )
 
         extended: list[tuple[Any, ...]] = []
         if probe_pairs and bindings:
@@ -350,137 +315,6 @@ def _referenced_columns(resolved: ViewDefinition) -> frozenset[str]:
 
 
 # ----------------------------------------------------------------------
-# The columnar plane: selection vectors + vectorized hash probes
-# ----------------------------------------------------------------------
-def _evaluate_view_columnar(
-    resolved: ViewDefinition,
-    lookup: RelationLookup,
-    schemas: Mapping[str, Schema],
-    statistics: SpaceStatistics | None,
-    use_index: bool,
-    counters,
-    trace: list | None = None,
-) -> Relation:
-    """Column-at-a-time execution of the indexed plan.
-
-    The join order, probe split, and clause scheduling are identical to
-    the tuple plane; only the mechanics differ.  Intermediate state is a
-    list of equal-length columns (one per referenced attribute placed so
-    far) instead of a list of binding tuples.  Each FROM step computes
-    ``(left, right)`` position vectors — incoming candidate x matching
-    relation row — by vectorized probe or cross product, narrows them
-    through residual kernels, and gathers the surviving columns.
-    Candidate order matches the tuple plane exactly: incoming-major,
-    relation insertion order within.
-    """
-    order = _join_order(resolved, lookup, statistics)
-    needed = _referenced_columns(resolved)
-
-    slots: dict[str, int] = {}
-    placed: set[str] = set()
-    remaining: list[PrimitiveClause] = [item.clause for item in resolved.where]
-    cols: list[list] = []
-    count = 1  # one virtual empty candidate, like ``bindings = [()]``
-
-    for relation_name in order:
-        relation = lookup(relation_name)
-        schema = relation.schema
-        store = relation.column_store()
-        kept = [
-            attr
-            for attr in schema.attribute_names
-            if f"{relation_name}.{attr}" in needed
-        ]
-        kept_positions = [schema.position(attr) for attr in kept]
-        base = len(slots)
-        for offset, attr in enumerate(kept):
-            slots[f"{relation_name}.{attr}"] = base + offset
-        placed.add(relation_name)
-
-        decidable = [c for c in remaining if c.relations() <= placed]
-        remaining = [c for c in remaining if c.relations() - placed]
-        if use_index:
-            probe_pairs, residual = _split_probes(
-                decidable, relation_name, slots, base
-            )
-        else:
-            probe_pairs, residual = [], decidable
-
-        if probe_pairs:
-            positions = tuple(
-                schema.position(new.attribute) for new, _ in probe_pairs
-            )
-            index = store.position_index(positions)
-            key_columns = [
-                cols[slots[bound.qualified]] for _, bound in probe_pairs
-            ]
-            unique = store.index_is_unique(positions)
-            li, ri = probe_positions(key_columns, index, counters, unique)
-            identity = unique and len(li) == count
-        else:
-            # Local clauses prune the relation once; the surviving rows
-            # cross every incoming candidate (candidate-major order).
-            local = [c for c in residual if c.relations() <= {relation_name}]
-            residual = [c for c in residual if c.relations() - {relation_name}]
-            local_filter = compile_clauses_kernel(local, schema_slots(schema))
-            selection = local_filter(
-                store.columns, range(store.length), counters
-            )
-            if count == 1:
-                li = [0] * len(selection)
-                ri = list(selection)
-            else:
-                li = [i for i in range(count) for _ in selection]
-                ri = list(selection) * count
-            identity = False
-
-        if residual and li:
-            residual_filter = compile_clauses_kernel(residual, slots)
-            # Materialize only the columns the residual conjunction reads;
-            # the rest stay position vectors until the final gather.
-            layout: list = [None] * (base + len(kept))
-            for slot in residual_filter.slots:
-                if slot >= base:
-                    column = store.columns[kept_positions[slot - base]]
-                    layout[slot] = list(map(column.__getitem__, ri))
-                else:
-                    column = cols[slot]
-                    layout[slot] = list(map(column.__getitem__, li))
-            selection = residual_filter(layout, range(len(li)), counters)
-            if len(selection) != len(li):
-                li = [li[s] for s in selection]
-                ri = [ri[s] for s in selection]
-
-        if not li:
-            count = 0
-            if trace is not None:
-                trace.append((relation_name, 0))
-            break
-        if not cols:
-            new_cols = []
-        elif len(li) == count and (identity or li == list(range(count))):
-            # 1:1 match in incoming order (unique-key probes): the bound
-            # columns survive unchanged — skip the re-gather entirely.
-            new_cols = cols
-        else:
-            new_cols = [list(map(column.__getitem__, li)) for column in cols]
-        for position in kept_positions:
-            column = store.columns[position]
-            new_cols.append(list(map(column.__getitem__, ri)))
-        cols = new_cols
-        count = len(li)
-        if trace is not None:
-            trace.append((relation_name, count))
-
-    output_schema = _output_schema(resolved, schemas)
-    if not count:
-        return Relation(output_schema)
-    out_cols = [cols[slots[str(item.ref)]] for item in resolved.select]
-    rows = list(zip(*out_cols))
-    return Relation.from_validated(output_schema, rows)
-
-
-# ----------------------------------------------------------------------
 # The original dict-binding nested-loop engine (reference implementation)
 # ----------------------------------------------------------------------
 def _evaluate_view_naive(
@@ -611,12 +445,9 @@ def evaluate_views(
     relations: Mapping[str, Relation] | RelationLookup,
     statistics: SpaceStatistics | None = None,
     config: "EngineConfig | None" = None,
-    kernel_counters=None,
 ) -> dict[str, Relation]:
     """Materialize several views; returns name -> extent."""
     return {
-        view.name: evaluate_view(
-            view, relations, statistics, config, kernel_counters
-        )
+        view.name: evaluate_view(view, relations, statistics, config)
         for view in views
     }

@@ -2,7 +2,7 @@
 
 The evaluator (:mod:`repro.esql.evaluator`) and the delta plane
 (:mod:`repro.maintenance.simulator`) make their decisions — greedy join
-order, index probe vs scan, projection pushdown, representation — deep
+order, index probe vs scan, projection pushdown — deep
 inside their hot loops, invisibly.  This module re-derives those
 decisions as inspectable data:
 
@@ -11,8 +11,7 @@ decisions as inspectable data:
   returns an :class:`EvaluationPlan` whose :class:`PlanStep`\\ s carry
   the cardinality estimates that drove every choice.
 * :func:`explain_view` additionally executes the view with a step trace
-  (``analyze=True``) and reconciles estimated vs actual cardinalities,
-  including column-kernel rows scanned/selected on the columnar plane.
+  (``analyze=True``) and reconciles estimated vs actual cardinalities.
 * :func:`explain_maintenance` renders Algorithm 1's itinerary for one
   update — source visit order and per-relation index-probe vs scan —
   as a :class:`MaintenanceExplain`.
@@ -159,17 +158,24 @@ class EvaluationPlan:
 
     view: str
     engine: str
-    representation: str
-    use_index: bool
     join_order: tuple[str, ...]
     steps: tuple[PlanStep, ...]
     output_columns: tuple[str, ...]
     estimated_rows: float
     estimated_cost: float
     actual_rows: int | None = None
-    #: Column-kernel rows scanned vs selected during an ``analyze`` run
-    #: (columnar representation only).
-    kernels: dict[str, int] | None = None
+
+    @property
+    def representation(self) -> str:
+        """The plane the engine runs: ``"dict"`` bindings on the naive
+        engine, positional ``"tuple"`` rows on the indexed one."""
+        return "dict" if self.engine == "naive" else "tuple"
+
+    @property
+    def use_index(self) -> bool:
+        """Whether equijoin steps probe the relations' hash indexes
+        (the indexed engine always does; the naive engine never)."""
+        return self.engine != "naive"
 
     def to_dict(self) -> dict[str, Any]:
         """Stable serialized plan (``kind`` discriminates the plan type)."""
@@ -185,7 +191,9 @@ class EvaluationPlan:
             "estimated_rows": self.estimated_rows,
             "estimated_cost": self.estimated_cost,
             "actual_rows": self.actual_rows,
-            "kernels": dict(self.kernels) if self.kernels else None,
+            # v4 constant: the column-kernel totals went with the
+            # columnar plane; the key stays until the next schema bump.
+            "kernels": None,
         }
 
     def to_text(self) -> str:
@@ -205,11 +213,6 @@ class EvaluationPlan:
         )
         if self.actual_rows is not None:
             lines.append(f"  actual: {self.actual_rows} rows")
-        if self.kernels:
-            lines.append(
-                f"  kernels: scanned={self.kernels.get('rows_scanned', 0)} "
-                f"selected={self.kernels.get('rows_selected', 0)}"
-            )
         return "\n".join(lines)
 
 
@@ -243,8 +246,6 @@ def build_plan(
     resolved = ViewValidator(schemas).resolve_view(view)
 
     naive = config.engine == "naive"
-    representation = "dict" if naive else config.representation
-    use_index = False if naive else config.use_index
     if naive:
         order = list(resolved.relation_names)
     else:
@@ -287,15 +288,12 @@ def build_plan(
 
         decidable = [c for c in remaining if c.relations() <= placed]
         remaining = [c for c in remaining if c.relations() - placed]
-        if use_index or naive:
-            # The naive engine's hash fast path recognizes the same
-            # equijoin pattern; on the indexed plane the probe split is
-            # the evaluator's own.
-            probe_pairs, residual = _split_probes(
-                decidable, relation_name, slots, base
-            )
-        else:
-            probe_pairs, residual = [], decidable
+        # The naive engine's hash fast path recognizes the same equijoin
+        # pattern; on the indexed plane the probe split is the
+        # evaluator's own.
+        probe_pairs, residual = _split_probes(
+            decidable, relation_name, slots, base
+        )
 
         local = [c for c in residual if c.relations() <= {relation_name}]
         cross = [c for c in residual if c.relations() - {relation_name}]
@@ -348,8 +346,6 @@ def build_plan(
     return EvaluationPlan(
         view=resolved.name,
         engine=config.engine,
-        representation=representation,
-        use_index=use_index,
         join_order=tuple(order),
         steps=tuple(steps),
         output_columns=tuple(
@@ -372,8 +368,7 @@ def explain_view(
     The analyze pass executes :func:`~repro.esql.evaluator.evaluate_view`
     with a step trace and reconciles the per-step binding counts into
     ``actual_rows`` (steps the evaluator short-circuited past after an
-    empty intermediate result report ``0``), plus the column-kernel
-    scanned/selected totals on the columnar plane.  The evaluation is
+    empty intermediate result report ``0``).  The evaluation is
     side-effect free: no extent cache is touched.
     """
     from repro.config import EngineConfig
@@ -385,17 +380,10 @@ def explain_view(
         return plan
 
     from repro.esql.evaluator import evaluate_view
-    from repro.relational.columnar import KernelCounters
 
     trace: list[tuple[str, int]] = []
-    counters = KernelCounters() if plan.representation == "columnar" else None
     extent = evaluate_view(
-        view,
-        relations,
-        statistics,
-        config=config,
-        kernel_counters=counters,
-        trace=trace,
+        view, relations, statistics, config=config, trace=trace
     )
     traced = dict(trace)
     exhausted = False
@@ -408,8 +396,6 @@ def explain_view(
             # every later step saw zero candidates.
             step.actual_rows = 0
     plan.actual_rows = extent.cardinality
-    if counters is not None:
-        plan.kernels = counters.as_dict()
     return plan
 
 

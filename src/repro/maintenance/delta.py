@@ -36,12 +36,9 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import Any
 
-from repro.relational.columnar import probe_positions
 from repro.relational.compile import (
-    ColumnFilter,
     RowPredicate,
     compile_clauses,
-    compile_clauses_kernel,
     layout_slots,
     resolve_slot,
 )
@@ -76,21 +73,6 @@ class DeltaBatch:
     rows: list[Row]
     tags: list[int] | None = None
 
-    @classmethod
-    def seed(
-        cls,
-        relation: str,
-        schema: Schema,
-        rows: Sequence[Row],
-        tags: list[int] | None = None,
-    ) -> "DeltaBatch":
-        """The initial delta: the updated relation's columns and rows."""
-        return cls(seed_columns(relation, schema), list(rows), tags)
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.rows)
-
     def counts_by_tag(self, updates: int) -> list[int]:
         """Per-update row counts (requires provenance tags)."""
         counts = [0] * updates
@@ -106,57 +88,6 @@ def seed_columns(relation: str, schema: Schema) -> tuple[str, ...]:
     return tuple(f"{relation}.{attr}" for attr in schema.attribute_names)
 
 
-@dataclass
-class ColumnBatch:
-    """A delta batch stored column-wise: one list per bound column.
-
-    The columnar counterpart of :class:`DeltaBatch`: same ordered layout
-    of fully qualified column names, but the payload is ``cols`` —
-    parallel equal-length value lists — instead of row tuples.  ``tags``
-    carries per-row provenance exactly like the row form.  The row-wise
-    surface (:meth:`rows`) materializes on demand.
-    """
-
-    columns: tuple[str, ...]
-    cols: list[list]
-    tags: list[int] | None = None
-
-    @classmethod
-    def seed(
-        cls,
-        relation: str,
-        schema: Schema,
-        rows: Sequence[Row],
-        tags: list[int] | None = None,
-    ) -> "ColumnBatch":
-        """The initial delta, transposed into columns."""
-        columns = seed_columns(relation, schema)
-        if rows:
-            cols = list(map(list, zip(*rows)))
-        else:
-            cols = [[] for _ in columns]
-        return cls(columns, cols, tags)
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.cols[0]) if self.cols else 0
-
-    @property
-    def rows(self) -> list[Row]:
-        """The row-tuple rendition (materialized on demand)."""
-        return list(zip(*self.cols)) if self.cardinality else []
-
-    def counts_by_tag(self, updates: int) -> list[int]:
-        """Per-update row counts (requires provenance tags)."""
-        counts = [0] * updates
-        if self.tags is not None:
-            for tag in self.tags:
-                counts[tag] += 1
-        elif self.cardinality:
-            raise ValueError("batch carries no provenance tags")
-        return counts
-
-
 # ----------------------------------------------------------------------
 # Compiled plans (memoized per layout)
 # ----------------------------------------------------------------------
@@ -168,30 +99,6 @@ class SeedPlan:
     #: Conjunction of the condition's clauses decidable at the seed
     #: layout (local selections on the updated relation itself).
     predicate: RowPredicate
-
-
-@dataclass(frozen=True)
-class ColumnStepPlan:
-    """One join step compiled into column kernels (the columnar plane).
-
-    Field roles mirror :class:`StepPlan` clause for clause; the compiled
-    artifacts are :class:`~repro.relational.compile.ColumnFilter`
-    conjunctions over the extended column layout (or the local relation's
-    own layout, for ``local_filter``) and schema positions for the
-    vectorized probe.
-    """
-
-    relation: str
-    new_columns: tuple[str, ...]
-    #: Schema positions of the local probe attributes (feeds the column
-    #: store's position index); empty on the cross-join path.
-    probe_positions: tuple[int, ...]
-    #: Column indexes (into the *incoming* batch) feeding the probe key.
-    probe_slots: tuple[int, ...]
-    residual: ColumnFilter
-    local_filter: ColumnFilter | None
-    cross: ColumnFilter
-    full: ColumnFilter
 
 
 @dataclass(frozen=True)
@@ -241,7 +148,6 @@ def _decidable(
 #: handful of entries serve an entire storm; the cap only guards
 #: pathological clause diversity.
 _STEP_PLANS: dict[tuple, StepPlan] = {}
-_COLUMN_STEP_PLANS: dict[tuple, ColumnStepPlan] = {}
 _SEED_PLANS: dict[tuple, SeedPlan] = {}
 _MAX_CACHED_PLANS = 512
 
@@ -396,149 +302,3 @@ def extend_batch(
         columns, rows, tags = plan.new_columns, out_rows, out_tags
     return DeltaBatch(columns, rows, tags)
 
-
-# ----------------------------------------------------------------------
-# Executing one single-site query on the columnar plane
-# ----------------------------------------------------------------------
-def column_step_plan(
-    condition: Condition,
-    columns: tuple[str, ...],
-    name: str,
-    schema: Schema,
-) -> ColumnStepPlan:
-    """Memoized columnar join-step plan for one local relation.
-
-    Clause classification is byte for byte the one :func:`step_plan`
-    uses (shared ``probe_pair`` / ``partition_local_clauses`` /
-    ``_decidable``), so the columnar plane can never accept a candidate
-    either row plane rejects; only the compiled artifact differs.
-    """
-    clauses = tuple(condition.clauses)
-    key = (clauses, columns, name, schema.attribute_names)
-
-    def build() -> ColumnStepPlan:
-        bound = frozenset(columns)
-        probe_attrs: list[str] = []
-        probe_columns: list[str] = []
-        residual_clauses: list[PrimitiveClause] = []
-        for clause in clauses:
-            pair = probe_pair(clause, name, schema, bound)
-            if pair is not None:
-                probe_attrs.append(pair[0])
-                probe_columns.append(pair[1])
-            else:
-                residual_clauses.append(clause)
-
-        incoming = layout_slots(columns)
-        local_columns = seed_columns(name, schema)
-        new_columns = columns + local_columns
-        new_slots = layout_slots(new_columns)
-
-        local_only, others = partition_local_clauses(
-            residual_clauses, name, schema
-        )
-        # Local-column layout == schema positions, so the local filter
-        # runs directly over the relation's column store.
-        local_slots = layout_slots(local_columns)
-        local_filter = (
-            compile_clauses_kernel(local_only, local_slots)
-            if local_only
-            else None
-        )
-        return ColumnStepPlan(
-            relation=name,
-            new_columns=new_columns,
-            probe_positions=tuple(
-                schema.position(attr) for attr in probe_attrs
-            ),
-            probe_slots=tuple(incoming[column] for column in probe_columns),
-            residual=compile_clauses_kernel(
-                _decidable(residual_clauses, new_slots), new_slots
-            ),
-            local_filter=local_filter,
-            cross=compile_clauses_kernel(
-                _decidable(others, new_slots), new_slots
-            ),
-            full=compile_clauses_kernel(
-                _decidable(clauses, new_slots), new_slots
-            ),
-        )
-
-    return _cached(_COLUMN_STEP_PLANS, key, build)
-
-
-def extend_batch_columnar(
-    provider,
-    batch: ColumnBatch,
-    local_relations: Sequence[str],
-    condition: Condition,
-    use_index: bool = True,
-    counters=None,
-) -> ColumnBatch:
-    """Join a :class:`ColumnBatch` with each local relation in turn.
-
-    The columnar rendition of :func:`extend_batch`: each step computes
-    ``(left, right)`` position vectors (vectorized probe, pre-filtered
-    cross product, or full nested loop), narrows them through the
-    residual kernel conjunction, and gathers every bound column plus the
-    local relation's columns through them.  Candidate acceptance and
-    order match both row planes; ``counters`` (a
-    :class:`~repro.relational.columnar.KernelCounters`) records rows
-    scanned vs selected per kernel.
-    """
-    columns, cols, tags = batch.columns, batch.cols, batch.tags
-    for name in local_relations:
-        local: Relation = provider.relation(name)
-        schema = local.schema
-        plan = column_step_plan(condition, columns, name, schema)
-        store = local.column_store()
-        incoming = len(cols[0]) if cols else 0
-        base = len(columns)
-
-        if use_index and plan.probe_positions and incoming:
-            index = store.position_index(plan.probe_positions)
-            key_columns = [cols[slot] for slot in plan.probe_slots]
-            li, ri = probe_positions(
-                key_columns,
-                index,
-                counters,
-                store.index_is_unique(plan.probe_positions),
-            )
-            residual = plan.residual
-        elif use_index and incoming:
-            selection = range(store.length)
-            if plan.local_filter is not None:
-                selection = plan.local_filter(
-                    store.columns, selection, counters
-                )
-            li = [i for i in range(incoming) for _ in selection]
-            ri = list(selection) * incoming
-            residual = plan.cross
-        else:
-            # Nested-loop reference path (also the trivial empty case).
-            li = [i for i in range(incoming) for _ in range(store.length)]
-            ri = list(range(store.length)) * incoming
-            residual = plan.full
-
-        if residual.kernels and li:
-            layout: list = [None] * len(plan.new_columns)
-            for slot in residual.slots:
-                if slot >= base:
-                    column = store.columns[slot - base]
-                    layout[slot] = list(map(column.__getitem__, ri))
-                else:
-                    column = cols[slot]
-                    layout[slot] = list(map(column.__getitem__, li))
-            selection = residual(layout, range(len(li)), counters)
-            if len(selection) != len(li):
-                li = [li[s] for s in selection]
-                ri = [ri[s] for s in selection]
-
-        new_cols = [list(map(column.__getitem__, li)) for column in cols]
-        for position in range(schema.arity):
-            column = store.columns[position]
-            new_cols.append(list(map(column.__getitem__, ri)))
-        if tags is not None:
-            tags = list(map(tags.__getitem__, li))
-        columns, cols = plan.new_columns, new_cols
-    return ColumnBatch(columns, cols, tags)

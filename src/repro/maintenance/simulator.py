@@ -17,26 +17,20 @@ byte payload is the actual delta size, and per-source I/O charges the
 min(full scan, per-delta-tuple index probes) rule of Appendix A against
 the real matching-tuple counts.
 
-Three delta representations execute the sweep:
+Two delta representations execute the sweep:
 
 * ``representation="tuple"`` (default) — the compiled positional-tuple
   plane of :mod:`repro.maintenance.delta`: deltas travel as
   :class:`~repro.maintenance.delta.DeltaBatch` es, residual WHERE
   conjuncts compile once per (condition, bound-column layout), and index
   probes yield tuples directly.
-* ``representation="columnar"`` — deltas travel as
-  :class:`~repro.maintenance.delta.ColumnBatch` es of parallel
-  per-column lists; WHERE conjuncts run as selection-vector kernels and
-  equijoins as vectorized position-index probes, with rows scanned vs
-  selected recorded in :attr:`ViewMaintainer.kernel_counters`.
 * ``representation="dict"`` — the original per-row binding dicts with
   per-candidate clause interpretation, retained as the equivalence
   reference (pair with ``use_index=False`` for the fully naive path).
 
-All representations accept the same delta rows in the same order and
+Both representations accept the same delta rows in the same order and
 record byte-identical modeled CF_M/CF_T/CF_IO counters — enforced by
-``tests/property/test_delta_parity.py`` and
-``tests/property/test_columnar_parity.py``.
+``tests/property/test_delta_parity.py``.
 
 :meth:`ViewMaintainer.maintain_batch` additionally streams a whole
 :class:`~repro.space.updates.DataUpdate` batch through one compiled
@@ -86,10 +80,8 @@ from repro.relational.schema import Schema
 from repro.space.source import Binding, clause_decidable
 from repro.space.space import InformationSpace, Placement, placement_maps
 from repro.space.updates import DataUpdate, UpdateKind
-from repro.relational.columnar import KernelCounters
 from repro.maintenance.counters import MaintenanceCounters
 from repro.maintenance.delta import (
-    ColumnBatch,
     DeltaBatch,
     SeedPlan,
     seed_columns,
@@ -121,8 +113,7 @@ class _UpdatePath:
         #: there, the IS name and the width they add to the delta.
         self.steps = steps
         #: Picks the view's columns, in SELECT order, out of a row of
-        #: the sweep's final delta layout (or out of a columnar batch's
-        #: column list), as a tuple.
+        #: the sweep's final delta layout, as a tuple.
         self.project = project
 
 
@@ -189,8 +180,8 @@ class _ViewProgram:
                         layout.extend(seed_columns(name, schemas[name]))
             positions = [layout.index(key) for key in self.keys]
             # ``itemgetter`` of one position returns the bare item; a
-            # one-wide slice keeps the result a tuple (or a one-column
-            # list) like the wider getters.
+            # one-wide slice keeps the result a tuple like the wider
+            # getters.
             project = (
                 itemgetter(slice(positions[0], positions[0] + 1))
                 if len(positions) == 1
@@ -259,9 +250,6 @@ class ViewMaintainer:
         self._use_index = self.config.use_index
         self._representation = self.config.representation
         self.counters = MaintenanceCounters()
-        #: Columnar-plane observability: rows scanned vs selected per
-        #: column kernel.  The row planes never record into it.
-        self.kernel_counters = KernelCounters()
         #: view name -> its hold on a compiled program (see
         #: :meth:`_program`); :meth:`forget` drops a dead view's.
         self._programs: dict[str, _Held] = {}
@@ -478,7 +466,7 @@ class ViewMaintainer:
         return deltas
 
     # ------------------------------------------------------------------
-    # Delta propagation — compiled planes (tuple and columnar batches)
+    # Delta propagation — the compiled tuple plane
     # ------------------------------------------------------------------
     def _propagate_tuples(
         self,
@@ -486,19 +474,16 @@ class ViewMaintainer:
         path: _UpdatePath,
         updates: list[DataUpdate],
         overlays: SizeOverlays = None,
-    ) -> "DeltaBatch | ColumnBatch":
+    ) -> DeltaBatch:
         """One same-relation run through the compiled pipeline.
 
-        Serves both compiled representations — the delta travels as a
-        :class:`DeltaBatch` (tuple) or :class:`ColumnBatch` (columnar);
-        every accounting statement is shared so the modeled counters
-        cannot drift between them.  Message and I/O charges are the
-        per-update quantities of the batch's provenance counts, charged
-        once per step for the whole run: the counters are integer sums,
-        so the totals equal the per-update reference's exactly.
+        The delta travels as one tagged :class:`DeltaBatch`.  Message
+        and I/O charges are the per-update quantities of the batch's
+        provenance counts, charged once per step for the whole run: the
+        counters are integer sums, so the totals equal the per-update
+        reference's exactly.
         """
         condition = program.condition
-        relation = updates[0].relation
         updated_schema = path.schema
         splan = path.seed
         rows: list[tuple] = []
@@ -508,11 +493,7 @@ class ViewMaintainer:
             if splan.predicate(update.row):
                 rows.append(update.row)
                 tags.append(position)
-        columnar = self._representation == "columnar"
-        if columnar:
-            batch = ColumnBatch.seed(relation, updated_schema, rows, tags)
-        else:
-            batch = DeltaBatch(splan.columns, rows, tags)
+        batch = DeltaBatch(splan.columns, rows, tags)
         delta_width = updated_schema.tuple_byte_size()
         counts = batch.counts_by_tag(len(updates))
         counters = self.counters
@@ -546,18 +527,9 @@ class ViewMaintainer:
                     if sizes is not None
                 )
             counters.record_io(io)
-            if columnar:
-                batch = source.answer_single_site_columnar(
-                    batch,
-                    local,
-                    condition,
-                    use_index=self._use_index,
-                    counters=self.kernel_counters,
-                )
-            else:
-                batch = source.answer_single_site_batch(
-                    batch, local, condition, use_index=self._use_index
-                )
+            batch = source.answer_single_site_batch(
+                batch, local, condition, use_index=self._use_index
+            )
             delta_width += width
             counts = batch.counts_by_tag(len(updates))
             # Ship each update's joined delta back to the warehouse.
@@ -608,16 +580,13 @@ class ViewMaintainer:
         view_name: str,
         path: _UpdatePath,
         extent: Relation,
-        batch: "DeltaBatch | ColumnBatch",
+        batch: DeltaBatch,
         updates: list[DataUpdate],
     ) -> None:
         """Project once, then apply the whole flush to the extent as one
         run (:meth:`~repro.relational.relation.Relation.apply_run`),
         each row inserted or deleted as its update was."""
-        if isinstance(batch, ColumnBatch):
-            projected = list(zip(*path.project(batch.cols)))
-        else:
-            projected = list(map(path.project, batch.rows))
+        projected = list(map(path.project, batch.rows))
         tags = batch.tags
         if tags is None:
             if projected:

@@ -17,7 +17,7 @@ this).  ``None`` (NULL) operands never satisfy a clause, matching
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
 from repro.errors import EvaluationError
@@ -165,167 +165,3 @@ def compile_condition(
     """A whole :class:`Condition` as one positional predicate."""
     return compile_clauses(condition.clauses, slots)
 
-
-# ----------------------------------------------------------------------
-# Column-at-a-time kernels (the columnar plane)
-# ----------------------------------------------------------------------
-#: A kernel narrows a selection vector over a column layout: it takes the
-#: columns (indexed by slot) and the surviving row positions, and returns
-#: the positions that also satisfy its clause.
-Columns = Sequence[Sequence[Any]]
-Selection = Sequence[int]
-ColumnKernel = Callable[[Columns, Selection], Selection]
-
-_EMPTY_SLOTS: frozenset[int] = frozenset()
-
-
-def _unresolved_kernel(
-    ref: AttributeRef,
-) -> tuple[ColumnKernel, frozenset[int]]:
-    """Kernel that fails like the interpreter: only when rows are scanned.
-
-    An unresolved operand over an *empty* selection selects nothing and
-    raises nothing — the row planes never invoke their predicate on an
-    empty candidate stream either, so lazy-failure timing is identical.
-    """
-
-    def raise_on_scan(columns: Columns, selection: Selection) -> Selection:
-        if selection:
-            raise EvaluationError(
-                f"attribute {ref.qualified!r} not present in row"
-            )
-        return []
-
-    return raise_on_scan, _EMPTY_SLOTS
-
-
-def compile_clause_kernel(
-    clause: PrimitiveClause, slots: Mapping[str, int]
-) -> tuple[ColumnKernel, frozenset[int]]:
-    """One clause as a selection-vector kernel, plus the slots it reads.
-
-    The slot set lets callers materialize only the columns a conjunction
-    actually touches (sparse layouts pass ``None`` placeholders for the
-    rest).  NULL semantics match :func:`compile_clause`: a ``None`` in
-    either operand never satisfies the clause, and a ``None`` constant
-    empties the selection outright.
-    """
-    op = _OPERATORS[clause.comparator]
-    left, right = clause.left, clause.right
-
-    if isinstance(left, AttributeRef) and isinstance(right, AttributeRef):
-        li = resolve_slot(left, slots)
-        ri = resolve_slot(right, slots)
-        if li is None:
-            return _unresolved_kernel(left)
-        if ri is None:
-            return _unresolved_kernel(right)
-
-        def attr_attr(
-            columns: Columns, selection: Selection, li=li, ri=ri, op=op
-        ) -> Selection:
-            a = columns[li]
-            b = columns[ri]
-            return [
-                r
-                for r in selection
-                if (x := a[r]) is not None
-                and (y := b[r]) is not None
-                and op(x, y)
-            ]
-
-        return attr_attr, frozenset((li, ri))
-
-    if isinstance(left, AttributeRef):
-        assert isinstance(right, Constant)
-        li = resolve_slot(left, slots)
-        if li is None:
-            return _unresolved_kernel(left)
-        value = right.value
-        if value is None:
-            return (lambda columns, selection: []), _EMPTY_SLOTS
-
-        def attr_const(
-            columns: Columns, selection: Selection, li=li, value=value, op=op
-        ) -> Selection:
-            a = columns[li]
-            return [
-                r
-                for r in selection
-                if (x := a[r]) is not None and op(x, value)
-            ]
-
-        return attr_const, frozenset((li,))
-
-    assert isinstance(left, Constant) and isinstance(right, AttributeRef)
-    ri = resolve_slot(right, slots)
-    if ri is None:
-        return _unresolved_kernel(right)
-    value = left.value
-    if value is None:
-        return (lambda columns, selection: []), _EMPTY_SLOTS
-
-    def const_attr(
-        columns: Columns, selection: Selection, ri=ri, value=value, op=op
-    ) -> Selection:
-        b = columns[ri]
-        return [
-            r for r in selection if (y := b[r]) is not None and op(value, y)
-        ]
-
-    return const_attr, frozenset((ri,))
-
-
-class ColumnFilter:
-    """A compiled conjunction over columns: kernels + the slots they read.
-
-    Calling the filter narrows ``selection`` through each kernel in clause
-    order, short-circuiting on an empty selection exactly like the row
-    conjunction short-circuits per row.  ``slots`` is the union of column
-    positions the kernels read — callers may pass a columns list with only
-    those positions populated.  With ``counters``, every kernel records
-    rows scanned (selection in) vs rows selected (selection out).
-    """
-
-    __slots__ = ("kernels", "slots")
-
-    def __init__(
-        self,
-        kernels: Sequence[ColumnKernel],
-        slots: Iterable[int],
-    ) -> None:
-        self.kernels = tuple(kernels)
-        self.slots = frozenset(slots)
-
-    def __call__(
-        self,
-        columns: Columns,
-        selection: Selection,
-        counters=None,
-    ) -> Selection:
-        if counters is None:
-            for kernel in self.kernels:
-                selection = kernel(columns, selection)
-                if not selection:
-                    break
-        else:
-            for kernel in self.kernels:
-                scanned = len(selection)
-                selection = kernel(columns, selection)
-                counters.record(scanned, len(selection))
-                if not selection:
-                    break
-        return selection
-
-
-def compile_clauses_kernel(
-    clauses: Sequence[PrimitiveClause], slots: Mapping[str, int]
-) -> ColumnFilter:
-    """Conjunction of column kernels (empty conjunction passes through)."""
-    kernels: list[ColumnKernel] = []
-    used: set[int] = set()
-    for clause in clauses:
-        kernel, read = compile_clause_kernel(clause, slots)
-        kernels.append(kernel)
-        used |= read
-    return ColumnFilter(kernels, used)

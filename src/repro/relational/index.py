@@ -8,7 +8,7 @@ maintained incrementally through ``insert``/``delete``, so the hot loops of
 the execution engine — equijoin evaluation and per-delta-tuple maintenance
 probes — reuse one index across calls rather than rebuilding a dict per
 query.  Bulk mutations (``delete_where``, ``replace_rows``, ``clear``) drop
-them, as they drop the relation's column store and delete locator.
+them, as they drop the relation's delete locator.
 
 Probe semantics follow SQL: a ``None`` (NULL) component never equals
 anything, so probes containing ``None`` return no rows even though rows

@@ -18,7 +18,6 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any
 
 from repro.errors import SchemaError
-from repro.relational.columnar import ColumnStore
 from repro.relational.index import HashIndex
 from repro.relational.schema import Attribute, Schema
 
@@ -60,17 +59,14 @@ class Relation:
     (external data) and never again.  :meth:`from_validated` and the
     derivations (:meth:`copy`, :meth:`distinct`, the ``with_*`` schema
     evolutions) trust rows that came out of a validated relation and
-    adopt them — the new relation gets its own row *list*, indexes and
-    column store, but shares the immutable row tuples.
+    adopt them — the new relation gets its own row *list* and indexes,
+    but shares the immutable row tuples.
 
     Derived structures, each built on first use and never shared:
 
     * hash indexes (:meth:`index_on`): kept live by :meth:`insert`,
       :meth:`delete` and :meth:`apply_run`, dropped by the bulk
       mutations;
-    * the column store (:meth:`column_store`): appended to by
-      :meth:`insert` and :meth:`apply_run`, dropped by anything that
-      removes rows;
     * the delete locator: when the schema has an INT attribute
       (``schema.key_position``), the first :meth:`delete` encodes that
       attribute of every row as a ``str`` with one character per row,
@@ -94,31 +90,26 @@ class Relation:
     derived structure on first use.
     """
 
-    __slots__ = (
-        "schema", "_rows", "_indexes", "_column_store", "_locator", "_tail"
-    )
+    __slots__ = ("schema", "_rows", "_indexes", "_locator", "_tail")
 
     def __init__(self, schema: Schema, rows: Iterable[Sequence[Any]] = ()) -> None:
         self.schema = schema
         self._rows: list[Row] = []
         self._indexes: dict[tuple[int, ...], HashIndex] = {}
-        self._column_store: ColumnStore | None = None
         self._locator: str | None = None
         self._tail: array[int] | None = None
         for row in rows:
             self.insert(row)
 
     def __getstate__(self) -> dict[str, Any]:
-        """Pickle the schema and rows only: indexes, column store,
-        locator and tail are derived, and a copy builds its own on first
-        use."""
+        """Pickle the schema and rows only: indexes, locator and tail
+        are derived, and a copy builds its own on first use."""
         return {"schema": self.schema, "_rows": self._rows}
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         self.schema = state["schema"]
         self._rows = state["_rows"]
         self._indexes = {}
-        self._column_store = None
         self._locator = None
         self._tail = None
 
@@ -246,21 +237,6 @@ class Relation:
         """Forget all built indexes (bulk mutations call this)."""
         self._indexes.clear()
 
-    # ------------------------------------------------------------------
-    # Column store (the columnar plane's view of this relation)
-    # ------------------------------------------------------------------
-    def column_store(self) -> ColumnStore:
-        """Per-attribute columns of this relation, built on first use.
-
-        Kept live across :meth:`insert` (append-only) and dropped by any
-        mutation that can remove or reorder rows — a middle-of-list
-        removal would shift every cached row position.
-        """
-        store = self._column_store
-        if store is None:
-            store = self._column_store = ColumnStore(self.schema, self._rows)
-        return store
-
     @property
     def index_count(self) -> int:
         return len(self._indexes)
@@ -303,8 +279,6 @@ class Relation:
         self._rows.append(validated)
         for index in self._indexes.values():
             index.add(validated)
-        if self._column_store is not None:
-            self._column_store.append(validated)
         tail = self._tail
         if tail is not None:
             tail.append(_fingerprint(validated[self.schema.key_position]))
@@ -341,7 +315,6 @@ class Relation:
             self._locator = locator[:slot] + locator[slot + 1 :]
         for index in self._indexes.values():
             index.discard(validated)
-        self._column_store = None
         return True
 
     def apply_run(self, ops: Iterable[tuple[bool, Sequence[Any]]]) -> list[Row]:
@@ -351,8 +324,7 @@ class Relation:
         Ends exactly as the same ops applied one by one with
         :meth:`insert` and :meth:`delete`: the same rows in order, the
         same locator and tail, index ``add``/``discard`` calls in the
-        same order, and the column store appended to or, once a row is
-        deleted, dropped.  A delete takes the first live occurrence, so
+        same order.  A delete takes the first live occurrence, so
         a base row goes before one inserted earlier in the run.  Deleted
         rows stay in place until the run ends and are then removed back
         to front.  The locator is joined once, at the run's first
@@ -394,11 +366,6 @@ class Relation:
                 self._tail.extend(
                     [_fingerprint(row[position]) for row in rows[base:]]
                 )
-            if deletes is not None and deletes.dead:
-                self._column_store = None
-            elif self._column_store is not None:
-                for row in rows[base:]:
-                    self._column_store.append(row)
         return stored
 
     def _joined_locator(self, position: int, end: int) -> str:
@@ -450,10 +417,8 @@ class Relation:
         self._drop_derived()
 
     def _drop_derived(self) -> None:
-        """Forget indexes, column store, locator and tail (bulk
-        mutations)."""
+        """Forget indexes, locator and tail (bulk mutations)."""
         self.drop_indexes()
-        self._column_store = None
         self._locator = None
         self._tail = None
 
@@ -509,7 +474,7 @@ class Relation:
         """Independent copy, optionally renamed.
 
         Independent as a bag: inserts and deletes on either side, and the
-        indexes and column store each side builds, never reach the other.
+        indexes each side builds, never reach the other.
         The immutable row tuples themselves are shared.
         """
         schema = (

@@ -1,6 +1,6 @@
 """MVCC extent versions: immutable snapshots over mutable storage.
 
-The serving plane's storage contract, next to the index and column-store
+The serving plane's storage contract, next to the index and locator
 lifecycles: an :class:`ExtentStore` holds every materialized view extent
 and publishes them as *versions* — immutable ``{view name: Relation}``
 mappings replaced wholesale at batch commit points.  Readers pin the

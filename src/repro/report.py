@@ -20,10 +20,12 @@ consumed by the benchmark drivers in place of their hand-rolled dicts.
         "views": [
           {"view": str, "change": str, "survived": bool,
            "qc": float | null, "policy": str | null,
-           "counters": {<StageCounters fields>} | null},
+           "counters": {<StageCounters fields>, "rows_scanned": 0,
+                        "rows_selected": 0} | null},
           ...
         ],
-        "counters": {<merged StageCounters fields>},
+        "counters": {<merged StageCounters fields>, "rows_scanned": 0,
+                     "rows_selected": 0},
         "survived": int, "undefined": int
       },
       "schedule": {
@@ -49,7 +51,7 @@ consumed by the benchmark drivers in place of their hand-rolled dicts.
         ],
         "counters": {"messages": int, "bytes_transferred": int,
                      "io_operations": int},
-        "kernels": {"rows_scanned": int, "rows_selected": int},
+        "kernels": {"rows_scanned": 0, "rows_selected": 0},
         "updates": int
       },
       "plans": {
@@ -107,7 +109,6 @@ from repro.esql import explain
 from repro.esql.ast import ViewDefinition
 from repro.maintenance.counters import MaintenanceCounters
 from repro.misd.statistics import RelationStatistics, SpaceStatistics
-from repro.relational.columnar import KernelCounters
 from repro.relational.schema import Schema
 from repro.space.space import Placement, placement_maps
 from repro.sync.pipeline import StageCounters
@@ -144,9 +145,15 @@ REPORT_SCHEMA_VERSION = 4
 PLAN_CAPTURE_LIMIT = 16
 
 
+#: v4 constants: the column-kernel scan counts of the deleted columnar
+#: plane, written as zeros until the next schema bump.
+_KERNELS = {"rows_scanned": 0, "rows_selected": 0}
+
+
 def _counters_dict(counters: StageCounters) -> dict[str, Any]:
     payload = dataclasses.asdict(counters)
     payload["seconds"] = round(payload["seconds"], 6)
+    payload.update(_KERNELS)
     return payload
 
 
@@ -308,9 +315,6 @@ class SystemReport:
     flushes: tuple[MaintenanceFlush, ...] = ()
     #: Counters accumulated across the whole call (``apply_updates``).
     maintenance_counters: MaintenanceCounters | None = None
-    #: Column-kernel rows scanned vs selected across the call (non-zero
-    #: only when a columnar plane executed).
-    kernels: KernelCounters | None = None
     #: The call's EXPLAIN plans, at most :data:`PLAN_CAPTURE_LIMIT`:
     #: evaluation captures kept by ``apply_changes``, maintenance
     #: captures kept by ``apply_updates``.  Read them through
@@ -352,7 +356,6 @@ class SystemReport:
         cls,
         flushes: Sequence[MaintenanceFlush],
         counters: MaintenanceCounters,
-        kernels: KernelCounters | None = None,
         plans: Sequence[MaintenancePlanCapture] = (),
         plans_total: int | None = None,
         serving: dict[str, Any] | None = None,
@@ -362,7 +365,6 @@ class SystemReport:
             operation="apply_updates",
             flushes=tuple(flushes),
             maintenance_counters=counters,
-            kernels=kernels,
             plan_sources=tuple(plans),
             plans_total=(
                 len(plans) if plans_total is None else plans_total
@@ -482,9 +484,7 @@ class SystemReport:
                     "bytes_transferred": maintenance.bytes_transferred,
                     "io_operations": maintenance.io_operations,
                 },
-                "kernels": (
-                    self.kernels or KernelCounters()
-                ).as_dict(),
+                "kernels": dict(_KERNELS),
                 "updates": self.updates,
             },
             "plans": {

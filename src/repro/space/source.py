@@ -6,18 +6,13 @@ primitive the view maintainer (Algorithm 1, Sec. 6.1) relies on: "join this
 incoming delta relation with your local relations referenced by the view,
 apply the local selection conditions, send the result back".
 
-Three in-flight representations of the delta relation exist:
+Two in-flight representations of the delta relation exist:
 
 * the **tuple plane** (:meth:`InformationSource.answer_single_site_batch`,
   the default) — a :class:`~repro.maintenance.delta.DeltaBatch` of
   positional tuples under an ordered schema of bound qualified columns,
   with probe keys and residual WHERE conjuncts compiled once per
   (condition, layout) and evaluated with no per-row dict construction;
-* the **columnar plane**
-  (:meth:`InformationSource.answer_single_site_columnar`) — a
-  :class:`~repro.maintenance.delta.ColumnBatch` of parallel per-column
-  lists under the same layout, with WHERE conjuncts as selection-vector
-  kernels and equijoins as vectorized position-index probes;
 * the **binding plane** (:meth:`InformationSource.answer_single_site_query`)
   — per-row ``dict`` mappings from fully qualified attribute names
   (``"R.A"``) to values, with clauses interpreted per candidate.  It is
@@ -196,41 +191,6 @@ class InformationSource:
                 )
         return extend_batch(
             self, batch, local_relations, condition, use_index=use_index
-        )
-
-    def answer_single_site_columnar(
-        self,
-        batch,
-        local_relations: Sequence[str],
-        condition: Condition,
-        use_index: bool = True,
-        counters=None,
-    ):
-        """Columnar single-site query: extend a ``ColumnBatch``.
-
-        The column-kernel counterpart of
-        :meth:`answer_single_site_batch`: the batch flows as parallel
-        per-column lists, join steps run as vectorized probes plus
-        selection-vector kernels, and ``counters`` (a
-        :class:`~repro.relational.columnar.KernelCounters`) records rows
-        scanned vs selected per kernel.  Accepted candidates and their
-        order are identical to both row planes.
-        """
-        # Lazily imported for the same package-cycle reason as above.
-        from repro.maintenance.delta import extend_batch_columnar
-
-        for name in local_relations:
-            if not self.offers(name):  # pragma: no cover - defensive
-                raise MaintenanceError(
-                    f"IS {self.name!r} does not offer {name!r}"
-                )
-        return extend_batch_columnar(
-            self,
-            batch,
-            local_relations,
-            condition,
-            use_index=use_index,
-            counters=counters,
         )
 
 

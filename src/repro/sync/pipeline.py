@@ -129,9 +129,6 @@ class StageCounters:
     degraded: int = 0       #: searches demoted to ``first_legal`` by a
                             #: scheduler deadline (see sync.scheduler)
     deferred: int = 0       #: synchronizations parked past the budget
-    rows_scanned: int = 0   #: rows column kernels looked at (columnar
-                            #: re-materializations only; zero elsewhere)
-    rows_selected: int = 0  #: rows those kernels kept
 
     def merged(self, other: "StageCounters") -> "StageCounters":
         return StageCounters(
@@ -151,11 +148,6 @@ class StageCounters:
         )
         if self.degraded or self.deferred:
             text += f" degraded={self.degraded} deferred={self.deferred}"
-        if self.rows_scanned or self.rows_selected:
-            text += (
-                f" rows_scanned={self.rows_scanned} "
-                f"rows_selected={self.rows_selected}"
-            )
         return text
 
 

@@ -260,8 +260,8 @@ class TestRaisingListener:
     @pytest.mark.parametrize("serving", [False, True], ids=["direct", "serving"])
     @pytest.mark.parametrize(
         "config",
-        [SystemConfig(), SystemConfig.columnar()],
-        ids=["tuple", "columnar"],
+        [SystemConfig(), SystemConfig.reference()],
+        ids=["tuple", "reference"],
     )
     def test_extents_match_sources_after_listener_error(
         self, config, serving, k

@@ -1,6 +1,8 @@
 """Tests for the serializable per-call SystemReport."""
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,10 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.report import REPORT_SCHEMA_VERSION, SystemReport
 from repro.space.changes import DeleteRelation, RenameRelation
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+
+from validate_bench import validate_system_report  # noqa: E402
 
 
 def build_system(**kwargs):
@@ -214,17 +220,37 @@ class TestApplyUpdatesReport:
         assert payload["synchronization"]["views"] == []
         json.loads(report.to_json())
 
-    def test_kernels_surface_for_the_columnar_plane(self):
-        eve = build_system(config=SystemConfig.columnar())
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(SystemConfig(), id="default"),
+            pytest.param(SystemConfig.reference(), id="reference"),
+            pytest.param(
+                SystemConfig.bounded(budget_units=1e12), id="bounded"
+            ),
+        ],
+    )
+    def test_column_kernel_keys_are_v4_constants(self, config):
+        # The columnar plane is gone; v4 keeps its keys as zeros until
+        # the next schema bump, on every preset and both operations.
+        zero = {"rows_scanned": 0, "rows_selected": 0}
+        eve = build_system(config=config)
         eve.apply_updates([("R", "insert", (3, 30))])
-        payload = eve.last_report.to_dict()
-        kernels = payload["maintenance"]["kernels"]
-        assert set(kernels) == {"rows_scanned", "rows_selected"}
-        # Row planes report all-zero kernels through the same shape.
-        row_plane = build_system()
-        row_plane.apply_updates([("R", "insert", (3, 30))])
-        zero = row_plane.last_report.to_dict()["maintenance"]["kernels"]
-        assert zero == {"rows_scanned": 0, "rows_selected": 0}
+        updates = eve.last_report.to_dict()
+        eve.apply_changes([DeleteRelation("IS1", "R")])
+        changes = eve.last_report.to_dict()
+        for payload in (updates, changes):
+            validate_system_report(payload)
+            assert payload["maintenance"]["kernels"] == zero
+            sync = payload["synchronization"]
+            rows = [sync["counters"]] + [
+                view["counters"]
+                for view in sync["views"]
+                if view["counters"] is not None
+            ]
+            for row in rows:
+                assert {key: row[key] for key in zero} == zero
+        assert len(changes["synchronization"]["views"]) == 1
 
     def test_each_call_replaces_the_report(self):
         eve = build_system()

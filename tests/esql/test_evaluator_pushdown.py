@@ -1,15 +1,11 @@
-"""Columnar evaluation plane + tuple-plane projection pushdown."""
-
-import pytest
+"""The indexed engine's NULL handling, empty short-circuit and
+tuple-plane projection pushdown."""
 
 import repro.esql.evaluator as evaluator_module
-from repro.config import EngineConfig, SystemConfig
-from repro.core.eve import EVESystem
-from repro.errors import ConfigurationError
+from repro.config import EngineConfig
 from repro.esql.evaluator import _referenced_columns, evaluate_view
 from repro.esql.parser import parse_view
 from repro.esql.validate import ViewValidator
-from repro.relational.columnar import KernelCounters
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
@@ -21,29 +17,7 @@ def relations():
     }
 
 
-COLUMNAR = EngineConfig(representation="columnar")
-
-
-class TestColumnarEngine:
-    def test_matches_tuple_plane_exactly(self):
-        view = parse_view(
-            "CREATE VIEW V AS SELECT R.B, S.C FROM R, S "
-            "WHERE R.A = S.A AND S.C > 7"
-        )
-        tuple_extent = evaluate_view(view, relations())
-        columnar_extent = evaluate_view(view, relations(), config=COLUMNAR)
-        assert columnar_extent.rows == tuple_extent.rows
-        assert columnar_extent.schema == tuple_extent.schema
-
-    def test_no_index_path_matches(self):
-        view = parse_view(
-            "CREATE VIEW V AS SELECT R.A, S.C FROM R, S WHERE R.A = S.A"
-        )
-        config = EngineConfig(representation="columnar", use_index=False)
-        with_index = evaluate_view(view, relations(), config=COLUMNAR)
-        without = evaluate_view(view, relations(), config=config)
-        assert sorted(without.rows) == sorted(with_index.rows)
-
+class TestIndexedEngine:
     def test_nulls_never_join_or_select(self):
         data = {
             "R": Relation(Schema("R", ["A", "B"]), [(1, None), (None, 5), (2, 6)]),
@@ -54,46 +28,18 @@ class TestColumnarEngine:
             "WHERE R.A = S.A AND R.B > 0"
         )
         reference = evaluate_view(view, data, config=EngineConfig(engine="naive"))
-        columnar = evaluate_view(view, data, config=COLUMNAR)
-        assert columnar.rows == [(6, 2)]
-        assert sorted(columnar.rows) == sorted(reference.rows)
-
-    def test_kernel_counters_record_scans(self):
-        view = parse_view("CREATE VIEW V AS SELECT R.A FROM R WHERE R.B > 10")
-        counters = KernelCounters()
-        extent = evaluate_view(
-            view, relations(), config=COLUMNAR, kernel_counters=counters
-        )
-        assert extent.rows == [(2,), (3,)]
-        # The local filter scanned all three rows and kept two.
-        assert counters.rows_scanned == 3
-        assert counters.rows_selected == 2
+        indexed = evaluate_view(view, data)
+        assert indexed.rows == [(6, 2)]
+        assert sorted(indexed.rows) == sorted(reference.rows)
 
     def test_empty_selection_short_circuits(self):
         view = parse_view(
             "CREATE VIEW V AS SELECT R.A, S.C FROM R, S "
             "WHERE R.B > 99 AND R.A = S.A"
         )
-        extent = evaluate_view(view, relations(), config=COLUMNAR)
+        extent = evaluate_view(view, relations())
         assert extent.rows == []
         assert extent.schema.attribute_names == ("A", "C")
-
-    def test_columnar_requires_indexed_engine(self):
-        with pytest.raises(ConfigurationError):
-            EngineConfig(engine="naive", representation="columnar")
-
-    def test_system_accumulates_kernel_counters(self):
-        eve = EVESystem(
-            config=SystemConfig(engine=EngineConfig(representation="columnar"))
-        )
-        eve.space.add_source("IS1")
-        eve.space.register_relation(
-            "IS1", Relation(Schema("R", ["A", "B"]), [(1, 2), (3, 4)])
-        )
-        eve.define_view("CREATE VIEW V AS SELECT R.A FROM R WHERE R.B > 2")
-        assert eve.extent("V").rows == [(3,)]
-        assert eve.kernel_counters.rows_scanned == 2
-        assert eve.kernel_counters.rows_selected == 1
 
 
 class TestTuplePushdown:
@@ -121,10 +67,9 @@ class TestTuplePushdown:
         reference = evaluate_view(
             view, self.wide_relations(), config=EngineConfig(engine="naive")
         )
-        for config in (EngineConfig(), COLUMNAR):
-            extent = evaluate_view(view, self.wide_relations(), config=config)
-            assert sorted(extent.rows) == sorted(reference.rows), config
-            assert sorted(extent.rows) == [(1, 100), (1, 300), (2, 200)]
+        extent = evaluate_view(view, self.wide_relations())
+        assert sorted(extent.rows) == sorted(reference.rows)
+        assert sorted(extent.rows) == [(1, 100), (1, 300), (2, 200)]
 
     def test_referenced_columns_exclude_dead_attributes(self):
         view = parse_view(self.VIEW)

@@ -15,8 +15,7 @@ def reset_locator(relation) -> None:
 
 
 def patch_derived(relation) -> None:
-    # Violations: dict writers, a subscript store and a plain store.
+    # Violations: dict writers and a subscript store.
     relation._indexes.pop((0,))
     relation._rows[0] = ()
     relation._indexes.clear()
-    relation._column_store = None

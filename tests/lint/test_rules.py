@@ -226,9 +226,9 @@ def test_rl008_flags_relation_state_writes_outside_the_relation_module():
     rule = rl008_relation_state.RelationStateRule()
     violations = check(rule, "rl008_bad.py")
     # Two list/array writers, three stores (plain, del, augmented), two
-    # dict writers, a subscript store and a plain store.
+    # dict writers and a subscript store.
     assert sorted(v.lineno for v in violations) == [
-        6, 7, 12, 13, 14, 19, 20, 21, 22,
+        6, 7, 12, 13, 14, 19, 20, 21,
     ]
     messages = "\n".join(v.message for v in violations)
     assert "relation._rows.append" in messages

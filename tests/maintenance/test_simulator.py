@@ -192,6 +192,8 @@ class TestRepresentations:
     def test_unknown_representation_rejected(self, space):
         with pytest.raises(ConfigurationError, match="representation"):
             ViewMaintainer(space, config=MaintenanceConfig(representation="quantum"))
+        with pytest.raises(ConfigurationError, match="columnar"):
+            MaintenanceConfig(representation="columnar")
 
     @pytest.mark.parametrize("representation", ["dict", "tuple"])
     def test_both_representations_maintain_correctly(

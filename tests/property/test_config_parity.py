@@ -145,7 +145,6 @@ def test_presets_commit_identical_outcomes(data):
     reference = run(tables, updates, deleted)  # the default profile
     for label, config in {
         "reference": SystemConfig.reference(),
-        "columnar": SystemConfig.columnar(),
         "bounded-unbinding": SystemConfig.bounded(budget_units=1e12),
     }.items():
         assert_same(

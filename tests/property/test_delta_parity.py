@@ -3,15 +3,17 @@
 The delta plane's contract (ISSUE 4): for any update storm, the
 positional-tuple representation produces *identical delta rows, extents,
 and byte-identical modeled CF_M/CF_T/CF_IO counters* to the dict-binding
-reference — per update, and through ``maintain_batch``.  The dict path
-stays selectable (``representation="dict"``) precisely so these tests
-can keep pinning it.
+reference — per update, through ``maintain_batch``, and through
+``apply_updates`` flush boundaries.  The dict path stays selectable
+(``representation="dict"``) precisely so these tests can keep pinning
+it.  The extents the planes start from are pinned too: on every storm
+shape the indexed engine evaluates to the naive engine's bag.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import MaintenanceConfig
+from repro.config import EngineConfig, MaintenanceConfig, SystemConfig
 from repro.core.eve import EVESystem
 from repro.esql.evaluator import evaluate_view
 from repro.esql.parser import parse_view
@@ -108,6 +110,22 @@ def replay(space, view, operations):
             yield source.delete(relation_name, row)
         else:
             yield source.insert(relation_name, row)
+
+
+@given(storm())
+@settings(max_examples=100, deadline=None)
+def test_indexed_engine_matches_naive_engine(data):
+    initial_r, initial_s, initial_t, view_text, _ = data
+    view = parse_view(view_text)
+    space = build_space(initial_r, initial_s, initial_t)
+    reference = evaluate_view(
+        view, space.relations(), config=EngineConfig(engine="naive")
+    )
+    indexed = evaluate_view(view, space.relations())
+    # The naive engine joins in literal FROM order, so the contract
+    # against it is bag equality.
+    assert sorted(indexed.rows) == sorted(reference.rows)
+    assert indexed.schema == reference.schema
 
 
 @given(storm())
@@ -213,21 +231,29 @@ def test_single_site_query_rows_identical(data):
 @settings(max_examples=40, deadline=None)
 def test_apply_updates_matches_sequential_system(data):
     """EVESystem.apply_updates on an interleaved multi-relation stream
-    equals the per-update listener path — flush boundaries restore the
-    sequential protocol exactly where batching would break it."""
+    equals the per-update listener path of the naive dict plane — flush
+    boundaries restore the sequential protocol exactly where batching
+    would break it."""
     initial_r, initial_s, initial_t, view_text, operations = data
     views = [view_text, VIEWS[0]]
 
-    def build(system_cls=EVESystem):
-        eve = system_cls(
+    def build(config=None):
+        eve = EVESystem(
             space=build_space(initial_r, initial_s, initial_t),
             auto_synchronize=False,
+            config=config,
         )
         for index, text in enumerate(views):
             eve.define_view(text.replace("VIEW V ", f"VIEW V{index} "))
         return eve
 
-    reference = build()
+    reference = build(
+        SystemConfig(
+            maintenance=MaintenanceConfig(
+                representation="dict", use_index=False
+            )
+        )
+    )
     intents = []
     for kind, relation_name, row in operations:
         source = reference.space.owner_of(relation_name)

@@ -76,13 +76,12 @@ def test_indexed_evaluator_matches_naive(r_data, s_data, t_data, clauses, order)
 def test_optimized_evaluator_matches_naive(
     r_data, s_data, t_data, clauses, order
 ):
-    """The compiled planes match naive when only R feeds the SELECT list.
+    """The compiled plane matches naive when only R feeds the SELECT list.
 
     Whichever of S/T the greedy order places last is then a relation
     whose columns are probed or filtered but never projected, and local
-    clauses on probed relations run as residuals.  Both the tuple and
-    the columnar representation must stay bag-identical to the naive
-    reference on these shapes.
+    clauses on probed relations run as residuals.  The tuple plane must
+    stay bag-identical to the naive reference on these shapes.
     """
     relations = make_relations(r_data, s_data, t_data)
     where = (" WHERE " + " AND ".join(clauses)) if clauses else ""
@@ -93,10 +92,6 @@ def test_optimized_evaluator_matches_naive(
     naive = evaluate_view(view, relations, config=EngineConfig(engine="naive"))
     indexed = evaluate_view(view, relations, config=EngineConfig())
     assert indexed == naive  # bag equality over identical schemas
-    columnar = evaluate_view(
-        view, relations, config=EngineConfig(representation="columnar")
-    )
-    assert columnar == naive
 
 
 @given(r_rows, s_rows, clause_subsets)

@@ -3,9 +3,8 @@
 A run of inserts and deletes applied in one pass must end exactly where
 ``insert``/``delete`` applied one at a time end: the same rows in the
 same order (down to which of several equal rows went), the same delete
-locator and pending tail, the same probe results from every built hash
-index, and the same column store (appended to, or dropped once a row is
-deleted).  A run stops before the op that fails one by one — a delete
+locator and pending tail, and the same probe results from every built
+hash index.  A run stops before the op that fails one by one — a delete
 of a missing row or a row that fails validation — with the prefix
 applied, and replaying that op fails the same way.
 """
@@ -84,7 +83,7 @@ def cases(draw):
             st.sampled_from([(0,), (1,), (0, 1)]), max_size=2, unique=True
         )
     )
-    return schema, base, before, run, indexes, draw(st.booleans())
+    return schema, base, before, run, indexes
 
 
 def one_by_one(relation, ops):
@@ -103,7 +102,6 @@ def one_by_one(relation, ops):
 
 def state(relation, probes):
     """Everything a run must leave as one-by-one ops would."""
-    store = relation._column_store
     return {
         "rows": list(relation.rows),
         "types": [tuple(map(type, row)) for row in relation.rows],
@@ -119,23 +117,18 @@ def state(relation, probes):
             }
             for positions, index in relation._indexes.items()
         },
-        "columns": None
-        if store is None
-        else [list(column) for column in store.columns],
     }
 
 
 @given(cases())
 @settings(max_examples=400, deadline=None)
 def test_apply_run_equals_one_by_one(case):
-    schema, base, before, ops, indexes, columnar = case
+    schema, base, before, ops, indexes = case
     singly, batched = Relation(schema, base), Relation(schema, base)
     for relation in (singly, batched):
         one_by_one(relation, before)
         for positions in indexes:
             relation.index_on_positions(positions)
-        if columnar:
-            relation.column_store()
 
     applied, failure = one_by_one(singly, ops)
     stored = batched.apply_run(ops)

@@ -48,7 +48,6 @@ FAILING = [
     ("upsert", (1, 1)),  # no such update kind
 ]
 
-CONFIGS = [SystemConfig(), SystemConfig.columnar()]
 REFERENCE = SystemConfig(maintenance=MaintenanceConfig(representation="dict"))
 
 
@@ -81,7 +80,7 @@ def streams(draw):
         st.lists(st.sampled_from(sorted(VIEWS)), min_size=1, unique=True)
     )
     serving = draw(st.booleans())
-    return tables, stream, views, draw(st.sampled_from(CONFIGS)), serving
+    return tables, stream, views, serving
 
 
 def build(tables, views, config, serving):
@@ -164,12 +163,12 @@ def observed(eve, seen, views):
 @given(streams())
 @settings(max_examples=150, deadline=None)
 def test_runs_land_as_the_per_update_protocol(case):
-    tables, stream, views, config, serving = case
+    tables, stream, views, serving = case
     reference, reference_seen = build(tables, views, REFERENCE, serving)
     stream = live_deletes(reference, stream)
     expected_error = per_update(reference, stream)
 
-    eve, seen = build(tables, views, config, serving)
+    eve, seen = build(tables, views, SystemConfig(), serving)
     assert batched(eve, stream) == expected_error
     assert observed(eve, seen, views) == observed(
         reference, reference_seen, views

@@ -256,20 +256,17 @@ class TestDeleteLocator:
         assert shipped.rows == [(1, 2)]
         assert r.rows == [(1, 2), (1, 2)]
 
-    def test_pickles_leave_out_indexes_and_column_store(self, r):
+    def test_pickles_leave_out_indexes(self, r):
         untouched = Relation.from_validated(r.schema, r.rows)
         assert list(r.index_on(["A"]).probe((1,))) == [(1, 2), (1, 2)]
-        r.column_store()
         payload = pickle.dumps(r)
         assert payload == pickle.dumps(untouched)
         shipped = pickle.loads(payload)
         assert shipped.index_count == 0
-        assert shipped._column_store is None
         shipped.insert((1, 5))
         assert list(shipped.index_on(["A"]).probe((1,))) == [
             (1, 2), (1, 2), (1, 5)
         ]
-        assert list(shipped.column_store().columns[1]) == [2, 4, 2, 5]
 
 
 class TestSchemaEvolution:

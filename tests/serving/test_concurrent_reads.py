@@ -2,8 +2,8 @@
 
 The acceptance property of the serving plane: reader threads that
 continuously query views while ``apply_changes`` / ``apply_updates``
-storms run on the default, reference, columnar and (unbinding)
-bounded planes must only ever observe a committed version — the rows
+storms run on the default, reference and (unbinding) bounded planes
+must only ever observe a committed version — the rows
 of every read equal the serial reference extent at that read's
 version, never a mixture of two batches.
 
@@ -145,7 +145,6 @@ def storm_with_readers(config, reader_count=3):
 EXECUTORS = [
     pytest.param(None, id="serial"),
     pytest.param(SystemConfig.reference(), id="reference"),
-    pytest.param(SystemConfig.columnar(), id="columnar"),
     pytest.param(SystemConfig.bounded(budget_units=1e12), id="bounded"),
 ]
 

@@ -204,7 +204,6 @@ class TestServingFrontend:
         "config",
         [
             pytest.param(SystemConfig.reference(), id="reference"),
-            pytest.param(SystemConfig.columnar(), id="columnar"),
             pytest.param(
                 SystemConfig.bounded(budget_units=1e12), id="bounded"
             ),

@@ -40,7 +40,6 @@ from repro.sync.synchronizer import ViewSynchronizer
 ALL_PRESETS = {
     "default": SystemConfig(),
     "reference": SystemConfig.reference(),
-    "columnar": SystemConfig.columnar(),
     "bounded-units": SystemConfig.bounded(budget_units=25.0),
     "bounded-wall": SystemConfig.bounded(budget=1.5, degrade="defer"),
 }
@@ -72,8 +71,16 @@ class TestValidation:
             lambda: SystemConfig.from_dict({"schedule": {"executor": "serial"}}),
             lambda: SystemConfig.from_dict({"schedule": {"shards": 2}}),
             lambda: MaintenanceConfig(representation="quantum"),
-            lambda: EngineConfig(representation="rowwise"),
-            lambda: EngineConfig(engine="naive", representation="columnar"),
+            lambda: MaintenanceConfig(representation="columnar"),
+            # Booleans must be bools: ``"false"`` is truthy and would
+            # run the opposite of what it says.
+            lambda: ScheduleConfig(coalesce="false"),
+            lambda: ScheduleConfig(coalesce=0),
+            lambda: MaintenanceConfig(use_index=None),
+            lambda: MaintenanceConfig(use_index="no"),
+            lambda: SystemConfig.from_dict({"schedule": {"coalesce": "false"}}),
+            lambda: SystemConfig(engine={"bogus": 1}),
+            lambda: SystemConfig(engine={"use_index": False}),
             lambda: SystemConfig(engine="indexed"),  # not a slice
             lambda: SystemConfig.bounded(),  # no budget at all
         ],
@@ -94,8 +101,14 @@ class TestValidation:
             "executor-key",
             "shards-key",
             "representation-name",
-            "engine-representation-name",
-            "columnar-on-naive",
+            "columnar-representation",
+            "coalesce-string",
+            "coalesce-int",
+            "use_index-none",
+            "use_index-string",
+            "coalesce-string-payload",
+            "slice-mapping-unknown-field",
+            "slice-mapping-removed-field",
             "slice-type",
             "bounded-empty",
         ],
@@ -113,6 +126,14 @@ class TestValidation:
             SystemConfig.from_dict({"schedule": {"shards": 2}})
         with pytest.raises(ConfigurationError, match="teleport"):
             SearchConfig(generators=("teleport",))
+        with pytest.raises(ConfigurationError, match="coalesce"):
+            SystemConfig.from_dict({"schedule": {"coalesce": "false"}})
+        with pytest.raises(ConfigurationError, match="use_index"):
+            MaintenanceConfig(use_index=None)
+        with pytest.raises(ConfigurationError, match="bogus"):
+            SystemConfig(engine={"bogus": 1})
+        with pytest.raises(ConfigurationError, match="columnar"):
+            MaintenanceConfig(representation="columnar")
 
     def test_top_k_string_spelling_normalizes(self):
         config = SearchConfig(policy="top_k(3)")
@@ -148,6 +169,65 @@ class TestValidation:
             assert not set(removed) & set(SystemConfig().to_dict()["schedule"])
         assert not hasattr(SystemConfig, "fast")
         assert not hasattr(SystemConfig, "sharded")
+
+    def test_removed_engine_knobs_are_gone(self):
+        # The indexed engine always probes and runs the tuple plane; the
+        # naive engine is the no-index reference.  ``engine`` is the
+        # slice's only field.
+        for removed in (
+            {"representation": "tuple"},
+            {"representation": "columnar"},
+            {"use_index": False},
+        ):
+            with pytest.raises(TypeError):
+                EngineConfig(**removed)
+        assert SystemConfig().to_dict()["engine"] == {"engine": "indexed"}
+        assert not hasattr(SystemConfig, "columnar")
+
+    @pytest.mark.parametrize(
+        ("saved", "named"),
+        [
+            pytest.param(
+                {
+                    "engine": {
+                        "engine": "indexed",
+                        "representation": "tuple",
+                        "use_index": True,
+                    },
+                },
+                "representation, use_index",
+                id="default-with-engine-knobs",
+            ),
+            pytest.param(
+                {
+                    "engine": {
+                        "engine": "indexed",
+                        "representation": "columnar",
+                        "use_index": True,
+                    },
+                    "maintenance": {
+                        "representation": "columnar",
+                        "use_index": True,
+                    },
+                },
+                "representation, use_index",
+                id="columnar",
+            ),
+        ],
+    )
+    def test_payloads_saved_with_engine_knobs_fail_loudly(self, saved, named):
+        # The parent's ``SystemConfig().to_dict()`` and
+        # ``columnar().to_dict()`` carried ``engine.representation`` and
+        # ``engine.use_index``: neither may load as the tuple plane
+        # without saying so.
+        payload = SystemConfig().to_dict()
+        for section, fields_ in saved.items():
+            payload[section] = dict(fields_)
+        wire = json.loads(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match=named):
+            SystemConfig.from_dict(wire)
+        with pytest.raises(ConfigurationError):
+            SystemConfig(engine=wire["engine"])
 
     @pytest.mark.parametrize(
         ("config", "executor", "shards"),
@@ -302,7 +382,7 @@ class TestConfigSpellings:
 # Engine slice semantics
 # ----------------------------------------------------------------------
 class TestEngineSlice:
-    def test_use_index_false_matches_probed_extents(self):
+    def test_indexed_engine_matches_naive_reference(self):
         space = tiny_space()
         space.add_source("IS2")
         space.register_relation(
@@ -312,10 +392,7 @@ class TestEngineSlice:
             "CREATE VIEW V AS SELECT R.B, S.C FROM R, S WHERE R.A = S.A"
         )
         probed = evaluate_view(view, space.relations())
-        unprobed = evaluate_view(
-            view, space.relations(), config=EngineConfig(use_index=False)
-        )
         naive = evaluate_view(
             view, space.relations(), config=EngineConfig(engine="naive")
         )
-        assert probed == unprobed == naive
+        assert probed == naive

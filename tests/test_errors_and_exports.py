@@ -114,9 +114,10 @@ class TestPublicSurface:
         assert undocumented == []
 
     def test_presets_reachable_from_exported_config(self):
-        for preset in ("reference", "columnar", "bounded"):
+        for preset in ("reference", "bounded"):
             assert callable(getattr(repro.SystemConfig, preset))
         assert not hasattr(repro.SystemConfig, "sharded")
+        assert not hasattr(repro.SystemConfig, "columnar")
 
     @pytest.mark.parametrize(
         ("owner", "name"),
@@ -142,6 +143,36 @@ class TestPublicSurface:
         if attribute:
             target = getattr(target, attribute)
         assert not hasattr(target, name)
+
+    @pytest.mark.parametrize(
+        ("owner", "name"),
+        [
+            ("repro.config:SystemConfig", "columnar"),
+            ("repro.core.eve:EVESystem", "kernel_counters"),
+            ("repro.maintenance.simulator:ViewMaintainer", "kernel_counters"),
+            ("repro.relational.relation:Relation", "column_store"),
+            ("repro.space.source:InformationSource",
+             "answer_single_site_columnar"),
+            ("repro.maintenance.delta", "ColumnBatch"),
+            ("repro.maintenance.delta", "extend_batch_columnar"),
+        ],
+    )
+    def test_columnar_surface_is_gone(self, owner, name):
+        # The columnar plane went whole: a caller still reaching for a
+        # piece of it fails at once, not silently on the tuple plane.
+        import importlib
+
+        module, _, attribute = owner.partition(":")
+        target = importlib.import_module(module)
+        if attribute:
+            target = getattr(target, attribute)
+        assert not hasattr(target, name)
+
+    def test_columnar_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            __import__("repro.relational.columnar")
+        eve = repro.EVESystem()
+        assert not hasattr(eve, "kernel_counters")
 
     def test_worker_module_and_schedule_fields_are_gone(self):
         import dataclasses

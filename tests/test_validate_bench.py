@@ -87,10 +87,18 @@ class TestStructuralValidation:
     def test_every_gated_bench_has_a_validator(self):
         assert set(GATED_SPEEDUPS) <= set(validate_bench.VALIDATORS)
 
-    def test_columnar_parity_invariant_enforced(self):
+    @pytest.mark.parametrize(
+        ("section", "field", "message"),
+        [
+            ("view_evaluation", "extents_equal", "extents diverged"),
+            ("maintenance_propagation", "counters_equal", "counters diverged"),
+            ("synchronize_and_rank", "rankings_identical", "ranking diverged"),
+        ],
+    )
+    def test_engine_parity_invariants_enforced(self, section, field, message):
         payload = committed("engine")
-        payload["view_evaluation_large"]["results_equal"] = False
-        with pytest.raises(BenchValidationError, match="columnar"):
+        payload[section][field] = False
+        with pytest.raises(BenchValidationError, match=message):
             validate_payload("engine", payload)
 
     def test_sharded_parity_invariant_enforced(self):
@@ -181,16 +189,6 @@ class TestStructuralValidation:
         payload["storm_reads"]["p50_ratio"] = 2.5
         with pytest.raises(BenchValidationError, match="p50"):
             validate_payload("serving", payload)
-
-    def test_columnar_floor_gates_full_runs_only(self):
-        payload = committed("engine")
-        payload["view_evaluation_large"]["speedup"] = 1.2
-        with pytest.raises(BenchValidationError, match="floor"):
-            validate_payload("engine", payload)
-        # A smoke payload runs the lane at toy scale: parity still
-        # gates, the absolute speedup floor is explicitly waived.
-        payload["config"] = {"smoke": True}
-        validate_payload("engine", payload)
 
 
 class TestSystemReportValidation:

@@ -11,17 +11,16 @@ class RelationStateRule(OwnedAttributesRule):
     code = "RL008"
     owner_module = "repro.relational.relation"
     #: ``Relation``'s row list and the structures derived from it.
-    attrs = ("_rows", "_locator", "_tail", "_indexes", "_column_store")
+    attrs = ("_rows", "_locator", "_tail", "_indexes")
     guarded = "a relation's rows and derived structures"
     remedy = "a Relation method"
     summary = (
         "only relational/relation.py writes a relation's rows, delete "
-        "locator, tail, hash indexes and column store"
+        "locator, tail and hash indexes"
     )
     explain = """\
-A ``Relation`` keeps four structures in step with its row list: the
-hash indexes (``_indexes``), the column store (``_column_store``), and
-the delete locator (``_locator``, one fingerprint character per row)
+A ``Relation`` keeps three structures in step with its row list: the
+hash indexes (``_indexes``) and the delete locator (``_locator``, one fingerprint character per row)
 with its pending ``_tail`` of fingerprints of rows inserted since the
 last delete.  ``insert``, ``delete`` and the one-pass run of both,
 ``apply_run``, update all of them together: a run leaves deleted rows
@@ -34,8 +33,8 @@ wrong slot or misses a live row, an index probe returns a row that is
 gone, and extents and the modeled counters drift with no error.
 
 RL008 flags, in every module except ``repro.relational.relation``, any
-in-place write to ``_rows``, ``_locator``, ``_tail``, ``_indexes`` or
-``_column_store``: assignment, augmented assignment or ``del`` of the
+in-place write to ``_rows``, ``_locator``, ``_tail`` or ``_indexes``:
+assignment, augmented assignment or ``del`` of the
 attribute or one of its items, and calls of the list, dict and array
 writing methods (``append``, ``extend``, ``insert``, ``remove``,
 ``pop``, ``popitem``, ``clear``, ``sort``, ``reverse``, ``update``,
